@@ -2,9 +2,9 @@
 
 Pipeline: sample hurricane damage scenarios from wind fragility curves,
 compile a two-stage stochastic MILP allocating mobile generators, mobile
-storage, fuel, and repair crews, solve it by progressive hedging over an
-embedded branch-and-bound kernel, validate the plan with the multiple
-replication procedure, and evaluate it against held-out scenarios.
+storage, fuel, and repair crews, solve it directly or by progressive
+hedging with HiGHS, validate the plan with the multiple replication
+procedure, and evaluate it against held-out scenarios.
 """
 
 from .network import (

@@ -22,7 +22,7 @@ from .formulation import (
     plan_to_document,
 )
 from .hedging import PhConfig, PhError, SubproblemInfeasibleError, iteration_log_csv, ph_solve
-from .milp import solve_milp, write_lp
+from .milp import NumericalInstabilityError, solve_milp, write_lp
 from .mrp import MrpConfig, MrpError, mrp_validate, result_to_json
 from .network import NetworkParseError, NetworkValidationError, load_network, validate_regions
 from .report import (
@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--soft-start", help="prior plan file used as a warm-start hint")
+    p.add_argument("--soft-start",
+                   help="prior plan file; hedging iteration 0 is pulled toward it")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_solve_ph)
 
@@ -376,9 +377,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except NumericalInstabilityError as exc:
+        return _fail(CliError(f"solver failed: {exc}", EXIT_NOT_CONVERGED))
     except CliError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": exc.code}), file=sys.stderr)
-        return exc.code
+        return _fail(exc)
+
+
+def _fail(exc: CliError) -> int:
+    print(json.dumps({"error": str(exc), "exit_code": exc.code}), file=sys.stderr)
+    return exc.code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 Iteration 0 solves each scenario alone; later rounds solve subproblems
 augmented with the scenario's running price vector and a proximal pull
-toward the probability-weighted mean of the first-stage decisions.  The
+toward the probability-weighted mean of the first-stage decisions.  A prior
+plan warm-starts the loop (Watson & Woodruff 2011): iteration 0 then pulls
+every scenario toward that plan instead, with zero prices.  The
 loop stops once the weighted deviation from the mean falls below the
 threshold, then extracts a consensus plan (majority vote projected onto
 the first-stage constraints) and prices it by re-solving every scenario
@@ -92,7 +94,6 @@ class PhState:
     x_bar: list[float]
     eta_s: list[list[float]]
     metric_history: list[float]
-    hint_plan: FirstStagePlan | None = None
 
     def to_document(self) -> dict:
         return {
@@ -162,30 +163,14 @@ def convergence_metric(
     return total
 
 
-def soft_start(config: PhConfig, prior_plan: FirstStagePlan | None) -> PhState:
-    """Empty iteration state carrying the warm-start hint for iteration 0."""
-    return PhState(
-        iteration=-1, x_s=[], x_bar=[], eta_s=[], metric_history=[], hint_plan=prior_plan
-    )
-
-
-def _plan_hint(index: VariableIndex, plan: FirstStagePlan) -> dict[int, float]:
-    hint: dict[int, float] = {}
-    for key, vid in index.items():
-        kind, entity = key[0], key[1]
-        if kind == "meg":
-            hint[vid] = float(plan.meg_at.get(entity, 0))
-        elif kind == "mes":
-            hint[vid] = float(plan.mes_at.get(entity, 0))
-        elif kind == "lots" and entity in plan.fuel_lots:
-            hint[vid] = float(plan.fuel_lots[entity])
-        elif kind == "crew" and entity in plan.crews:
-            hint[vid] = float(plan.crews[entity])
-    return hint
-
-
-def _vector_hint(ids: Sequence[int], vec: Sequence[float]) -> dict[int, float]:
-    return {vid: float(v) for vid, v in zip(ids, vec)}
+def _plan_vector(index: VariableIndex, ids: Sequence[int], plan: FirstStagePlan) -> list[float]:
+    """The plan as a first-stage vector in the order of ``ids``."""
+    groups = {"meg": plan.meg_at, "mes": plan.mes_at, "lots": plan.fuel_lots, "crew": plan.crews}
+    out = []
+    for vid in ids:
+        kind, entity = index.key_of(vid)[:2]
+        out.append(float(groups[kind].get(entity, 0)))
+    return out
 
 
 def _with_tie_break(problem: MilpProblem, ids: Sequence[int], weight: float) -> MilpProblem:
@@ -217,7 +202,7 @@ def repair_consensus(
 ) -> FirstStagePlan:
     """Project the vote vector onto the first-stage constraints (min L1 move).
 
-    Small kernel solve over the first-stage block only; binaries use the
+    Small MILP over the first-stage block only; binaries use the
     exact expansion of |x - v| and integers an auxiliary deviation variable.
     """
     problem = MilpProblem("consensus_repair")
@@ -301,37 +286,46 @@ def ph_solve(
     probs = [s.probability for s in scen_set.scenarios]
     # a single scenario has no ties to break; keep its optimum untouched
     tie_break = ph_config.tie_break_weight if len(scen_set) > 1 else 0.0
-    state = soft_start(ph_config, ph_config.prior_plan)
     log_rows: list[tuple[int, float, float, float]] = []
     t_start = clock()
 
-    # iteration 0: plain scenario subproblems (optionally hinted by a prior plan)
-    def solve_plain(scen):
-        comp = build_subproblem(model, scen, config, loops=loops)
-        ids = first_stage_vector_ids(comp.index)
-        hint = None
-        if state.hint_plan is not None:
-            hint = _plan_hint(comp.index, state.hint_plan)
-        biased = _with_tie_break(comp.problem, ids, tie_break)
-        sol = solve_milp(biased, gap_tol=ph_config.gap_tol,
-                         node_limit=ph_config.node_limit, hint=hint)
-        if not sol.ok:
-            raise SubproblemInfeasibleError(scen.id)
-        return [sol.values[v] for v in ids], sol.objective, comp
-
-    results = _map_scenarios(solve_plain, scen_set.scenarios, ph_config.workers)
-    x_s = [r[0] for r in results]
-    objs = [r[1] for r in results]
-    compiled0 = results[0][2]
+    # rho comes from the plain subproblem: prox terms would bias per_variable_rho
+    first_scen = scen_set.scenarios[0]
+    compiled0 = build_subproblem(model, first_scen, config, loops=loops)
     ids0 = first_stage_vector_ids(compiled0.index)
     rho_vec = _rho_vector(ph_config, compiled0, ids0)
     rho_cap = [r * ph_config.rho_cap_factor for r in rho_vec]
+    prior = ph_config.prior_plan
+    prior_vec = _plan_vector(compiled0.index, ids0, prior) if prior is not None else None
+
+    def solve_scenario(comp, scen):
+        ids = first_stage_vector_ids(comp.index)
+        biased = _with_tie_break(comp.problem, ids, tie_break)
+        sol = solve_milp(biased, gap_tol=ph_config.gap_tol, node_limit=ph_config.node_limit)
+        if not sol.ok:
+            raise SubproblemInfeasibleError(scen.id)
+        return [sol.values[v] for v in ids], sol.objective
+
+    # iteration 0: plain scenario subproblems, or with no prices and a pull
+    # toward the prior plan when one is given
+    def solve_start(scen):
+        if prior_vec is not None:
+            comp = build_ph_subproblem(model, scen, config, multipliers=[0.0] * len(ids0),
+                                       anchor=prior_vec, rho=rho_vec, loops=loops)
+        elif scen is first_scen:
+            comp = compiled0
+        else:
+            comp = build_subproblem(model, scen, config, loops=loops)
+        return solve_scenario(comp, scen)
+
+    results = _map_scenarios(solve_start, scen_set.scenarios, ph_config.workers)
+    x_s = [r[0] for r in results]
+    objs = [r[1] for r in results]
 
     x_bar = aggregate(x_s, probs)
     eta_s = [[r * (xv - xb) for r, xv, xb in zip(rho_vec, vec, x_bar)] for vec in x_s]
     g = convergence_metric(x_s, x_bar, probs, ph_config.norm)
-    state = PhState(iteration=0, x_s=x_s, x_bar=x_bar, eta_s=eta_s,
-                    metric_history=[g], hint_plan=state.hint_plan)
+    state = PhState(iteration=0, x_s=x_s, x_bar=x_bar, eta_s=eta_s, metric_history=[g])
     log_rows.append((0, g, clock() - t_start, float(np.mean(objs))))
 
     stagnant = 0
@@ -348,14 +342,7 @@ def ph_solve(
                 rho=rho_vec,
                 loops=loops,
             )
-            ids = first_stage_vector_ids(comp.index)
-            hint = _vector_hint(ids, state.x_s[si])
-            biased = _with_tie_break(comp.problem, ids, tie_break)
-            sol = solve_milp(biased, gap_tol=ph_config.gap_tol,
-                             node_limit=ph_config.node_limit, hint=hint)
-            if not sol.ok:
-                raise SubproblemInfeasibleError(scen.id)
-            return [sol.values[v] for v in ids], sol.objective
+            return solve_scenario(comp, scen)
 
         results = _map_scenarios(solve_augmented, list(enumerate(scen_set.scenarios)), ph_config.workers)
         x_s = [r[0] for r in results]
@@ -367,7 +354,7 @@ def ph_solve(
         ]
         g = convergence_metric(x_s, x_bar, probs, ph_config.norm)
         state = PhState(iteration=tau, x_s=x_s, x_bar=x_bar, eta_s=eta_s,
-                        metric_history=state.metric_history + [g], hint_plan=state.hint_plan)
+                        metric_history=state.metric_history + [g])
         log_rows.append((tau, g, clock() - t_start, float(np.mean(objs))))
 
         # multiplier drift guard: the weighted multipliers must stay centered

@@ -32,6 +32,10 @@ class ProblemError(ValueError):
     """Ill-formed problem: unknown variable, bad bounds, sealed mutation."""
 
 
+class NumericalInstabilityError(RuntimeError):
+    """The LP solver stopped without an optimum, an infeasibility or an unbounded ray."""
+
+
 @dataclass(frozen=True)
 class VarSpec:
     id: int

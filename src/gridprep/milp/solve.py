@@ -1,20 +1,13 @@
-"""LP and branch-and-bound MILP solving over :class:`MilpProblem`.
+"""LP and MILP solving over :class:`MilpProblem`.
 
-Two interchangeable engines sit behind the same interface: the embedded
-dense simplex / branch-and-bound pair (deterministic, node-countable,
-hint-aware) and a delegation to HiGHS through SciPy for instances too large
-for dense linear algebra.  ``backend="auto"`` picks by problem size; every
-path is deterministic at fixed inputs.
-
-Branch and bound uses best-bound node selection and most-fractional
-branching with ties broken by lowest variable id.  A warm-start hint is
-rounded, fixed, and re-solved; if feasible it seeds the incumbent, and ties
-against the incumbent are kept, so a hinted optimum is returned unchanged.
+Every solve takes one path: an own presolve (singleton rows folded into
+bounds, integer bounds rounded, fixed variables substituted out), then HiGHS
+through SciPy, ``milp`` while integer variables remain and ``linprog`` once
+none do.  HiGHS is deterministic at fixed inputs, so every solve is too.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -36,11 +29,8 @@ from .problem import (
     UNBOUNDED,
     MilpProblem,
     MilpSolution,
+    NumericalInstabilityError,
 )
-from .simplex import LP_INFEASIBLE, LP_OPTIMAL, LP_UNBOUNDED, NumericalInstabilityError, solve_bounded_lp
-
-EMBEDDED_SIZE_LIMIT = 320  # vars + constraints beyond which auto prefers HiGHS
-EMBEDDED_INT_LIMIT = 16
 
 
 @dataclass
@@ -56,7 +46,6 @@ class _Reduced:
     keep_vars: np.ndarray  # original column ids of kept variables
     fixed: dict[int, float]
     infeasible: bool = False
-    names: tuple[str, ...] = ()
 
 
 def _presolve(problem: MilpProblem, relax_integrality: bool = False) -> _Reduced:
@@ -143,7 +132,6 @@ def _presolve(problem: MilpProblem, relax_integrality: bool = False) -> _Reduced
     b_red = b_red[ok_rows]
     senses_red = tuple(senses_red[i] for i in ok_rows)
 
-    names = tuple(problem.variables[int(j)].name for j in keep)
     return _Reduced(
         c=c[keep],
         a=a_red,
@@ -155,7 +143,6 @@ def _presolve(problem: MilpProblem, relax_integrality: bool = False) -> _Reduced
         obj_const=obj_const,
         keep_vars=keep,
         fixed=fixed,
-        names=names,
     )
 
 
@@ -168,32 +155,12 @@ def _expand_values(red: _Reduced, x: np.ndarray, problem: MilpProblem) -> dict[i
     return values
 
 
-# -- LP engines -----------------------------------------------------------
-
-
-def _lp_embedded(red: _Reduced, lower: np.ndarray, upper: np.ndarray):
-    m, n = red.a.shape
-    a_dense = red.a.toarray()
-    slack_lower = np.empty(m)
-    slack_upper = np.empty(m)
-    for i, sense in enumerate(red.senses):
-        if sense == LE:
-            slack_lower[i], slack_upper[i] = 0.0, math.inf
-        elif sense == GE:
-            slack_lower[i], slack_upper[i] = -math.inf, 0.0
-        else:
-            slack_lower[i], slack_upper[i] = 0.0, 0.0
-    a_eq = np.hstack([a_dense, np.eye(m)]) if m else np.zeros((0, n))
-    c_full = np.concatenate([red.c, np.zeros(m)])
-    lo = np.concatenate([lower, slack_lower])
-    hi = np.concatenate([upper, slack_upper])
-    result = solve_bounded_lp(c_full, a_eq, red.b, lo, hi)
-    if result.status == LP_OPTIMAL:
-        return LP_OPTIMAL, result.x[:n], result.objective
-    return result.status, None, math.nan
-
-
-def _lp_highs(red: _Reduced, lower: np.ndarray, upper: np.ndarray):
+def _lp_highs(problem: MilpProblem, red: _Reduced) -> MilpSolution:
+    """Solve a reduced problem that has no integer variable left."""
+    if red.a.shape[1] == 0:
+        values = _expand_values(red, np.empty(0), problem)
+        obj = red.obj_const
+        return MilpSolution(status=OPTIMAL, values=values, objective=obj, best_bound=obj)
     le_rows = [i for i, s in enumerate(red.senses) if s == LE]
     ge_rows = [i for i, s in enumerate(red.senses) if s == GE]
     eq_rows = [i for i, s in enumerate(red.senses) if s == EQ]
@@ -219,60 +186,26 @@ def _lp_highs(red: _Reduced, lower: np.ndarray, upper: np.ndarray):
         b_ub=b_ub,
         A_eq=a_eq,
         b_eq=b_eq,
-        bounds=np.column_stack([lower, upper]),
+        bounds=np.column_stack([red.lower, red.upper]),
         method="highs",
     )
-    if res.status == 0:
-        return LP_OPTIMAL, np.asarray(res.x), float(res.fun)
     if res.status == 2:
-        return LP_INFEASIBLE, None, math.nan
+        return MilpSolution(status=INFEASIBLE)
     if res.status == 3:
-        return LP_UNBOUNDED, None, math.nan
-    raise NumericalInstabilityError(f"HiGHS LP failed: {res.message}")
+        return MilpSolution(status=UNBOUNDED)
+    if res.status != 0:
+        raise NumericalInstabilityError(f"HiGHS LP failed: {res.message}")
+    values = _expand_values(red, np.asarray(res.x), problem)
+    objective = float(res.fun) + red.obj_const
+    return MilpSolution(status=OPTIMAL, values=values, objective=objective, best_bound=objective)
 
 
-def _choose_lp_engine(red: _Reduced, backend: str):
-    if backend == "embedded":
-        return _lp_embedded
-    if backend == "highs":
-        return _lp_highs
-    size = red.a.shape[0] + red.a.shape[1]
-    return _lp_embedded if size <= EMBEDDED_SIZE_LIMIT else _lp_highs
-
-
-def solve_lp(problem: MilpProblem, backend: str = "auto") -> MilpSolution:
+def solve_lp(problem: MilpProblem) -> MilpSolution:
     """Solve the LP relaxation (integrality dropped, bounds kept)."""
     red = _presolve(problem, relax_integrality=True)
     if red.infeasible:
         return MilpSolution(status=INFEASIBLE)
-    if red.a.shape[1] == 0:
-        values = _expand_values(red, np.empty(0), problem)
-        obj = red.obj_const
-        return MilpSolution(status=OPTIMAL, values=values, objective=obj, best_bound=obj)
-    engine = _choose_lp_engine(red, backend)
-    status, x, obj = engine(red, red.lower, red.upper)
-    if status == LP_INFEASIBLE:
-        return MilpSolution(status=INFEASIBLE)
-    if status == LP_UNBOUNDED:
-        return MilpSolution(status=UNBOUNDED)
-    values = _expand_values(red, x, problem)
-    objective = obj + red.obj_const
-    return MilpSolution(status=OPTIMAL, values=values, objective=objective, best_bound=objective)
-
-
-# -- branch and bound -----------------------------------------------------
-
-
-def _most_fractional(x: np.ndarray, integer_mask: np.ndarray) -> int | None:
-    frac = np.abs(x - np.round(x))
-    frac[~integer_mask] = 0.0
-    candidates = np.nonzero(frac > INTEGRALITY_TOL)[0]
-    if candidates.size == 0:
-        return None
-    # distance to 0.5 measures "most fractional"; lowest index wins ties
-    score = np.abs(frac[candidates] - 0.5)
-    best = np.lexsort((candidates, score))[0]
-    return int(candidates[best])
+    return _lp_highs(problem, red)
 
 
 def _relative_gap(incumbent: float, bound: float) -> float:
@@ -281,146 +214,7 @@ def _relative_gap(incumbent: float, bound: float) -> float:
     return (incumbent - bound) / max(1.0, abs(incumbent))
 
 
-def _bb_solve(
-    problem: MilpProblem,
-    red: _Reduced,
-    gap_tol: float,
-    node_limit: int,
-    lp_backend: str,
-    incumbent_seed: tuple[np.ndarray, float] | None,
-    trace: list | None,
-    diagnostics: list[str],
-) -> MilpSolution:
-    engine = _choose_lp_engine(red, lp_backend)
-
-    status, x0, obj0 = engine(red, red.lower, red.upper)
-    node_count = 1
-    if status == LP_INFEASIBLE:
-        return MilpSolution(status=INFEASIBLE, node_count=node_count)
-    if status == LP_UNBOUNDED:
-        return MilpSolution(status=UNBOUNDED, node_count=node_count)
-
-    incumbent_x: np.ndarray | None = None
-    incumbent_obj = math.inf
-    if incumbent_seed is not None:
-        incumbent_x, incumbent_obj = incumbent_seed
-
-    # root rounding dive: fix integers at the rounded relaxation values and
-    # re-solve the continuous rest; a feasible point seeds the incumbent
-    if np.any(red.integer_mask):
-        dive_lo = red.lower.copy()
-        dive_hi = red.upper.copy()
-        rounded = np.round(x0[red.integer_mask])
-        dive_lo[red.integer_mask] = rounded
-        dive_hi[red.integer_mask] = rounded
-        if np.all(dive_lo <= dive_hi + 1e-12):
-            d_status, d_x, d_obj = engine(red, dive_lo, np.maximum(dive_hi, dive_lo))
-            if d_status == LP_OPTIMAL and d_obj < incumbent_obj - 1e-9:
-                incumbent_x, incumbent_obj = d_x, d_obj
-
-    heap: list = []
-    seq = 0
-    heapq.heappush(heap, (obj0, seq, red.lower.copy(), red.upper.copy(), x0))
-
-    def global_bound() -> float:
-        candidates = [incumbent_obj] if incumbent_x is not None else []
-        if heap:
-            candidates.append(heap[0][0])
-        return min(candidates) if candidates else math.inf
-
-    limit_hit = False
-    while heap:
-        bound, _, lo, hi, x = heapq.heappop(heap)
-        if trace is not None:
-            trace.append((global_bound() if heap or incumbent_x is not None else bound,
-                          incumbent_obj))
-        if incumbent_x is not None and bound >= incumbent_obj - 1e-9:
-            heap.clear()
-            break
-        if incumbent_x is not None and _relative_gap(incumbent_obj, min(bound, incumbent_obj)) <= gap_tol and gap_tol > 0:
-            break
-        branch_var = _most_fractional(x, red.integer_mask)
-        if branch_var is None:
-            x_snapped = x.copy()
-            x_snapped[red.integer_mask] = np.round(x_snapped[red.integer_mask])
-            if bound < incumbent_obj - 1e-9:
-                incumbent_x, incumbent_obj = x_snapped, bound
-            continue
-        if node_count >= node_limit:
-            limit_hit = True
-            heapq.heappush(heap, (bound, -1, lo, hi, x))
-            break
-        pivot = x[branch_var]
-        for child_lo_val, child_hi_val in (
-            (lo[branch_var], math.floor(pivot)),
-            (math.ceil(pivot), hi[branch_var]),
-        ):
-            child_lo = lo.copy()
-            child_hi = hi.copy()
-            child_lo[branch_var] = child_lo_val
-            child_hi[branch_var] = child_hi_val
-            if child_lo[branch_var] > child_hi[branch_var]:
-                continue
-            c_status, c_x, c_obj = engine(red, child_lo, child_hi)
-            node_count += 1
-            if c_status == LP_INFEASIBLE:
-                continue
-            if c_status == LP_UNBOUNDED:
-                return MilpSolution(status=UNBOUNDED, node_count=node_count)
-            child_bound = max(c_obj, bound)
-            if incumbent_x is not None and child_bound >= incumbent_obj - 1e-9:
-                continue
-            seq += 1
-            heapq.heappush(heap, (child_bound, seq, child_lo, child_hi, c_x))
-            if node_count >= node_limit:
-                limit_hit = True
-                break
-        if limit_hit:
-            break
-
-    bound_final = global_bound()
-    if incumbent_x is None:
-        if limit_hit:
-            return MilpSolution(status=ITERATION_LIMIT, best_bound=bound_final,
-                                node_count=node_count, diagnostics=tuple(diagnostics))
-        return MilpSolution(status=INFEASIBLE, node_count=node_count,
-                            diagnostics=tuple(diagnostics))
-
-    values = _expand_values(red, incumbent_x, problem)
-    objective = incumbent_obj + red.obj_const
-    bound_final = min(bound_final, incumbent_obj)
-    if limit_hit:
-        status_final = ITERATION_LIMIT
-    elif heap:
-        status_final = GAP_LIMIT
-    else:
-        status_final = OPTIMAL
-        bound_final = incumbent_obj
-    return MilpSolution(
-        status=status_final,
-        values=values,
-        objective=objective,
-        best_bound=bound_final + red.obj_const,
-        node_count=node_count,
-        diagnostics=tuple(diagnostics),
-    )
-
-
-# -- HiGHS MILP delegation ------------------------------------------------
-
-
-def _milp_highs(
-    problem: MilpProblem,
-    red: _Reduced,
-    gap_tol: float,
-    node_limit: int,
-    diagnostics: list[str],
-) -> MilpSolution:
-    n = red.a.shape[1]
-    if n == 0:
-        values = _expand_values(red, np.empty(0), problem)
-        return MilpSolution(status=OPTIMAL, values=values, objective=red.obj_const,
-                            best_bound=red.obj_const, diagnostics=tuple(diagnostics))
+def _milp_highs(problem: MilpProblem, red: _Reduced, gap_tol: float, node_limit: int) -> MilpSolution:
     lb = np.empty(len(red.senses))
     ub = np.empty(len(red.senses))
     for i, sense in enumerate(red.senses):
@@ -440,11 +234,11 @@ def _milp_highs(
     )
     node_count = int(getattr(res, "mip_node_count", 0) or 0)
     if res.status == 2:
-        return MilpSolution(status=INFEASIBLE, node_count=node_count, diagnostics=tuple(diagnostics))
+        return MilpSolution(status=INFEASIBLE, node_count=node_count)
     if res.status == 3:
-        return MilpSolution(status=UNBOUNDED, node_count=node_count, diagnostics=tuple(diagnostics))
+        return MilpSolution(status=UNBOUNDED, node_count=node_count)
     if res.x is None:
-        return MilpSolution(status=ITERATION_LIMIT, node_count=node_count, diagnostics=tuple(diagnostics))
+        return MilpSolution(status=ITERATION_LIMIT, node_count=node_count)
     x = np.asarray(res.x)
     x[red.integer_mask] = np.round(x[red.integer_mask])
     values = _expand_values(red, x, problem)
@@ -461,115 +255,22 @@ def _milp_highs(
         objective=objective,
         best_bound=min(best_bound, objective),
         node_count=node_count,
-        diagnostics=tuple(diagnostics),
     )
-
-
-def _round_hint(problem: MilpProblem, hint: dict[int, float], diagnostics: list[str]) -> dict[int, float]:
-    fixed: dict[int, float] = {}
-    for vid, val in hint.items():
-        if vid < 0 or vid >= problem.num_variables:
-            diagnostics.append(f"hint ignores unknown variable id {vid}")
-            continue
-        spec = problem.variables[vid]
-        if not spec.is_integer:
-            continue
-        v = min(max(round(val), spec.lower), spec.upper)
-        fixed[vid] = float(v)
-    return fixed
 
 
 def solve_milp(
     problem: MilpProblem,
     gap_tol: float = DEFAULT_GAP_TOL,
     node_limit: int = 200_000,
-    backend: str = "auto",
-    hint: dict[int, float] | None = None,
-    trace: list | None = None,
 ) -> MilpSolution:
-    """Branch-and-bound solve to a proven relative gap.
+    """Solve to a proven relative gap; ``node_count`` is HiGHS's node count.
 
-    ``backend`` is one of ``auto`` (size-based), ``embedded`` (own tree, node
-    counts, hint incumbents), or ``highs``.  ``node_count`` reports nodes of
-    the main search only; hint-repair work is listed in ``diagnostics``.
+    Integer bounds stay as presolve rounded them when it leaves no integer
+    variable, so the LP it then solves is the MILP itself.
     """
-    diagnostics: list[str] = []
     red = _presolve(problem)
     if red.infeasible:
         return MilpSolution(status=INFEASIBLE, diagnostics=("infeasible during presolve",))
-
     if not np.any(red.integer_mask):
-        sol = solve_lp(problem, backend="auto" if backend == "highs" else backend)
-        return sol
-
-    n_int = int(np.sum(red.integer_mask))
-    size = red.a.shape[0] + red.a.shape[1]
-    if backend == "auto":
-        chosen = "embedded" if (n_int <= EMBEDDED_INT_LIMIT and size <= EMBEDDED_SIZE_LIMIT) else "highs"
-    else:
-        chosen = backend
-
-    incumbent_seed = None
-    if hint:
-        fixed = _round_hint(problem, hint, diagnostics)
-        if fixed:
-            restricted = problem.copy()
-            for vid, val in fixed.items():
-                spec = restricted.variables[vid]
-                restricted.variables[vid] = type(spec)(
-                    id=spec.id, lower=val, upper=val, kind=spec.kind, name=spec.name
-                )
-            r_sol = solve_milp(
-                restricted.seal(),
-                gap_tol=gap_tol,
-                node_limit=min(node_limit, 2000),
-                backend=chosen,
-            )
-            if r_sol.ok:
-                diagnostics.append(
-                    f"hint repaired to feasible incumbent at objective {r_sol.objective:.6g}"
-                )
-                seed_x = np.array([r_sol.values[int(j)] for j in red.keep_vars])
-                incumbent_seed = (seed_x, r_sol.objective - red.obj_const)
-            else:
-                diagnostics.append("hint discarded: no feasible completion found")
-
-    if chosen == "embedded":
-        return _bb_solve(problem, red, gap_tol, node_limit, "auto", incumbent_seed, trace, diagnostics)
-
-    sol = _milp_highs(problem, red, gap_tol, node_limit, diagnostics)
-    if incumbent_seed is not None and sol.ok:
-        seed_obj = incumbent_seed[1] + red.obj_const
-        if seed_obj <= sol.objective + 1e-9:
-            # hinted point ties the optimum; prefer it for stability
-            values = _expand_values(red, incumbent_seed[0], problem)
-            return MilpSolution(
-                status=sol.status,
-                values=values,
-                objective=seed_obj,
-                best_bound=min(sol.best_bound, seed_obj),
-                node_count=sol.node_count,
-                diagnostics=tuple(diagnostics),
-            )
-    if incumbent_seed is not None and not sol.ok and sol.status in (ITERATION_LIMIT,):
-        values = _expand_values(red, incumbent_seed[0], problem)
-        return MilpSolution(
-            status=ITERATION_LIMIT,
-            values=values,
-            objective=incumbent_seed[1] + red.obj_const,
-            best_bound=sol.best_bound,
-            node_count=sol.node_count,
-            diagnostics=tuple(diagnostics),
-        )
-    return sol
-
-
-def warm_start(
-    problem: MilpProblem,
-    hint: dict[int, float],
-    gap_tol: float = DEFAULT_GAP_TOL,
-    node_limit: int = 200_000,
-    backend: str = "auto",
-) -> MilpSolution:
-    """Solve with an incumbent seeded from ``hint`` (never worse than cold)."""
-    return solve_milp(problem, gap_tol=gap_tol, node_limit=node_limit, backend=backend, hint=hint)
+        return _lp_highs(problem, red)
+    return _milp_highs(problem, red, gap_tol, node_limit)

@@ -3,7 +3,8 @@
 Each replication draws a fresh scenario sample, solves the sample problem
 to optimality, and scores the candidate plan on the same sample; the gap
 estimates feed a one-sided Student-t interval.  Replications that fail to
-prove optimality are tainted and excluded rather than silently included.
+prove optimality are tainted and excluded rather than silently included;
+with fewer than two untainted replications no interval is reported.
 """
 
 from __future__ import annotations
@@ -153,14 +154,13 @@ def mrp_validate(
     gaps = [g for g, _, tainted in raw if not tainted]
     costs = [c for _, c, tainted in raw if not tainted]
     tainted = sum(1 for _, _, t in raw if t)
-    if not gaps:
-        raise MrpError("all replications tainted (no provably optimal solves)")
     used = len(gaps)
+    if used < 2:
+        # one gap has no sample variance, so it bounds nothing
+        raise MrpError(f"{tainted} of {mrp_config.n_g} replications tainted (no provably "
+                       "optimal solve); the interval needs two untainted replications")
     mean_gap = sum(gaps) / used
-    if used > 1:
-        var = sum((g - mean_gap) ** 2 for g in gaps) / (used - 1)
-    else:
-        var = 0.0
+    var = sum((g - mean_gap) ** 2 for g in gaps) / (used - 1)
     half_width = 0.0
     if var > 0.0:
         t_quant = float(stats.t.ppf(1.0 - mrp_config.alpha, used - 1))

@@ -13,7 +13,6 @@ from gridprep.hedging import (
     iteration_log_csv,
     ph_solve,
     repair_consensus,
-    soft_start,
 )
 from gridprep.milp import solve_milp
 from gridprep.scenarios import DamageScenario, ScenarioSet
@@ -131,19 +130,15 @@ class TestPhSolve:
 
 
 class TestSoftStart:
-    def test_soft_start_state_carries_the_hint(self, ph_cold):
-        state = soft_start(PhConfig(), ph_cold.plan)
-        assert state.hint_plan == ph_cold.plan
-        assert state.iteration == -1
-        assert soft_start(PhConfig(), None).hint_plan is None
-
     def test_consensus_plan_is_sticky(self, feeder13, config13, training_scenarios,
                                       loops13, ph_cold):
         warm = ph_solve(feeder13, training_scenarios, config13,
                         PhConfig(epsilon=0.01, max_iterations=100, prior_plan=ph_cold.plan),
                         loops=loops13)
-        assert warm.iterations <= ph_cold.iterations
         assert warm.converged
+        assert warm.iterations < ph_cold.iterations
+        assert warm.plan == ph_cold.plan
+        assert warm.ef_cost == ph_cold.ef_cost
 
 
 class TestConsensusRepair:

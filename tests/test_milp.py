@@ -13,10 +13,8 @@ from gridprep.milp import (
     MilpProblem,
     ProblemError,
     VarSpec,
-    solve_bounded_lp,
     solve_lp,
     solve_milp,
-    warm_start,
     write_lp,
 )
 
@@ -50,6 +48,31 @@ def random_lp(rng, n=None, m=None):
             b[i] -= rng.uniform(0.0, 1.0)
     bounds = [(-3.0, 4.0)] * n
     return c, a, senses, b, bounds
+
+
+PRESOLVE_PATHS = ["embedded", "highs"]
+# "embedded": the instance also carries a fixed column and a singleton row,
+# which gridprep's own presolve substitutes out and folds into bounds before
+# HiGHS runs; "highs": presolve finds nothing to remove and HiGHS solves the
+# instance as built.
+
+
+def with_presolve_work(rng, c, a, senses, b, bounds, kinds, cap):
+    """Append a column fixed at a point and the singleton row 2 x0 <= 2 cap.
+
+    The right-hand sides shift by the fixed column, so every point feasible
+    before with x0 <= cap stays feasible.
+    """
+    v = float(rng.uniform(-1.0, 2.0))
+    col = rng.normal(size=len(b))
+    c = np.append(c, rng.normal())
+    a = np.column_stack([a, col])
+    b = np.asarray(b, dtype=float) + col * v
+    row = np.zeros(a.shape[1])
+    row[0] = 2.0
+    a = np.vstack([a, row])
+    b = np.append(b, 2.0 * cap)
+    return c, a, list(senses) + [LE], b, list(bounds) + [(v, v)], list(kinds) + ["continuous"]
 
 
 class TestProblemRepresentation:
@@ -99,26 +122,30 @@ class TestProblemRepresentation:
 class TestSolveLp:
     def test_lower_bounded_singleton(self):
         p = build([1.0], [[1.0]], [GE], [3.0], [(0.0, 10.0)])
-        for backend in ("embedded", "highs"):
-            sol = solve_lp(p, backend=backend)
-            assert sol.status == "optimal"
-            assert sol.objective == pytest.approx(3.0, abs=1e-9)
+        sol = solve_lp(p)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
     def test_symmetric_face(self):
         p = build([-1.0, -1.0], [[1.0, 1.0]], [LE], [1.0], [(0, 1), (0, 1)])
-        assert solve_lp(p, backend="embedded").objective == pytest.approx(-1.0, abs=1e-9)
+        assert solve_lp(p).objective == pytest.approx(-1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("backend", ["embedded", "highs"])
-    def test_twenty_random_lps_match_naive_oracle(self, backend):
+    @pytest.mark.parametrize("path", PRESOLVE_PATHS)
+    def test_twenty_random_lps_match_naive_oracle(self, path):
         rng = np.random.default_rng(2024)
         checked = 0
         while checked < 20:
             c, a, senses, b, bounds = random_lp(rng)
+            kinds = ["continuous"] * len(c)
+            if path == "embedded":
+                # random_lp's feasible point has x0 <= 2
+                c, a, senses, b, bounds, kinds = with_presolve_work(
+                    rng, c, a, senses, b, bounds, kinds, cap=rng.uniform(2.0, 4.0))
             lo = np.array([x[0] for x in bounds])
             hi = np.array([x[1] for x in bounds])
             status, ref_obj = naive_simplex(c, a, senses, b, lo, hi)
-            p = build(c, a, senses, b, bounds)
-            sol = solve_lp(p, backend=backend)
+            p = build(c, a, senses, b, bounds, kinds)
+            sol = solve_lp(p)
             if status == "optimal":
                 assert sol.status == "optimal"
                 assert sol.objective == pytest.approx(ref_obj, abs=1e-6)
@@ -128,21 +155,20 @@ class TestSolveLp:
 
     def test_infeasible(self):
         p = build([1.0], [[1.0], [1.0]], [GE, LE], [2.0, 1.0], [(0.0, 10.0)])
-        for backend in ("embedded", "highs"):
-            assert solve_lp(p, backend=backend).status == "infeasible"
+        assert solve_lp(p).status == "infeasible"
 
     def test_unbounded(self):
         p = MilpProblem()
         x = p.add_variable(-math.inf, math.inf)
         p.set_objective(LinearExpr({x: 1.0}))
-        assert solve_lp(p.seal(), backend="embedded").status == "unbounded"
+        assert solve_lp(p.seal()).status == "unbounded"
 
     def test_feasibility_residual_within_tolerance(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             c, a, senses, b, bounds = random_lp(rng)
             p = build(c, a, senses, b, bounds)
-            sol = solve_lp(p, backend="embedded")
+            sol = solve_lp(p)
             if sol.status == "optimal":
                 assert p.max_violation(sol.values) <= 1e-6
 
@@ -150,7 +176,7 @@ class TestSolveLp:
         # x + y = 1, x - y = 0 -> x = y = 1/2
         p = build([1.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], [EQ, EQ], [1.0, 0.0],
                   [(0, 1), (0, 1)])
-        sol = solve_lp(p, backend="embedded")
+        sol = solve_lp(p)
         assert sol.values[0] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -170,8 +196,8 @@ class TestSolveMilp:
         lp_sol = solve_lp(p)
         assert milp_sol.objective == pytest.approx(lp_sol.objective, abs=1e-9)
 
-    @pytest.mark.parametrize("backend", ["embedded", "highs"])
-    def test_random_instances_match_brute_force(self, backend):
+    @pytest.mark.parametrize("path", PRESOLVE_PATHS)
+    def test_random_instances_match_brute_force(self, path):
         rng = np.random.default_rng(31)
         for _ in range(25):
             nb = int(rng.integers(2, 7))
@@ -188,8 +214,12 @@ class TestSolveMilp:
                 b[i] += rng.uniform(0, 0.5) * (1 if s == LE else -1)
             bounds = [(0, 1)] * nb + [(-2.0, 3.0)] * nc
             kinds = [BINARY] * nb + ["continuous"] * nc
+            if path == "embedded":
+                # x0 <= seed + 1/4 rounds to x0 = 0 when the seed's x0 is 0
+                c, a, senses, b, bounds, kinds = with_presolve_work(
+                    rng, c, a, senses, b, bounds, kinds, cap=seed_x[0] + 0.25)
             p = build(c, a, senses, b, bounds, kinds)
-            sol = solve_milp(p, gap_tol=0.0, backend=backend)
+            sol = solve_milp(p, gap_tol=0.0)
             ref = brute_force_milp(p)
             assert sol.ok and math.isfinite(ref)
             assert sol.objective == pytest.approx(ref, abs=1e-6)
@@ -198,13 +228,13 @@ class TestSolveMilp:
         # min -x - 2y s.t. x + y <= 3.5, x,y integer in [0,3]
         p = build([-1.0, -2.0], [[1.0, 1.0]], [LE], [3.5], [(0, 3), (0, 3)],
                   kinds=[INTEGER, INTEGER])
-        sol = solve_milp(p, gap_tol=0.0, backend="embedded")
+        sol = solve_milp(p, gap_tol=0.0)
         assert sol.objective == pytest.approx(brute_force_milp(p), abs=1e-9)
 
     def test_integer_infeasible_detected(self):
         # 2x = 1 has no integer solution
         p = build([1.0], [[2.0]], [EQ], [1.0], [(0, 4)], kinds=[INTEGER])
-        assert solve_milp(p, gap_tol=0.0, backend="embedded").status == "infeasible"
+        assert solve_milp(p, gap_tol=0.0).status == "infeasible"
 
     def test_incumbent_feasibility_and_integrality(self):
         rng = np.random.default_rng(77)
@@ -214,22 +244,10 @@ class TestSolveMilp:
             a = rng.normal(size=(2, nb))
             b = a @ rng.integers(0, 2, nb).astype(float) + 0.25
             p = build(c, a, [LE, LE], b, [(0, 1)] * nb, kinds=[BINARY] * nb)
-            sol = solve_milp(p, gap_tol=0.0, backend="embedded")
+            sol = solve_milp(p, gap_tol=0.0)
             if sol.ok:
                 assert p.max_violation(sol.values) <= 1e-6
                 assert p.max_integrality_violation(sol.values) <= 1e-6
-
-    def test_weak_duality_at_every_event(self):
-        rng = np.random.default_rng(123)
-        c, a, senses, b, bounds = random_lp(rng, n=8, m=5)
-        kinds = [BINARY if j % 2 == 0 else "continuous" for j in range(8)]
-        bounds = [(0, 1) if kinds[j] == BINARY else bounds[j] for j in range(8)]
-        p = build(c, a, senses, b, bounds, kinds)
-        trace = []
-        sol = solve_milp(p, gap_tol=0.0, backend="embedded", trace=trace)
-        if sol.ok:
-            for bound, incumbent in trace:
-                assert bound <= incumbent + 1e-9
 
     def test_determinism_across_runs(self):
         rng = np.random.default_rng(55)
@@ -237,58 +255,10 @@ class TestSolveMilp:
         kinds = [BINARY] * 4 + ["continuous"] * 3
         bounds = [(0, 1)] * 4 + bounds[4:]
         p = build(c, a, senses, b, bounds, kinds)
-        sols = [solve_milp(p, gap_tol=0.0, backend=backend)
-                for backend in ("embedded", "embedded")]
+        sols = [solve_milp(p, gap_tol=0.0) for _ in range(2)]
         assert sols[0].objective == sols[1].objective
         assert sols[0].values == sols[1].values
         assert sols[0].node_count == sols[1].node_count
-
-
-class TestWarmStart:
-    def make_problem(self):
-        # knapsack-style: min -3a -2b -2c s.t. 2a + b + 2c <= 3
-        return build([-3.0, -2.0, -2.0], [[2.0, 1.0, 2.0]], [LE], [3.0],
-                     [(0, 1)] * 3, kinds=[BINARY] * 3)
-
-    def test_hint_at_optimum_is_kept(self):
-        p = self.make_problem()
-        cold = solve_milp(p, gap_tol=0.0, backend="embedded")
-        hint = {vid: cold.values[vid] for vid in (0, 1, 2)}
-        warm = warm_start(p, hint, gap_tol=0.0, backend="embedded")
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-        assert all(warm.values[v] == pytest.approx(cold.values[v]) for v in (0, 1, 2))
-
-    def test_infeasible_hint_discarded_with_diagnostic(self):
-        p = build([1.0, 1.0], [[1.0, 1.0]], [GE], [1.5], [(0, 1), (0, 1)],
-                  kinds=[BINARY] * 2)
-        warm = warm_start(p, {0: 0.0, 1: 0.0}, gap_tol=0.0, backend="embedded")
-        cold = solve_milp(p, gap_tol=0.0, backend="embedded")
-        assert warm.objective == pytest.approx(cold.objective)
-        assert any("hint" in d for d in warm.diagnostics)
-
-    def test_never_worse_at_equal_node_budget(self):
-        rng = np.random.default_rng(404)
-        for _ in range(8):
-            nb = 8
-            c = -rng.uniform(0.5, 2.0, nb)
-            a = rng.uniform(0.2, 1.5, (3, nb))
-            b = a.sum(axis=1) * 0.4
-            p = build(c, a, [LE] * 3, b, [(0, 1)] * nb, kinds=[BINARY] * nb)
-            budget = 6
-            cold = solve_milp(p, gap_tol=0.0, node_limit=budget, backend="embedded")
-            exact = solve_milp(p, gap_tol=0.0, backend="embedded")
-            hint = {v: exact.values[v] for v in range(nb)}
-            warm = solve_milp(p, gap_tol=0.0, node_limit=budget, backend="embedded", hint=hint)
-            if cold.values:
-                assert warm.objective <= cold.objective + 1e-9
-            assert warm.node_count <= budget + 1
-
-    def test_rounding_repair_clips_to_bounds(self):
-        p = build([1.0], [[1.0]], [GE], [1.0], [(0, 2)], kinds=[INTEGER])
-        warm = warm_start(p, {0: 7.9}, gap_tol=0.0, backend="embedded")
-        # the hint clips to 2 and seeds a feasible incumbent, but the search
-        # must still find the strictly better optimum at 1
-        assert warm.objective == pytest.approx(1.0)
 
 
 class TestPresolve:
@@ -298,7 +268,7 @@ class TestPresolve:
         y = p.add_variable(0.0, 5.0, name="free")
         p.add_constraint(LinearExpr({x: 1.0, y: 1.0}), GE, 4.0)
         p.set_objective(LinearExpr({y: 1.0}))
-        sol = solve_lp(p.seal(), backend="embedded")
+        sol = solve_lp(p.seal())
         assert sol.values[x] == 2.0
         assert sol.objective == pytest.approx(2.0)
 
@@ -307,7 +277,7 @@ class TestPresolve:
         x = p.add_variable(0.0, 10.0)
         p.add_constraint(LinearExpr({x: 2.0}), LE, 6.0)  # x <= 3
         p.set_objective(LinearExpr({x: -1.0}))
-        sol = solve_lp(p.seal(), backend="embedded")
+        sol = solve_lp(p.seal())
         assert sol.objective == pytest.approx(-3.0)
 
     def test_integer_bound_rounding_detects_infeasibility(self):
@@ -317,11 +287,13 @@ class TestPresolve:
         assert solve_milp(p.seal()).status == "infeasible"
 
 
-def test_bounded_lp_direct_interface():
-    # min -x - y s.t. x + y + s = 1, s in [0, 0] and x, y in [0, 1]
-    c = np.array([-1.0, -1.0, 0.0])
-    a = np.array([[1.0, 1.0, 1.0]])
-    res = solve_bounded_lp(c, a, np.array([1.0]),
-                           np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0]))
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-1.0, abs=1e-9)
+    def test_integer_fixed_by_rounding_stays_integer(self):
+        # 2x <= 3 with x integer in [0.5, 10] leaves x = 1 and no integer to branch on
+        p = MilpProblem()
+        x = p.add_variable(0.5, 10.0, INTEGER)
+        y = p.add_variable(0.0, 1.0)
+        p.add_constraint(LinearExpr({x: 2.0}), LE, 3.0)
+        p.set_objective(LinearExpr({x: 1.0, y: 1.0}))
+        sol = solve_milp(p.seal())
+        assert sol.values[x] == 1.0
+        assert sol.objective == pytest.approx(1.0)

@@ -155,6 +155,27 @@ class TestMrpValidate:
             mrp_validate(candidate, chain3, chain3_config,
                          fixed_sampler(chain_scenario()), MrpConfig(n=2, n_g=2))
 
+    def test_single_untainted_replication_is_an_error(self, chain3, chain3_config,
+                                                      monkeypatch):
+        import gridprep.mrp as mrp_mod
+
+        real = mrp_mod.replicate_gap
+        calls = []
+
+        def first_tainted(*args, **kw):
+            calls.append(kw["seed"])
+            if len(calls) == 1:
+                return math.nan, math.nan, True
+            return real(*args, **kw)
+
+        monkeypatch.setattr(mrp_mod, "replicate_gap", first_tainted)
+        candidate = FirstStagePlan(meg_at={"b2": 1}, mes_at={"b3": 1},
+                                   fuel_lots={"b1": 2}, crews={"r1": 2})
+        with pytest.raises(MrpError, match="two untainted"):
+            mrp_validate(candidate, chain3, chain3_config,
+                         fixed_sampler(chain_scenario()), MrpConfig(n=2, n_g=2))
+        assert len(calls) == 2
+
     def test_result_document_schema(self):
         result = MrpResult(alpha=0.05, n=3, n_g=4, gaps=[0.0, 1.0], tainted=2,
                            mean_gap=0.5, sample_variance=0.5, half_width=0.3,

@@ -261,6 +261,22 @@ class TestCli:
                         "--out", str(tmp_path / "ph"))
         assert code == 4
 
+    def test_solver_failure_exit_code(self, paths, tmp_path, monkeypatch, capsys):
+        import gridprep.cli as cli_mod
+        from gridprep.milp import NumericalInstabilityError
+
+        def failing(problem, **kw):
+            raise NumericalInstabilityError("HiGHS LP failed")
+
+        monkeypatch.setattr(cli_mod, "solve_milp", failing)
+        code = self.run("solve-ef", "--network", paths["network"],
+                        "--config", paths["config"], "--wind", paths["wind"],
+                        "--fragility", paths["fragility"], "--count", "1", "--seed", "11",
+                        "--out", str(tmp_path / "ef"))
+        assert code == 4
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["exit_code"] == 4 and "HiGHS LP failed" in error["error"]
+
     def test_base_plan_and_evaluate_round_trip(self, paths, tmp_path):
         scen = tmp_path / "s"
         assert self.run("generate-scenarios", "--network", paths["network"],
