@@ -1,8 +1,8 @@
 """Command-line pipeline: generate -> solve -> validate -> evaluate.
 
-Every stage is deterministic at fixed seeds and worker counts.  Exit codes:
-0 success, 2 input error, 3 infeasible model or plan, 4 solver did not
-converge.
+Every stage is deterministic at fixed seeds, whatever the worker counts.
+Exit codes: 0 success, 2 input error, 3 infeasible model or plan, 4 solver
+did not converge.
 """
 
 from __future__ import annotations
@@ -162,13 +162,16 @@ def cmd_solve_ph(args) -> int:
     config = _load_config(args)
     scen_set = _load_scenario_set(args, model)
     prior = _load_plan(args.soft_start, config) if args.soft_start else None
-    ph_config = PhConfig(
-        rho=args.rho,
-        epsilon=args.epsilon,
-        max_iterations=args.max_iters,
-        workers=args.workers,
-        prior_plan=prior,
-    )
+    try:
+        ph_config = PhConfig(
+            rho=args.rho,
+            epsilon=args.epsilon,
+            max_iterations=args.max_iters,
+            workers=args.workers,
+            prior_plan=prior,
+        )
+    except ValueError as exc:
+        raise CliError(f"hedging settings: {exc}") from exc
     try:
         result = ph_solve(model, scen_set, config, ph_config)
     except SubproblemInfeasibleError as exc:
@@ -205,8 +208,11 @@ def cmd_validate_mrp(args) -> int:
     def sampler(n, seed):
         return generate_scenario_set(model, wind, params, count=n, seed=seed)
 
-    mrp_config = MrpConfig(alpha=args.alpha, n=args.n, n_g=args.ng,
-                           base_seed=args.seed, workers=args.workers)
+    try:
+        mrp_config = MrpConfig(alpha=args.alpha, n=args.n, n_g=args.ng,
+                               base_seed=args.seed, workers=args.workers)
+    except ValueError as exc:
+        raise CliError(f"validation settings: {exc}") from exc
     try:
         result = mrp_validate(candidate, model, config, sampler, mrp_config)
     except MrpError as exc:
@@ -330,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--soft-start",
                    help="prior plan file; hedging iteration 0 is pulled toward it")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=None,
+                   help="threads solving scenario subproblems (default: one per usable "
+                        "core, at most one per scenario); results do not depend on it")
     p.set_defaults(fn=cmd_solve_ph)
 
     p = sub.add_parser("validate-mrp", help="confidence interval on a plan's optimality gap")
@@ -343,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="scenarios per replication")
     p.add_argument("--ng", type=int, default=2, help="replication count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="replications solved at once (default 1)")
     p.add_argument("--out", default="out")
     p.set_defaults(fn=cmd_validate_mrp)
 

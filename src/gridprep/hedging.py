@@ -10,15 +10,17 @@ threshold, then extracts a consensus plan (majority vote projected onto
 the first-stage constraints) and prices it by re-solving every scenario
 with the plan pinned.
 
-Subproblems of one iteration are independent and may solve on a thread
-pool; results merge in scenario order, so the worker count never changes
-the outcome.
+Subproblems of one iteration are independent and solve on a thread pool
+(HiGHS releases the GIL), by default one worker per usable core and no more
+than one per scenario.  Results merge in scenario order and HiGHS is
+deterministic, so the worker count never changes the outcome.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -62,7 +64,7 @@ class PhConfig:
     rho: float = 1.0
     epsilon: float = 0.01
     max_iterations: int = 100
-    workers: int = 1
+    workers: int | None = None  # None: one per usable core, at most one per scenario
     norm: str = "l1"  # deviation norm in the convergence metric
     per_variable_rho: bool = False  # rho_j = |a_j| / (range_j + 1)
     stagnation_window: int = 5
@@ -83,6 +85,8 @@ class PhConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.norm not in ("l1", "l2"):
             raise ValueError("norm must be 'l1' or 'l2'")
 
@@ -260,6 +264,13 @@ def evaluate_plan_cost(
     return ef_cost, list(objs)
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_scenarios(fn, scenarios, workers: int):
     if workers <= 1:
         return [fn(s) for s in scenarios]
@@ -284,6 +295,9 @@ def ph_solve(
     if loops is None:
         loops = enumerate_loops(model)
     probs = [s.probability for s in scen_set.scenarios]
+    workers = ph_config.workers
+    if workers is None:
+        workers = min(_usable_cores(), len(scen_set))
     # a single scenario has no ties to break; keep its optimum untouched
     tie_break = ph_config.tie_break_weight if len(scen_set) > 1 else 0.0
     log_rows: list[tuple[int, float, float, float]] = []
@@ -318,7 +332,7 @@ def ph_solve(
             comp = build_subproblem(model, scen, config, loops=loops)
         return solve_scenario(comp, scen)
 
-    results = _map_scenarios(solve_start, scen_set.scenarios, ph_config.workers)
+    results = _map_scenarios(solve_start, scen_set.scenarios, workers)
     x_s = [r[0] for r in results]
     objs = [r[1] for r in results]
 
@@ -344,7 +358,7 @@ def ph_solve(
             )
             return solve_scenario(comp, scen)
 
-        results = _map_scenarios(solve_augmented, list(enumerate(scen_set.scenarios)), ph_config.workers)
+        results = _map_scenarios(solve_augmented, list(enumerate(scen_set.scenarios)), workers)
         x_s = [r[0] for r in results]
         objs = [r[1] for r in results]
         x_bar = aggregate(x_s, probs)
@@ -381,7 +395,7 @@ def ph_solve(
         raise PhError(f"consensus plan violates first-stage constraints: {bad}")
     ef_cost, scen_objs = evaluate_plan_cost(
         model, scen_set, config, plan, loops,
-        gap_tol=ph_config.gap_tol, workers=ph_config.workers,
+        gap_tol=ph_config.gap_tol, workers=workers,
     )
     return PhResult(
         plan=plan,

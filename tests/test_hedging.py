@@ -115,13 +115,29 @@ class TestPhSolve:
         assert again.metric_history == ph_cold.metric_history
         assert again.ef_cost == ph_cold.ef_cost
 
-    def test_worker_count_does_not_change_results(self, feeder13, config13,
-                                                  training_scenarios, loops13, ph_cold):
-        threaded = ph_solve(feeder13, training_scenarios, config13,
-                            PhConfig(epsilon=0.01, max_iterations=100, workers=3),
-                            loops=loops13)
-        assert threaded.plan == ph_cold.plan
-        assert threaded.metric_history == ph_cold.metric_history
+    @pytest.fixture(scope="class")
+    def ph_serial(self, feeder13, config13, training_scenarios, loops13):
+        return ph_solve(feeder13, training_scenarios, config13,
+                        PhConfig(epsilon=0.01, max_iterations=100, workers=1), loops=loops13)
+
+    @pytest.mark.parametrize("workers", [None, 3])
+    def test_worker_count_does_not_change_results(self, feeder13, config13, training_scenarios,
+                                                  loops13, ph_cold, ph_serial, workers):
+        # ph_cold runs with the default worker count
+        threaded = ph_cold if workers is None else ph_solve(
+            feeder13, training_scenarios, config13,
+            PhConfig(epsilon=0.01, max_iterations=100, workers=workers), loops=loops13)
+        assert threaded.plan == ph_serial.plan
+        assert threaded.metric_history == ph_serial.metric_history
+        assert threaded.ef_cost == ph_serial.ef_cost
+        assert threaded.scenario_objectives == ph_serial.scenario_objectives
+        assert threaded.state.to_document() == ph_serial.state.to_document()
+
+    def test_config_validation(self):
+        with pytest.raises(ValueError):
+            PhConfig(rho=0.0)
+        with pytest.raises(ValueError):
+            PhConfig(workers=0)
 
     def test_empty_scenario_set_rejected(self):
         # an empty set cannot even be constructed: probabilities must sum to 1

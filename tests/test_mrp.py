@@ -206,3 +206,5 @@ class TestMrpValidate:
             MrpConfig(n=1)
         with pytest.raises(ValueError):
             MrpConfig(n_g=1)
+        with pytest.raises(ValueError):
+            MrpConfig(workers=0)

@@ -277,6 +277,28 @@ class TestCli:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["exit_code"] == 4 and "HiGHS LP failed" in error["error"]
 
+    @pytest.mark.parametrize("command, flags", [
+        ("solve-ph", ["--rho", "0"]),
+        ("solve-ph", ["--workers", "0"]),
+        ("validate-mrp", ["--n", "1"]),
+        ("validate-mrp", ["--workers", "0"]),
+    ], ids=["ph-rho-0", "ph-workers-0", "mrp-n-1", "mrp-workers-0"])
+    def test_bad_settings_are_input_errors(self, paths, tmp_path, capsys, command, flags):
+        if command == "solve-ph":
+            argv = ["--count", "2", "--seed", "11"]
+        else:
+            plan = tmp_path / "base"
+            assert self.run("base-plan", "--network", paths["network"],
+                            "--config", paths["config"], "--out", str(plan)) == 0
+            argv = ["--candidate", str(plan / "base_plan.json")]
+        code = self.run(command, "--network", paths["network"], "--config", paths["config"],
+                        "--wind", paths["wind"], "--fragility", paths["fragility"],
+                        *argv, *flags, "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["exit_code"] == 2 and "must be" in error["error"]
+        assert not (tmp_path / "out").exists()
+
     def test_base_plan_and_evaluate_round_trip(self, paths, tmp_path):
         scen = tmp_path / "s"
         assert self.run("generate-scenarios", "--network", paths["network"],
