@@ -24,7 +24,14 @@ from .formulation import (
 from .hedging import PhConfig, PhError, SubproblemInfeasibleError, iteration_log_csv, ph_solve
 from .milp import NumericalInstabilityError, solve_milp, write_lp
 from .mrp import MrpConfig, MrpError, mrp_validate, result_to_json
-from .network import NetworkParseError, NetworkValidationError, load_network, validate_regions
+from .network import (
+    NetworkParseError,
+    NetworkValidationError,
+    enumerate_loops,
+    load_network,
+    validate_regions,
+)
+from .parallel import default_workers, map_in_order
 from .report import (
     EvaluationError,
     InsufficientResourcesError,
@@ -243,10 +250,14 @@ def cmd_evaluate(args) -> int:
     scen_set = _load_scenario_set(args, model)
     plan = _load_plan(args.plan, config)
     label = args.label or Path(args.plan).stem
-    reports = []
+    loops = enumerate_loops(model)
+
+    def evaluate(scen):
+        return evaluate_plan(plan, model, scen, config, loops=loops, plan_label=label)
+
     try:
-        for scen in scen_set.scenarios:
-            reports.append(evaluate_plan(plan, model, scen, config, plan_label=label))
+        reports = map_in_order(evaluate, scen_set.scenarios,
+                               default_workers(None, len(scen_set)))
     except EvaluationError as exc:
         raise CliError(str(exc), EXIT_INFEASIBLE) from exc
     out = _out_dir(args)
@@ -351,8 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="scenarios per replication")
     p.add_argument("--ng", type=int, default=2, help="replication count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="replications solved at once (default 1)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="threads solving one replication's sample problem and the "
+                        "candidate's pricing at once (default: one per usable core, at "
+                        "most n + 1); results do not depend on it")
     p.add_argument("--out", default="out")
     p.set_defaults(fn=cmd_validate_mrp)
 

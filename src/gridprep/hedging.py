@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -46,6 +44,7 @@ from .milp import (
     solve_milp,
 )
 from .network import LoopSet, NetworkModel, enumerate_loops
+from .parallel import default_workers, map_in_order
 from .scenarios import ScenarioSet
 
 
@@ -259,23 +258,9 @@ def evaluate_plan_cost(
             raise SubproblemInfeasibleError(scen.id)
         return sol.objective
 
-    objs = _map_scenarios(solve_one, scen_set.scenarios, workers)
+    objs = map_in_order(solve_one, scen_set.scenarios, workers)
     ef_cost = sum(pr * o for pr, o in zip((s.probability for s in scen_set.scenarios), objs))
     return ef_cost, list(objs)
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_scenarios(fn, scenarios, workers: int):
-    if workers <= 1:
-        return [fn(s) for s in scenarios]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, scenarios))
 
 
 def ph_solve(
@@ -295,9 +280,7 @@ def ph_solve(
     if loops is None:
         loops = enumerate_loops(model)
     probs = [s.probability for s in scen_set.scenarios]
-    workers = ph_config.workers
-    if workers is None:
-        workers = min(_usable_cores(), len(scen_set))
+    workers = default_workers(ph_config.workers, len(scen_set))
     # a single scenario has no ties to break; keep its optimum untouched
     tie_break = ph_config.tie_break_weight if len(scen_set) > 1 else 0.0
     log_rows: list[tuple[int, float, float, float]] = []
@@ -332,7 +315,7 @@ def ph_solve(
             comp = build_subproblem(model, scen, config, loops=loops)
         return solve_scenario(comp, scen)
 
-    results = _map_scenarios(solve_start, scen_set.scenarios, workers)
+    results = map_in_order(solve_start, scen_set.scenarios, workers)
     x_s = [r[0] for r in results]
     objs = [r[1] for r in results]
 
@@ -358,7 +341,7 @@ def ph_solve(
             )
             return solve_scenario(comp, scen)
 
-        results = _map_scenarios(solve_augmented, list(enumerate(scen_set.scenarios)), workers)
+        results = map_in_order(solve_augmented, list(enumerate(scen_set.scenarios)), workers)
         x_s = [r[0] for r in results]
         objs = [r[1] for r in results]
         x_bar = aggregate(x_s, probs)

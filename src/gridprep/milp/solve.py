@@ -4,6 +4,8 @@ Every solve takes one path: an own presolve (singleton rows folded into
 bounds, integer bounds rounded, fixed variables substituted out), then HiGHS
 through SciPy, ``milp`` while integer variables remain and ``linprog`` once
 none do.  HiGHS is deterministic at fixed inputs, so every solve is too.
+Each returned point is checked against the original rows and bounds, and
+one that breaks them raises :class:`NumericalInstabilityError`.
 """
 
 from __future__ import annotations
@@ -146,13 +148,33 @@ def _presolve(problem: MilpProblem, relax_integrality: bool = False) -> _Reduced
     )
 
 
+def _check_point(problem: MilpProblem, point: np.ndarray) -> None:
+    """Raise :class:`NumericalInstabilityError` unless ``point`` meets every
+    row of ``problem`` within ``FEASIBILITY_TOL`` * (1 + |rhs|) and every
+    bound within ``FEASIBILITY_TOL`` * (1 + |x|)."""
+    _, a_mat, senses, b, lower, upper = problem.matrices()
+    if not np.all(np.isfinite(point)):
+        raise NumericalInstabilityError(f"{problem.name or 'problem'}: solution is not finite")
+    ax = a_mat @ point
+    senses = np.asarray(senses)
+    row_excess = np.where(senses == LE, ax - b, np.where(senses == GE, b - ax, np.abs(ax - b)))
+    bound_excess = np.maximum(lower - point, point - upper)
+    worst_row = np.max(row_excess / (1.0 + np.abs(b)), initial=0.0)
+    worst_bound = np.max(bound_excess / (1.0 + np.abs(point)), initial=0.0)
+    if max(worst_row, worst_bound) > FEASIBILITY_TOL:
+        raise NumericalInstabilityError(
+            f"{problem.name or 'problem'}: solution breaks a row by {worst_row:.3g} "
+            f"and a bound by {worst_bound:.3g} (scaled as the tolerance is)")
+
+
 def _expand_values(red: _Reduced, x: np.ndarray, problem: MilpProblem) -> dict[int, float]:
-    values = dict(red.fixed)
-    for pos, j in enumerate(red.keep_vars):
-        values[int(j)] = float(x[pos])
-    for v in problem.variables:
-        values.setdefault(v.id, v.lower if math.isfinite(v.lower) else 0.0)
-    return values
+    """Every original variable's value, once the point passes :func:`_check_point`."""
+    point = np.empty(problem.num_variables)
+    point[red.keep_vars] = x
+    if red.fixed:
+        point[list(red.fixed)] = list(red.fixed.values())
+    _check_point(problem, point)
+    return dict(enumerate(point.tolist()))
 
 
 def _lp_highs(problem: MilpProblem, red: _Reduced) -> MilpSolution:

@@ -5,13 +5,20 @@ to optimality, and scores the candidate plan on the same sample; the gap
 estimates feed a one-sided Student-t interval.  Replications that fail to
 prove optimality are tainted and excluded rather than silently included;
 with fewer than two untainted replications no interval is reported.
+
+Given its sample, a replication's n + 1 solves are independent: the
+candidate is priced on each sampled scenario on a thread pool while the
+calling thread solves the sample problem, by default one thread per usable
+core in all and no more than n + 1.  Replications run one at a time in
+seed order, each finishing before the sampler is called for the next, so
+a sampler need not be thread-safe.  Results are read in scenario order and
+HiGHS is deterministic, so the worker count never changes the outcome.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +27,7 @@ from scipy.special import stdtrit
 from .formulation import FirstStagePlan, FormulationConfig, build_extensive_form, build_subproblem
 from .milp import solve_milp
 from .network import LoopSet, NetworkModel, enumerate_loops
+from .parallel import default_workers, in_order
 from .scenarios import ScenarioSet
 
 #: draws a fresh equiprobable scenario set: (sample_size, seed) -> ScenarioSet
@@ -37,7 +45,7 @@ class MrpConfig:
     n_g: int = 2  # replication count
     base_seed: int = 0
     gap_tol: float = 0.0  # replication solves prove optimality by default
-    workers: int = 1
+    workers: int | None = None  # None: one per usable core, at most n + 1
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -46,7 +54,7 @@ class MrpConfig:
             raise ValueError("sample size n must be >= 2")
         if self.n_g < 2:
             raise ValueError("replication count n_g must be >= 2")
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
 
 
@@ -100,30 +108,40 @@ def replicate_gap(
     seed: int,
     gap_tol: float = 0.0,
     loops: LoopSet | None = None,
+    workers: int | None = None,
 ) -> tuple[float, float, bool]:
     """One replication: (gap, candidate mean cost, tainted flag).
 
     Solves the sampled problem for its own optimum and prices the candidate
-    on the identical sample; the gap is the mean cost difference.
+    on the identical sample; the gap is the mean cost difference.  The
+    pricing solves run on ``workers - 1`` pool threads while the calling
+    thread solves the sample problem; with one worker they follow it on
+    the calling thread.  Every solve has ended when this returns.
     """
     bad = candidate.violations(model, config, strict_totals=False)
     if bad:
         raise MrpError(f"candidate plan is infeasible: {bad[0]}")
     if loops is None:
         loops = enumerate_loops(model)
+    workers = default_workers(workers, n + 1)
     scen_set = sampler(n, seed)
-    compiled = build_extensive_form(model, scen_set, config, loops=loops)
-    opt = solve_milp(compiled.problem, gap_tol=gap_tol)
-    if opt.status != "optimal":
-        return math.nan, math.nan, True
 
-    cand_total = 0.0
-    for scen in scen_set.scenarios:
+    def price(scen):
         sub = build_subproblem(model, scen, config, loops=loops, fixed_plan=candidate)
-        sol = solve_milp(sub.problem, gap_tol=gap_tol)
-        if sol.status != "optimal":
+        return solve_milp(sub.problem, gap_tol=gap_tol)
+
+    with in_order(price, scen_set.scenarios, workers - 1) as priced:
+        # the largest solve stays on the calling thread, which keeps peak memory down
+        compiled = build_extensive_form(model, scen_set, config, loops=loops)
+        opt = solve_milp(compiled.problem, gap_tol=gap_tol)
+        if opt.status != "optimal":
             return math.nan, math.nan, True
-        cand_total += scen.probability * sol.objective
+
+        cand_total = 0.0
+        for scen, sol in zip(scen_set.scenarios, priced):
+            if sol.status != "optimal":
+                return math.nan, math.nan, True
+            cand_total += scen.probability * sol.objective
     return cand_total - opt.objective, cand_total, False
 
 
@@ -138,20 +156,14 @@ def mrp_validate(
     """Run ``n_g`` independent replications and build the one-sided CI."""
     if loops is None:
         loops = enumerate_loops(model)
-
-    def one(k: int):
-        return replicate_gap(
+    raw = [
+        replicate_gap(
             candidate, model, config, sampler,
             n=mrp_config.n, seed=mrp_config.base_seed + k,
-            gap_tol=mrp_config.gap_tol, loops=loops,
+            gap_tol=mrp_config.gap_tol, loops=loops, workers=mrp_config.workers,
         )
-
-    ks = list(range(mrp_config.n_g))
-    if mrp_config.workers <= 1:
-        raw = [one(k) for k in ks]
-    else:
-        with ThreadPoolExecutor(max_workers=mrp_config.workers) as pool:
-            raw = list(pool.map(one, ks))
+        for k in range(mrp_config.n_g)
+    ]
 
     gaps = [g for g, _, tainted in raw if not tainted]
     costs = [c for _, c, tainted in raw if not tainted]

@@ -11,6 +11,7 @@ from gridprep.milp import (
     LE,
     LinearExpr,
     MilpProblem,
+    NumericalInstabilityError,
     ProblemError,
     VarSpec,
     solve_lp,
@@ -248,6 +249,24 @@ class TestSolveMilp:
             if sol.ok:
                 assert p.max_violation(sol.values) <= 1e-6
                 assert p.max_integrality_violation(sol.values) <= 1e-6
+
+    @pytest.mark.parametrize("engine, kind", [("scipy_milp", BINARY), ("linprog", "continuous")])
+    def test_point_breaking_a_row_is_refused(self, monkeypatch, engine, kind):
+        """Every returned point is checked against the original rows and bounds."""
+        import gridprep.milp.solve as solve_mod
+
+        real = getattr(solve_mod, engine)
+
+        def corrupted(*args, **kw):
+            res = real(*args, **kw)
+            res.x = np.zeros_like(res.x)  # 0 + 0 >= 1.5 fails by 1.5 / (1 + 1.5)
+            return res
+
+        p = build([1.0, 1.0], [[1.0, 1.0]], [GE], [1.5], [(0, 1), (0, 1)], kinds=[kind, kind])
+        assert solve_milp(p, gap_tol=0.0).objective == pytest.approx(2.0 if kind == BINARY else 1.5)
+        monkeypatch.setattr(solve_mod, engine, corrupted)
+        with pytest.raises(NumericalInstabilityError, match="breaks a row by 0.6"):
+            solve_milp(p, gap_tol=0.0)
 
     def test_determinism_across_runs(self):
         rng = np.random.default_rng(55)

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import threading
 
 import pytest
 from scipy.stats import t as tdist
@@ -186,18 +188,105 @@ class TestMrpValidate:
             assert key in doc
         assert doc["ci_upper_pct"] == pytest.approx(8.0)
 
-    def test_replication_gaps_nonnegative_on_fixture(self, feeder13, config13, ph_cold,
-                                                     wind13, fragility13, loops13):
+    @pytest.fixture(scope="class")
+    def fixture_runs(self, feeder13, config13, ph_cold, wind13, fragility13, loops13):
+        """mrp_validate of the cold hedging plan on the fixture, one run per worker count."""
         from gridprep.scenarios import generate_scenario_set
 
         def sampler(n, seed):
             return generate_scenario_set(feeder13, wind13, fragility13, count=n, seed=seed)
 
-        result = mrp_validate(ph_cold.plan, feeder13, config13, sampler,
-                              MrpConfig(alpha=0.05, n=2, n_g=3, base_seed=41),
-                              loops=loops13)
+        runs = {}
+
+        def run(workers):
+            if workers not in runs:
+                runs[workers] = mrp_validate(
+                    ph_cold.plan, feeder13, config13, sampler,
+                    MrpConfig(alpha=0.05, n=2, n_g=3, base_seed=41, workers=workers),
+                    loops=loops13)
+            return runs[workers]
+
+        return run
+
+    def test_replication_gaps_nonnegative_on_fixture(self, fixture_runs):
+        result = fixture_runs(None)
         assert all(g >= -1e-6 for g in result.gaps)
         assert result.ci_upper >= result.mean_gap
+
+    @pytest.mark.parametrize("workers", [1, None, 3])
+    def test_worker_count_does_not_change_results(self, fixture_runs, workers):
+        serial, result = fixture_runs(1), fixture_runs(workers)
+        assert result.gaps == serial.gaps
+        assert result.tainted == serial.tainted == 0
+        assert result.candidate_mean_cost == serial.candidate_mean_cost
+        assert result_to_json(result) == result_to_json(serial)
+
+    def test_solves_stay_inside_their_replication(self, chain3, chain3_config, monkeypatch):
+        """The sample problem is solved on the calling thread, the pricing on
+        the pool, and every solve of a replication ends before the sampler is
+        called for the next."""
+        import gridprep.mrp as mrp_mod
+
+        real = mrp_mod.solve_milp
+        clock = itertools.count()
+        samples, solves = [], []
+        caller = threading.get_ident()
+
+        def sampler(n, seed):
+            samples.append((seed, next(clock)))
+            base = chain_scenario()
+            # scenario ids name the replication in the pricing problems' names
+            return ScenarioSet(scenarios=tuple(
+                DamageScenario(id=100 * seed + i, probability=1.0 / n,
+                               damaged_lines=base.damaged_lines,
+                               repair_periods=dict(base.repair_periods),
+                               irradiance=base.irradiance)
+                for i in range(n)), seed=seed)
+
+        def recorded(problem, **kw):
+            start = next(clock)
+            sol = real(problem, **kw)
+            solves.append((problem.name, threading.get_ident(), start, next(clock)))
+            return sol
+
+        monkeypatch.setattr(mrp_mod, "solve_milp", recorded)
+        candidate = FirstStagePlan(meg_at={"b2": 1}, mes_at={"b3": 1},
+                                   fuel_lots={"b1": 2}, crews={"r1": 2})
+        mrp_validate(candidate, chain3, chain3_config, sampler,
+                     MrpConfig(n=3, n_g=3, base_seed=5, workers=3))
+
+        assert [seed for seed, _ in samples] == [5, 6, 7]
+        sampled_at = dict(samples)
+        assert len(solves) == 3 * (1 + 3)
+        ef = [s for s in solves if s[0] == "extensive_form"]
+        assert len(ef) == 3 and all(thread == caller for _, thread, _, _ in ef)
+        pricing = [s for s in solves if s[0] != "extensive_form"]
+        assert any(thread != caller for _, thread, _, _ in pricing)
+        for name, _, start, end in pricing:
+            seed = int(name.removeprefix("scenario_")) // 100
+            assert sampled_at[seed] < start
+            if seed + 1 in sampled_at:
+                assert end < sampled_at[seed + 1]
+        for k, (_, _, start, end) in enumerate(ef):
+            assert samples[k][1] < start
+            if k + 1 < len(samples):
+                assert end < samples[k + 1][1]
+
+    def test_cli_default_workers_write_the_serial_document(self, tmp_path):
+        from gridprep.cli import main as cli_main
+        from gridprep.data import config13_path, feeder13_path, fragility13_path, wind13_path
+
+        common = ["--network", str(feeder13_path()), "--config", str(config13_path())]
+        assert cli_main(["base-plan", *common, "--out", str(tmp_path / "base")]) == 0
+        docs = []
+        for tag, flags in (("default", []), ("serial", ["--workers", "1"])):
+            assert cli_main(["validate-mrp", *common,
+                             "--candidate", str(tmp_path / "base" / "base_plan.json"),
+                             "--wind", str(wind13_path()), "--fragility", str(fragility13_path()),
+                             "--n", "2", "--ng", "2", "--seed", "5", *flags,
+                             "--out", str(tmp_path / tag)]) == 0
+            docs.append((tmp_path / tag / "mrp.json").read_bytes())
+        assert docs[0] == docs[1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
