@@ -140,6 +140,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve_ef(args) -> int:
+    if not 0.0 <= args.gap < 1.0:
+        raise CliError(f"--gap must be in [0, 1), got {args.gap}")
     model = _load_model(args)
     config = _load_config(args)
     scen_set = _load_scenario_set(args, model)

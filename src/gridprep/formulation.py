@@ -138,7 +138,7 @@ class FirstStagePlan:
                 out.append(f"{n_meg_placed} MEGs placed but only {config.n_meg} available")
             if n_mes_placed > config.n_mes:
                 out.append(f"{n_mes_placed} MESs placed but only {config.n_mes} available")
-        for b in set(self.meg_at) | set(self.mes_at):
+        for b in sorted(set(self.meg_at) | set(self.mes_at)):
             if b not in model.candidate_buses:
                 out.append(f"mobile unit placed at non-candidate bus '{b}'")
             if self.meg_at.get(b, 0) + self.mes_at.get(b, 0) > config.n_mu(b):
@@ -164,6 +164,8 @@ class FirstStagePlan:
             c = self.crews.get(r.id, 0)
             if not r.crew_min <= c <= r.crew_max:
                 out.append(f"region '{r.id}' crews {c} outside [{r.crew_min}, {r.crew_max}]")
+        for r in sorted(set(self.crews) - {reg.id for reg in model.regions}):
+            out.append(f"crews assigned to unknown region '{r}'")
         return out
 
 
@@ -239,14 +241,8 @@ class VariableIndex:
     def id_of(self, kind: str, entity=None, phase: str | None = None, t: int | None = None, s: int | None = None) -> int:
         return self._by_key[self.key(kind, entity, phase, t, s)]
 
-    def get(self, kind: str, entity=None, phase=None, t=None, s=None) -> int | None:
-        return self._by_key.get(self.key(kind, entity, phase, t, s))
-
     def key_of(self, var_id: int) -> tuple:
         return self._by_id[var_id]
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._by_key
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -256,10 +252,6 @@ class VariableIndex:
 
     def items(self):
         return self._by_key.items()
-
-    def first_stage_ids(self) -> list[int]:
-        out = [vid for key, vid in self._by_key.items() if key[0] in ("meg", "mes", "lots", "crew")]
-        return sorted(out)
 
 
 def _vname(key: tuple) -> str:
@@ -429,11 +421,6 @@ class FirstStageVars:
     mes: dict[str, int]
     lots: dict[str, int]
     crew: dict[str, int]
-
-    def all_ids(self) -> list[int]:
-        out = list(self.meg.values()) + list(self.mes.values())
-        out += list(self.lots.values()) + list(self.crew.values())
-        return out
 
 
 def check_first_stage_config(model: NetworkModel, config: FormulationConfig) -> None:
@@ -1016,17 +1003,19 @@ def build_ph_subproblem(
     model: NetworkModel,
     scenario: DamageScenario,
     config: FormulationConfig,
-    multipliers: Mapping[int, float] | Sequence[float],
-    anchor: Mapping[int, float] | Sequence[float],
-    rho: float | Sequence[float],
+    multipliers: Sequence[float],
+    anchor: Sequence[float],
+    rho: float,
+    tie_break: float = 0.0,
     loops: LoopSet | None = None,
 ) -> CompiledProblem:
-    """Scenario subproblem augmented with the hedging price and proximal term.
+    """Scenario subproblem augmented with the hedging price, proximal term and tie-break.
 
     ``multipliers`` and ``anchor`` are keyed by position in the first-stage
-    vector (see :func:`first_stage_vector_ids`); ``rho`` may be a scalar or a
-    per-position vector.  Binary deviations expand exactly; integer
-    lots/crews get a secant chain that is exact at integers.
+    vector (see :func:`first_stage_vector_ids`).  Binary deviations expand
+    exactly; integer lots/crews get a secant chain that is exact at integers.
+    After those terms, position ``j`` of ``n`` costs ``tie_break * (1 + j / n)``
+    more, so exact ties resolve the same way in every scenario.
     """
     compiled = build_subproblem(model, scenario, config, loops=loops)
     problem = compiled.problem
@@ -1035,23 +1024,18 @@ def build_ph_subproblem(
     ids = first_stage_vector_ids(compiled.index)
     eta_vec = _as_vector(multipliers, len(ids), "multipliers")
     anchor_vec = _as_vector(anchor, len(ids), "anchor")
-    if isinstance(rho, (int, float)):
-        rho_vec = [float(rho)] * len(ids)
-    else:
-        rho_vec = _as_vector(rho, len(ids), "rho")
     for pos, vid in enumerate(ids):
         eta = eta_vec[pos]
         xbar = anchor_vec[pos]
-        rho_j = rho_vec[pos]
         if eta:
             augmented.add_objective_term(vid, eta)
-        if rho_j == 0.0:
+        if rho == 0.0:
             continue
         spec = augmented.variables[vid]
         if spec.kind == BINARY:
             # (x - xbar)^2 == (1 - 2 xbar) x + xbar^2 for binary x
-            augmented.add_objective_term(vid, 0.5 * rho_j * (1.0 - 2.0 * xbar))
-            augmented.objective.constant += 0.5 * rho_j * xbar * xbar
+            augmented.add_objective_term(vid, 0.5 * rho * (1.0 - 2.0 * xbar))
+            augmented.objective.constant += 0.5 * rho * xbar * xbar
         else:
             lo, hi = int(spec.lower), int(spec.upper)
             src_kind, src_entity = compiled.index.key_of(vid)[0], compiled.index.key_of(vid)[1]
@@ -1068,7 +1052,10 @@ def build_ph_subproblem(
                 augmented.add_constraint(
                     LinearExpr({wid: 1.0}), GE, (lo - xbar) ** 2, f"prox_secant[{vid},fixed]"
                 )
-            augmented.add_objective_term(wid, 0.5 * rho_j)
+            augmented.add_objective_term(wid, 0.5 * rho)
+    if tie_break:
+        for j, vid in enumerate(ids):
+            augmented.add_objective_term(vid, tie_break * (1.0 + j / len(ids)))
     augmented.seal()
     return CompiledProblem(
         problem=augmented,
@@ -1079,14 +1066,7 @@ def build_ph_subproblem(
     )
 
 
-def _as_vector(raw, n: int, what: str) -> list[float]:
-    if isinstance(raw, Mapping):
-        vec = [0.0] * n
-        for pos, val in raw.items():
-            if not 0 <= int(pos) < n:
-                raise FormulationError(f"{what} position {pos} exceeds the first-stage vector")
-            vec[int(pos)] = float(val)
-        return vec
+def _as_vector(raw: Sequence[float], n: int, what: str) -> list[float]:
     vec = [float(v) for v in raw]
     if len(vec) != n:
         raise FormulationError(f"expected {n} {what} entries, got {len(vec)}")

@@ -1,14 +1,19 @@
 """Progressive hedging over scenario subproblems.
 
-Iteration 0 solves each scenario alone; later rounds solve subproblems
-augmented with the scenario's running price vector and a proximal pull
-toward the probability-weighted mean of the first-stage decisions.  A prior
-plan warm-starts the loop (Watson & Woodruff 2011): iteration 0 then pulls
-every scenario toward that plan instead, with zero prices.  The
-loop stops once the weighted deviation from the mean falls below the
-threshold, then extracts a consensus plan (majority vote projected onto
-the first-stage constraints) and prices it by re-solving every scenario
-with the plan pinned.
+Every iteration τ = 0, 1, 2, ... solves each scenario's subproblem augmented
+with its running price vector and a proximal pull toward an anchor, then
+moves the anchor to the probability-weighted mean of the first-stage
+decisions and each price by ρ times its scenario's deviation from that mean.
+Iteration 0 starts from zero prices and no pull, so each scenario is solved
+alone.  A prior plan that passes the first-stage rules warm-starts the loop
+(Watson & Woodruff 2011): iteration 0 then pulls every scenario toward that
+plan with the full ρ.  With two or more scenarios,
+every subproblem also carries a tiny first-stage cost shared by all of
+them, so exact ties resolve the same way everywhere.  The loop stops
+once the weighted deviation from the mean falls below the threshold, then
+extracts a consensus plan (majority vote projected onto the first-stage
+constraints) and prices it by re-solving every scenario with the plan
+pinned.
 
 Subproblems of one iteration are independent and solve on a thread pool
 (HiGHS releases the GIL), by default one worker per usable core and no more
@@ -18,15 +23,16 @@ deterministic, so the worker count never changes the outcome.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .formulation import (
-    CompiledProblem,
     FirstStagePlan,
     FormulationConfig,
     build_first_stage,
@@ -58,24 +64,26 @@ class SubproblemInfeasibleError(PhError):
         self.scenario_id = scenario_id
 
 
+# rho grows by RHO_BUMP, up to RHO_CAP_FACTOR times its start, once g has
+# moved by less than STAGNATION_REL_TOL for STAGNATION_WINDOW iterations
+STAGNATION_WINDOW = 5
+STAGNATION_REL_TOL = 1e-4
+RHO_BUMP = 1.5
+RHO_CAP_FACTOR = 10.0
+GAP_TOL = 1e-6
+NODE_LIMIT = 200_000
+# tiny common first-stage cost so exact ties resolve the same way in
+# every scenario; without it, equal-cost placements swap forever
+TIE_BREAK_WEIGHT = 0.02
+
+
 @dataclass(frozen=True)
 class PhConfig:
     rho: float = 1.0
     epsilon: float = 0.01
     max_iterations: int = 100
     workers: int | None = None  # None: one per usable core, at most one per scenario
-    norm: str = "l1"  # deviation norm in the convergence metric
-    per_variable_rho: bool = False  # rho_j = |a_j| / (range_j + 1)
-    stagnation_window: int = 5
-    stagnation_rel_tol: float = 1e-4
-    rho_bump: float = 1.5
-    rho_cap_factor: float = 10.0
-    gap_tol: float = 1e-6
-    node_limit: int = 200_000
     prior_plan: FirstStagePlan | None = None
-    # tiny common first-stage cost so exact ties resolve the same way in
-    # every scenario; without it, equal-cost placements swap forever
-    tie_break_weight: float = 0.02
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -86,8 +94,6 @@ class PhConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.norm not in ("l1", "l2"):
-            raise ValueError("norm must be 'l1' or 'l2'")
 
 
 @dataclass
@@ -151,18 +157,13 @@ def convergence_metric(
     x_s: Sequence[Sequence[float]],
     x_bar: Sequence[float],
     probabilities: Sequence[float],
-    norm: str = "l1",
 ) -> float:
-    """Probability-weighted deviation of the scenario decisions from the mean."""
+    """Probability-weighted L1 deviation of the scenario decisions from the mean."""
     total = 0.0
     for pr, vec in zip(probabilities, x_s):
         if len(vec) != len(x_bar):
             raise ValueError("scenario vector does not match the aggregate dimension")
-        dev = [v - m for v, m in zip(vec, x_bar)]
-        if norm == "l1":
-            total += pr * sum(abs(d) for d in dev)
-        else:
-            total += pr * math.sqrt(sum(d * d for d in dev))
+        total += pr * sum(abs(v - m) for v, m in zip(vec, x_bar))
     return total
 
 
@@ -173,28 +174,6 @@ def _plan_vector(index: VariableIndex, ids: Sequence[int], plan: FirstStagePlan)
     for vid in ids:
         kind, entity = index.key_of(vid)[:2]
         out.append(float(groups[kind].get(entity, 0)))
-    return out
-
-
-def _with_tie_break(problem: MilpProblem, ids: Sequence[int], weight: float) -> MilpProblem:
-    if weight <= 0.0:
-        return problem
-    biased = problem.copy()
-    n = max(len(ids), 1)
-    for j, vid in enumerate(ids):
-        biased.add_objective_term(vid, weight * (1.0 + j / n))
-    return biased.seal()
-
-
-def _rho_vector(config: PhConfig, compiled: CompiledProblem, ids: Sequence[int]) -> list[float]:
-    if not config.per_variable_rho:
-        return [config.rho] * len(ids)
-    out = []
-    for vid in ids:
-        coef = compiled.problem.objective.terms.get(vid, 0.0)
-        spec = compiled.problem.variables[vid]
-        rng = spec.upper - spec.lower
-        out.append(abs(coef) / (rng + 1.0))
     return out
 
 
@@ -269,90 +248,66 @@ def ph_solve(
     config: FormulationConfig,
     ph_config: PhConfig,
     loops: LoopSet | None = None,
-    timer=None,
 ) -> PhResult:
     """Run the two-stage hedging loop and return the consensus plan."""
-    import time as _time
-
-    clock = timer if timer is not None else _time.perf_counter
     if len(scen_set) == 0:
         raise PhError("scenario set is empty")
+    prior = ph_config.prior_plan
+    if prior is not None:
+        bad = prior.violations(model, config, strict_totals=False)
+        if bad:
+            raise PhError(f"prior plan is infeasible: {bad[0]}")
     if loops is None:
         loops = enumerate_loops(model)
+    index = VariableIndex()
+    build_first_stage(model, config, MilpProblem(), index)
+    ids = first_stage_vector_ids(index)
     probs = [s.probability for s in scen_set.scenarios]
     workers = default_workers(ph_config.workers, len(scen_set))
     # a single scenario has no ties to break; keep its optimum untouched
-    tie_break = ph_config.tie_break_weight if len(scen_set) > 1 else 0.0
+    tie_break = TIE_BREAK_WEIGHT if len(scen_set) > 1 else 0.0
+    rho = ph_config.rho
+    rho_cap = rho * RHO_CAP_FACTOR
+    # iteration 0 prices nothing (-0.0 adds as an exact zero, so the first
+    # update leaves rho * (x - x_bar) bit for bit) and pulls only toward a
+    # prior plan
+    eta_s = [[-0.0] * len(ids) for _ in probs]
+    if prior is None:
+        anchor, prox_rho = [0.0] * len(ids), 0.0
+    else:
+        anchor, prox_rho = _plan_vector(index, ids, prior), rho
+    history: list[float] = []
     log_rows: list[tuple[int, float, float, float]] = []
-    t_start = clock()
-
-    # rho comes from the plain subproblem: prox terms would bias per_variable_rho
-    first_scen = scen_set.scenarios[0]
-    compiled0 = build_subproblem(model, first_scen, config, loops=loops)
-    ids0 = first_stage_vector_ids(compiled0.index)
-    rho_vec = _rho_vector(ph_config, compiled0, ids0)
-    rho_cap = [r * ph_config.rho_cap_factor for r in rho_vec]
-    prior = ph_config.prior_plan
-    prior_vec = _plan_vector(compiled0.index, ids0, prior) if prior is not None else None
-
-    def solve_scenario(comp, scen):
-        ids = first_stage_vector_ids(comp.index)
-        biased = _with_tie_break(comp.problem, ids, tie_break)
-        sol = solve_milp(biased, gap_tol=ph_config.gap_tol, node_limit=ph_config.node_limit)
-        if not sol.ok:
-            raise SubproblemInfeasibleError(scen.id)
-        return [sol.values[v] for v in ids], sol.objective
-
-    # iteration 0: plain scenario subproblems, or with no prices and a pull
-    # toward the prior plan when one is given
-    def solve_start(scen):
-        if prior_vec is not None:
-            comp = build_ph_subproblem(model, scen, config, multipliers=[0.0] * len(ids0),
-                                       anchor=prior_vec, rho=rho_vec, loops=loops)
-        elif scen is first_scen:
-            comp = compiled0
-        else:
-            comp = build_subproblem(model, scen, config, loops=loops)
-        return solve_scenario(comp, scen)
-
-    results = map_in_order(solve_start, scen_set.scenarios, workers)
-    x_s = [r[0] for r in results]
-    objs = [r[1] for r in results]
-
-    x_bar = aggregate(x_s, probs)
-    eta_s = [[r * (xv - xb) for r, xv, xb in zip(rho_vec, vec, x_bar)] for vec in x_s]
-    g = convergence_metric(x_s, x_bar, probs, ph_config.norm)
-    state = PhState(iteration=0, x_s=x_s, x_bar=x_bar, eta_s=eta_s, metric_history=[g])
-    log_rows.append((0, g, clock() - t_start, float(np.mean(objs))))
-
     stagnant = 0
-    tau = 0
-    while g > ph_config.epsilon and tau < ph_config.max_iterations:
-        tau += 1
+    t_start = time.perf_counter()
 
-        def solve_augmented(si_scen):
+    for tau in itertools.count():
+        def solve_scenario(si_scen):
             si, scen = si_scen
             comp = build_ph_subproblem(
                 model, scen, config,
-                multipliers=state.eta_s[si],
-                anchor=state.x_bar,
-                rho=rho_vec,
+                multipliers=eta_s[si],
+                anchor=anchor,
+                rho=prox_rho,
+                tie_break=tie_break,
                 loops=loops,
             )
-            return solve_scenario(comp, scen)
+            sol = solve_milp(comp.problem, gap_tol=GAP_TOL, node_limit=NODE_LIMIT)
+            if not sol.ok:
+                raise SubproblemInfeasibleError(scen.id)
+            return [sol.values[v] for v in ids], sol.objective
 
-        results = map_in_order(solve_augmented, list(enumerate(scen_set.scenarios)), workers)
+        results = map_in_order(solve_scenario, list(enumerate(scen_set.scenarios)), workers)
         x_s = [r[0] for r in results]
         objs = [r[1] for r in results]
         x_bar = aggregate(x_s, probs)
         eta_s = [
-            [e + r * (xv - xb) for e, r, xv, xb in zip(state.eta_s[si], rho_vec, vec, x_bar)]
-            for si, vec in enumerate(x_s)
+            [e + rho * (xv - xb) for e, xv, xb in zip(eta, vec, x_bar)]
+            for eta, vec in zip(eta_s, x_s)
         ]
-        g = convergence_metric(x_s, x_bar, probs, ph_config.norm)
-        state = PhState(iteration=tau, x_s=x_s, x_bar=x_bar, eta_s=eta_s,
-                        metric_history=state.metric_history + [g])
-        log_rows.append((tau, g, clock() - t_start, float(np.mean(objs))))
+        g = convergence_metric(x_s, x_bar, probs)
+        history.append(g)
+        log_rows.append((tau, g, time.perf_counter() - t_start, float(np.mean(objs))))
 
         # multiplier drift guard: the weighted multipliers must stay centered
         drift = max(
@@ -361,32 +316,34 @@ def ph_solve(
         ) if x_bar else 0.0
         if drift > 1e-6:
             raise PhError(f"multiplier aggregate drifted to {drift}")
+        if g <= ph_config.epsilon or tau >= ph_config.max_iterations:
+            break
 
-        hist = state.metric_history
-        if len(hist) >= 2:
-            rel = abs(hist[-1] - hist[-2]) / max(hist[-2], 1e-12)
-            stagnant = stagnant + 1 if rel < ph_config.stagnation_rel_tol else 0
-        if stagnant >= ph_config.stagnation_window:
-            rho_vec = [min(r * ph_config.rho_bump, cap) for r, cap in zip(rho_vec, rho_cap)]
+        if len(history) >= 2:
+            rel = abs(history[-1] - history[-2]) / max(history[-2], 1e-12)
+            stagnant = stagnant + 1 if rel < STAGNATION_REL_TOL else 0
+        if stagnant >= STAGNATION_WINDOW:
+            rho = min(rho * RHO_BUMP, rho_cap)
             stagnant = 0
+        anchor, prox_rho = x_bar, rho
 
-    converged = g <= ph_config.epsilon
-    votes = _votes_from_vector(compiled0.index, ids0, state.x_bar)
+    state = PhState(iteration=tau, x_s=x_s, x_bar=x_bar, eta_s=eta_s, metric_history=history)
+    votes = _votes_from_vector(index, ids, x_bar)
     plan = repair_consensus(model, config, votes)
     bad = plan.violations(model, config)
     if bad:
         raise PhError(f"consensus plan violates first-stage constraints: {bad}")
     ef_cost, scen_objs = evaluate_plan_cost(
         model, scen_set, config, plan, loops,
-        gap_tol=ph_config.gap_tol, workers=workers,
+        gap_tol=GAP_TOL, workers=workers,
     )
     return PhResult(
         plan=plan,
-        converged=converged,
+        converged=g <= ph_config.epsilon,
         iterations=tau,
         scenario_objectives=scen_objs,
         ef_cost=ef_cost,
-        metric_history=state.metric_history,
+        metric_history=history,
         log_rows=log_rows,
         state=state,
     )

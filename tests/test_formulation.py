@@ -1,6 +1,12 @@
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -566,6 +572,62 @@ class TestPhSubproblem:
             build_ph_subproblem(chain3, scen, chain3_config,
                                 multipliers=[0.0], anchor=[0.0], rho=1.0)
 
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data(),
+           rho=st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+           tie=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)))
+    def test_objective_is_plain_plus_price_prox_and_tie(self, data, rho, tie):
+        model = network_from_document(small_network_doc())
+        config = FormulationConfig(n_meg=1, n_mes=1, n_fuel=500.0, n_crew=2)
+        scen = damage({"l23": 2}, 3)
+        plain = build_subproblem(model, scen, config)
+        ids = first_stage_vector_ids(plain.index)
+        bounds = [(plain.problem.variables[v].lower, plain.problem.variables[v].upper)
+                  for v in ids]
+        eta = np.array(data.draw(st.lists(st.floats(-50.0, 50.0),
+                                          min_size=len(ids), max_size=len(ids))))
+        anchor = np.array([data.draw(st.floats(lo, hi)) for lo, hi in bounds])
+        aug = build_ph_subproblem(model, scen, config, multipliers=list(eta),
+                                  anchor=list(anchor), rho=rho, tie_break=tie)
+        assert first_stage_vector_ids(aug.index) == ids
+        ties = tie * (1.0 + np.arange(len(ids)) / len(ids))
+        c_plain, a_plain, *_ = plain.problem.matrices()
+        c_aug, a_aug, *_ = aug.problem.matrices()
+        # the second stage keeps its costs; only first-stage and prox columns move
+        n = len(c_plain)
+        assert np.array_equal(np.delete(c_aug[:n], ids), np.delete(c_plain, ids))
+
+        # every integer first-stage point, each prox variable at its least feasible value
+        x = np.array(list(itertools.product(
+            *(range(int(lo), int(hi) + 1) for lo, hi in bounds))), dtype=float)
+        prox = [vid for key, vid in aug.index.items() if key[0] == "prox"]
+        w = np.zeros((len(x), len(prox)))
+        for k, wid in enumerate(prox):
+            w[:, k] = aug.problem.variables[wid].lower
+            for con in aug.problem.constraints:
+                coef = con.expr.terms.get(wid)
+                if coef is None:
+                    continue
+                assert con.sense == ">=" and coef > 0
+                assert set(con.expr.terms) - {wid} <= set(ids)
+                row = np.array([con.expr.terms.get(v, 0.0) for v in ids])
+                w[:, k] = np.maximum(w[:, k], (con.rhs - con.expr.constant - x @ row) / coef)
+        plain_obj = plain.problem.objective.constant + x @ c_plain[ids]
+        aug_obj = aug.problem.objective.constant + x @ c_aug[ids] + w @ c_aug[prox]
+        expected = (plain_obj + x @ eta + 0.5 * rho * ((x - anchor) ** 2).sum(axis=1)
+                    + x @ ties)
+        np.testing.assert_allclose(aug_obj, expected, rtol=1e-9, atol=1e-9)
+
+        if rho == 0.0:
+            flat = build_ph_subproblem(model, scen, config, multipliers=[0.0] * len(ids),
+                                       anchor=list(anchor), rho=0.0, tie_break=tie)
+            c_flat, a_flat, *_ = flat.problem.matrices()
+            shifted = c_plain.copy()
+            shifted[ids] += ties
+            assert np.array_equal(c_flat, shifted)
+            assert flat.problem.objective.constant == plain.problem.objective.constant
+            assert a_flat.shape == a_plain.shape and (a_flat != a_plain).nnz == 0
+
 
 class TestObjectiveEvaluation:
     def make_stub(self, gen_kw, shed_kw, periods, dt=1.0, shed_cost=14.0):
@@ -643,13 +705,34 @@ class TestPlanHandling:
             meg_at={"f4": 1},  # one MEG missing
             mes_at={"l5": 1},  # not a candidate bus
             fuel_lots={"f1": 99},  # above the site cap
-            crews={"r1": 9, "r2": 0, "r3": 0},  # above regional max
+            crews={"r1": 9, "r2": 0, "r3": 0, "zz": 0},  # above regional max, unknown region
         )
         bad = plan.violations(feeder13, config13)
         assert any("MEG placements" in v for v in bad)
         assert any("non-candidate" in v for v in bad)
         assert any("fuel lots" in v for v in bad)
         assert any("crews" in v and "outside" in v for v in bad)
+        assert any("unknown region 'zz'" in v for v in bad)
+
+    def test_violations_do_not_depend_on_string_hashing(self):
+        # the first violation is the one hedging and validation report
+        probe = (
+            "import json\n"
+            "from gridprep.data import config13_path, feeder13_path\n"
+            "from gridprep.formulation import FirstStagePlan, config_from_document\n"
+            "from gridprep.network import load_network\n"
+            "model = load_network(feeder13_path().read_text())\n"
+            "config = config_from_document(json.loads(config13_path().read_text()))\n"
+            "plan = FirstStagePlan({'nowhere': 1, 'b1': 1}, {}, {}, {'r1': 2, 'r2': 2, 'r3': 2})\n"
+            "print(plan.violations(model, config, strict_totals=False))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        outs = {
+            subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           check=True, cwd=src, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "3")
+        }
+        assert len(outs) == 1
 
     def test_fuel_site_bounds_cover_generators_and_candidates(self, feeder13, config13):
         sites = fuel_site_bounds(feeder13, config13)

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from gridprep.formulation import build_subproblem
@@ -61,12 +59,6 @@ class TestConvergenceMetric:
         xbar = aggregate(x, [1.0])
         assert convergence_metric(x, xbar, [1.0]) == 0.0
 
-    def test_l2_option(self):
-        x = [[1.0, 0.0], [0.0, 1.0]]
-        xbar = [0.5, 0.5]
-        expected = math.sqrt(0.5)
-        assert convergence_metric(x, xbar, [0.5, 0.5], norm="l2") == pytest.approx(expected)
-
 
 class TestPhSolve:
     def test_single_scenario_is_deterministic_optimum(self, chain3, chain3_config):
@@ -89,7 +81,8 @@ class TestPhSolve:
     def test_fixture_converges_and_matches_ef(self, feeder13, config13, ph_cold, ef_optimum):
         result = ph_cold
         assert result.converged
-        assert result.iterations <= 100
+        assert result.iterations == 8
+        assert result.ef_cost == pytest.approx(1059.2660412564237, rel=1e-9)
         assert result.metric_history[-1] <= 0.01
         _, ef, _ = ef_optimum
         assert result.ef_cost >= ef.objective - 1e-6  # the plan is EF-feasible
@@ -152,7 +145,7 @@ class TestSoftStart:
                         PhConfig(epsilon=0.01, max_iterations=100, prior_plan=ph_cold.plan),
                         loops=loops13)
         assert warm.converged
-        assert warm.iterations < ph_cold.iterations
+        assert warm.iterations == 0
         assert warm.plan == ph_cold.plan
         assert warm.ef_cost == ph_cold.ef_cost
 

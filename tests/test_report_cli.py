@@ -282,9 +282,12 @@ class TestCli:
         ("solve-ph", ["--workers", "0"]),
         ("validate-mrp", ["--n", "1"]),
         ("validate-mrp", ["--workers", "0"]),
-    ], ids=["ph-rho-0", "ph-workers-0", "mrp-n-1", "mrp-workers-0"])
+        ("solve-ef", ["--gap", "-1"]),
+        ("solve-ef", ["--gap", "nan"]),
+    ], ids=["ph-rho-0", "ph-workers-0", "mrp-n-1", "mrp-workers-0", "ef-gap-negative",
+            "ef-gap-nan"])
     def test_bad_settings_are_input_errors(self, paths, tmp_path, capsys, command, flags):
-        if command == "solve-ph":
+        if command in ("solve-ph", "solve-ef"):
             argv = ["--count", "2", "--seed", "11"]
         else:
             plan = tmp_path / "base"
@@ -297,6 +300,19 @@ class TestCli:
         assert code == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["exit_code"] == 2 and "must be" in error["error"]
+        assert not (tmp_path / "out").exists()
+
+    def test_soft_start_plan_breaking_first_stage_rules(self, paths, tmp_path, capsys):
+        plan = tmp_path / "bad_plan.json"
+        plan.write_text(json.dumps({"meg": ["f4", "nowhere"], "fuel": {"zz": 100.0},
+                                    "crews": {"r1": 7}}))
+        code = self.run("solve-ph", "--network", paths["network"], "--config", paths["config"],
+                        "--wind", paths["wind"], "--fragility", paths["fragility"],
+                        "--count", "2", "--seed", "11", "--soft-start", str(plan),
+                        "--out", str(tmp_path / "out"))
+        assert code == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["exit_code"] == 3 and "prior plan" in error["error"]
         assert not (tmp_path / "out").exists()
 
     def test_base_plan_and_evaluate_round_trip(self, paths, tmp_path):
