@@ -22,7 +22,6 @@ from .network import (
     enumerate_loops,
     load_network,
     network_from_document,
-    network_to_document,
     validate_regions,
 )
 from .scenarios import (

@@ -21,7 +21,7 @@ from .formulation import (
     plan_from_solution,
     plan_to_document,
 )
-from .hedging import PhConfig, PhError, SubproblemInfeasibleError, iteration_log_csv, ph_solve
+from .hedging import PhConfig, PhError, iteration_log_csv, ph_solve
 from .milp import NumericalInstabilityError, solve_milp, write_lp
 from .mrp import MrpConfig, MrpError, mrp_validate, result_to_json
 from .network import (
@@ -183,8 +183,6 @@ def cmd_solve_ph(args) -> int:
         raise CliError(f"hedging settings: {exc}") from exc
     try:
         result = ph_solve(model, scen_set, config, ph_config)
-    except SubproblemInfeasibleError as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE) from exc
     except (FormulationError, PhError) as exc:
         raise CliError(str(exc), EXIT_INFEASIBLE) from exc
     out = _out_dir(args)

@@ -81,23 +81,6 @@ class FormulationConfig:
         return int(self.n_mu_by_bus.get(bus, self.n_mu_default))
 
 
-def config_to_document(config: FormulationConfig) -> dict:
-    return {
-        "n_meg": config.n_meg,
-        "n_mes": config.n_mes,
-        "n_fuel": config.n_fuel,
-        "n_crew": config.n_crew,
-        "fuel_cost": config.fuel_cost,
-        "switch_cost": config.switch_cost,
-        "fuel_rate": config.fuel_rate,
-        "crew_epsilon": config.crew_epsilon,
-        "polygon_segments": config.polygon_segments,
-        "fuel_quantum": config.fuel_quantum,
-        "n_mu_default": config.n_mu_default,
-        "n_mu_by_bus": dict(config.n_mu_by_bus),
-    }
-
-
 def config_from_document(doc: Mapping) -> FormulationConfig:
     known = {f for f in FormulationConfig.__dataclass_fields__}
     kwargs = {k: v for k, v in doc.items() if k in known}
@@ -112,9 +95,6 @@ class FirstStagePlan:
     mes_at: Mapping[str, int]
     fuel_lots: Mapping[str, int]  # bus -> lots; liters = lots * quantum
     crews: Mapping[str, int]  # region id -> crews
-
-    def fuel_liters(self, bus: str, quantum: float) -> float:
-        return self.fuel_lots.get(bus, 0) * quantum
 
     def violations(
         self, model: NetworkModel, config: FormulationConfig, strict_totals: bool = True
@@ -368,18 +348,6 @@ def big_m_voltage(line: Line, model: NetworkModel) -> float:
     return u_span + 2.0 * worst_row / model.base_kva
 
 
-def compute_big_m(family: str, model: NetworkModel, line: Line | None = None) -> float:
-    if family == "virtual":
-        return big_m_virtual(model)
-    if family == "voltage":
-        if line is None:
-            raise ValueError("voltage family needs a line")
-        if not (math.isfinite(line.p_max) and math.isfinite(line.q_max)):
-            raise ValueError("voltage big-M needs finite flow limits")
-        return big_m_voltage(line, model)
-    raise ValueError(f"unknown big-M family '{family}'")
-
-
 def polygonize_capacity(s_kva: float, segments: int) -> list[tuple[float, float, float]]:
     """Half-planes a*P + b*Q <= rhs of the inscribed capacity polygon.
 
@@ -403,13 +371,6 @@ def polygonize_capacity(s_kva: float, segments: int) -> list[tuple[float, float,
         mid = 0.5 * (a1 + a2)
         faces.append((math.cos(mid), math.sin(mid), s_kva * shrink))
     return faces
-
-
-def polygon_admits(p: float, q: float, s_kva: float, segments: int, p_nonneg: bool = True) -> bool:
-    """Membership oracle for the polygonized capacity region."""
-    if p_nonneg and p < -1e-12:
-        return False
-    return all(a * p + b * q <= rhs + 1e-9 for a, b, rhs in polygonize_capacity(s_kva, segments))
 
 
 # -- builders -----------------------------------------------------------------
@@ -1207,20 +1168,3 @@ def scenario_cost(
         "switching": config.switch_cost * switch_ops,
         "shed": shed,
     }
-
-
-def evaluate_objective(
-    plan: FirstStagePlan,
-    schedules: Sequence[SecondStageSchedule],
-    scen_set: ScenarioSet,
-    config: FormulationConfig,
-    model: NetworkModel,
-) -> float:
-    """Probability-weighted cost recomputed from raw schedule arrays."""
-    total = 0.0
-    by_id = {sc.id: sc for sc in scen_set.scenarios}
-    for sched in schedules:
-        scen = by_id[sched.scenario]
-        parts = scenario_cost(model, scen, sched, config)
-        total += scen.probability * (parts["fuel"] + parts["switching"] + parts["shed"])
-    return total

@@ -24,7 +24,6 @@ deterministic, so the worker count never changes the outcome.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -112,16 +111,6 @@ class PhState:
             "eta_s": self.eta_s,
             "metric_history": self.metric_history,
         }
-
-    @staticmethod
-    def from_document(doc: Mapping) -> "PhState":
-        return PhState(
-            iteration=int(doc["iteration"]),
-            x_s=[list(map(float, row)) for row in doc["x_s"]],
-            x_bar=list(map(float, doc["x_bar"])),
-            eta_s=[list(map(float, row)) for row in doc["eta_s"]],
-            metric_history=list(map(float, doc["metric_history"])),
-        )
 
 
 @dataclass
@@ -354,11 +343,3 @@ def iteration_log_csv(rows: Sequence[tuple[int, float, float, float]]) -> str:
     for it, g, elapsed, mean_obj in rows:
         lines.append(f"{it},{g!r},{elapsed!r},{mean_obj!r}")
     return "\n".join(lines) + "\n"
-
-
-def checkpoint_to_json(state: PhState) -> str:
-    return json.dumps(state.to_document(), indent=2, sort_keys=True)
-
-
-def checkpoint_from_json(raw: str) -> PhState:
-    return PhState.from_document(json.loads(raw))

@@ -33,7 +33,7 @@ class ProblemError(ValueError):
 
 
 class NumericalInstabilityError(RuntimeError):
-    """The LP solver stopped without an optimum, an infeasibility or an unbounded ray."""
+    """HiGHS ended in an error, or returned a point that breaks the problem's rows or bounds."""
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,6 @@ class LinearExpr:
             self.terms[var_id] = new
         return self
 
-    def add_expr(self, other: "LinearExpr", scale: float = 1.0) -> "LinearExpr":
-        for vid, coef in other.terms.items():
-            self.add(vid, scale * coef)
-        self.constant += scale * other.constant
-        return self
-
-    def value(self, values: Mapping[int, float]) -> float:
-        return self.constant + sum(coef * values[vid] for vid, coef in self.terms.items())
-
     def copy(self) -> "LinearExpr":
         return LinearExpr(dict(self.terms), self.constant)
 
@@ -105,14 +96,6 @@ class Constraint:
     sense: str
     rhs: float
     name: str = ""
-
-    def violation(self, values: Mapping[int, float]) -> float:
-        lhs = self.expr.value(values)
-        if self.sense == LE:
-            return max(0.0, lhs - self.rhs)
-        if self.sense == GE:
-            return max(0.0, self.rhs - lhs)
-        return abs(lhs - self.rhs)
 
 
 class MilpProblem:
@@ -138,9 +121,6 @@ class MilpProblem:
         vid = len(self.variables)
         self.variables.append(VarSpec(id=vid, lower=lower, upper=upper, kind=kind, name=name))
         return vid
-
-    def add_binary(self, name: str = "") -> int:
-        return self.add_variable(0.0, 1.0, BINARY, name)
 
     def add_constraint(self, expr: LinearExpr, sense: str, rhs: float, name: str = "") -> int:
         self._check_mutable()
@@ -224,23 +204,6 @@ class MilpProblem:
             self._matrix_cache = (c, a_mat, tuple(senses), b, lower, upper)
         return self._matrix_cache
 
-    def max_violation(self, values: Mapping[int, float]) -> float:
-        worst = 0.0
-        for v in self.variables:
-            x = values[v.id]
-            worst = max(worst, v.lower - x, x - v.upper)
-        for con in self.constraints:
-            worst = max(worst, con.violation(values))
-        return worst
-
-    def max_integrality_violation(self, values: Mapping[int, float]) -> float:
-        worst = 0.0
-        for v in self.variables:
-            if v.is_integer:
-                x = values[v.id]
-                worst = max(worst, abs(x - round(x)))
-        return worst
-
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -261,9 +224,6 @@ class MilpSolution:
     @property
     def ok(self) -> bool:
         return self.status in (OPTIMAL, GAP_LIMIT)
-
-    def value_of(self, var_id: int) -> float:
-        return self.values[var_id]
 
 
 def _fmt(x: float) -> str:

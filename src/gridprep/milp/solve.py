@@ -5,12 +5,15 @@ bounds, integer bounds rounded, fixed variables substituted out), then HiGHS
 through SciPy, ``milp`` while integer variables remain and ``linprog`` once
 none do.  HiGHS is deterministic at fixed inputs, so every solve is too.
 Each returned point is checked against the original rows and bounds, and
-one that breaks them raises :class:`NumericalInstabilityError`.
+one that breaks them raises :class:`NumericalInstabilityError`, as does a
+HiGHS solve that ends in a load, presolve, solve or postsolve error; a
+MILP stopped at its node limit returns ``ITERATION_LIMIT`` instead.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,18 @@ from .problem import (
 )
 
 
+# HiGHS model statuses that mean the solve failed: load, presolve, solve and
+# postsolve error.  SciPy's ``milp`` reports these as status 4, but also a
+# node limit (HiGHS's solution limit) and every status it does not know, so
+# the HiGHS status is read from the message.
+_HIGHS_ERRORS = frozenset({1, 3, 4, 5})
+
+
+def _highs_error(message: str) -> bool:
+    found = re.search(r"HiGHS Status (\d+):", message)
+    return found is not None and int(found.group(1)) in _HIGHS_ERRORS
+
+
 @dataclass
 class _Reduced:
     c: np.ndarray
@@ -50,18 +65,14 @@ class _Reduced:
     infeasible: bool = False
 
 
-def _presolve(problem: MilpProblem, relax_integrality: bool = False) -> _Reduced:
+def _presolve(problem: MilpProblem) -> _Reduced:
     """Bound tightening from singleton rows plus removal of fixed variables."""
     c, a_mat, senses, b, lower, upper = problem.matrices()
     lower = lower.copy()
     upper = upper.copy()
     b = b.copy()
     n = len(lower)
-    integer_mask = np.zeros(n, dtype=bool)
-    if not relax_integrality:
-        for v in problem.variables:
-            if v.is_integer:
-                integer_mask[v.id] = True
+    integer_mask = np.array([v.is_integer for v in problem.variables], dtype=bool)
 
     def round_integer_bounds():
         lower[integer_mask] = np.ceil(lower[integer_mask] - INTEGRALITY_TOL)
@@ -222,14 +233,6 @@ def _lp_highs(problem: MilpProblem, red: _Reduced) -> MilpSolution:
     return MilpSolution(status=OPTIMAL, values=values, objective=objective, best_bound=objective)
 
 
-def solve_lp(problem: MilpProblem) -> MilpSolution:
-    """Solve the LP relaxation (integrality dropped, bounds kept)."""
-    red = _presolve(problem, relax_integrality=True)
-    if red.infeasible:
-        return MilpSolution(status=INFEASIBLE)
-    return _lp_highs(problem, red)
-
-
 def _relative_gap(incumbent: float, bound: float) -> float:
     if not math.isfinite(incumbent):
         return math.inf
@@ -259,6 +262,8 @@ def _milp_highs(problem: MilpProblem, red: _Reduced, gap_tol: float, node_limit:
         return MilpSolution(status=INFEASIBLE, node_count=node_count)
     if res.status == 3:
         return MilpSolution(status=UNBOUNDED, node_count=node_count)
+    if res.status == 4 and _highs_error(res.message):
+        raise NumericalInstabilityError(f"HiGHS MILP failed: {res.message}")
     if res.x is None:
         return MilpSolution(status=ITERATION_LIMIT, node_count=node_count)
     x = np.asarray(res.x)

@@ -10,11 +10,11 @@ per-unit on ``base.kva`` (single-phase power base), voltages squared per-unit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import IO, Mapping, Sequence, Union
 
 PHASES = ("a", "b", "c")
-PHASE_INDEX = {"a": 0, "b": 1, "c": 2}
 
 PV_GRID_FOLLOWING = "grid_following"
 PV_HYBRID = "hybrid"
@@ -177,10 +177,6 @@ class NetworkModel:
         return tuple(k.id for k in self.lines if k.switchable)
 
     @property
-    def generator_buses(self) -> frozenset[str]:
-        return frozenset(g.bus for g in self.generators)
-
-    @property
     def fuel_site_buses(self) -> tuple[str, ...]:
         """Buses eligible for a fuel allotment: generator sites plus candidates."""
         seen = list(dict.fromkeys([g.bus for g in self.generators]))
@@ -195,17 +191,23 @@ class NetworkModel:
     def u_max(self, bus_id: str) -> float:
         return self.u_max_by_bus.get(bus_id, self.u_max_default)
 
-    def lines_from(self, bus_id: str) -> tuple[Line, ...]:
-        return tuple(k for k in self.lines if k.from_bus == bus_id)
-
-    def lines_to(self, bus_id: str) -> tuple[Line, ...]:
-        return tuple(k for k in self.lines if k.to_bus == bus_id)
-
-
 def _require(doc: Mapping, key: str, ctx: str):
     if key not in doc:
         raise NetworkParseError(f"{ctx}: missing required key '{key}'")
     return doc[key]
+
+
+def _number(doc: Mapping, key: str, ctx: str, default: float | None = None) -> float:
+    """``doc[key]``, or ``default`` when given and the key is absent, as a finite float."""
+    value = float(_require(doc, key, ctx) if default is None else doc.get(key, default))
+    if not math.isfinite(value):
+        raise NetworkValidationError(f"{ctx}: {key} must be finite, got {value}")
+    return value
+
+
+def _integer(doc: Mapping, key: str, ctx: str, default: int | None = None) -> int:
+    """As :func:`_number`, truncated to an int."""
+    return int(_number(doc, key, ctx, default))
 
 
 def _matrix3(raw, ctx: str) -> tuple[tuple[float, ...], ...]:
@@ -215,6 +217,8 @@ def _matrix3(raw, ctx: str) -> tuple[tuple[float, ...], ...]:
         raise NetworkParseError(f"{ctx}: impedance matrix must be numeric 3x3") from exc
     if len(m) != 3 or any(len(row) != 3 for row in m):
         raise NetworkParseError(f"{ctx}: impedance matrix must be 3x3")
+    if not all(math.isfinite(v) for row in m for v in row):
+        raise NetworkValidationError(f"{ctx}: impedance matrix entries must be finite")
     return m
 
 
@@ -240,6 +244,8 @@ def _profile(raw, phases: Sequence[str], horizon: int, ctx: str) -> dict[str, tu
             raise NetworkValidationError(
                 f"{ctx}: demand profile on phase '{ph}' has length {len(vals)}, horizon is {horizon}"
             )
+        if not all(math.isfinite(v) for v in vals):
+            raise NetworkValidationError(f"{ctx}: non-finite demand on phase '{ph}'")
         if any(v < 0 for v in vals):
             raise NetworkValidationError(f"{ctx}: negative demand on phase '{ph}'")
         out[ph] = vals
@@ -249,10 +255,10 @@ def _profile(raw, phases: Sequence[str], horizon: int, ctx: str) -> dict[str, tu
 def _parse_generator(raw: Mapping, ctx: str, bus: str | None = None) -> GeneratorSpec:
     spec = GeneratorSpec(
         bus=bus if bus is not None else str(_require(raw, "bus", ctx)),
-        p_max=float(_require(raw, "p_max", ctx)),
-        q_max=float(_require(raw, "q_max", ctx)),
-        fuel_present=float(raw.get("fuel_present", 0.0)),
-        fuel_cap=float(raw.get("fuel_cap", 0.0)),
+        p_max=_number(raw, "p_max", ctx),
+        q_max=_number(raw, "q_max", ctx),
+        fuel_present=_number(raw, "fuel_present", ctx, 0.0),
+        fuel_cap=_number(raw, "fuel_cap", ctx, 0.0),
         grid_forming=bool(raw.get("grid_forming", True)),
     )
     if spec.p_max < 0 or spec.q_max < 0:
@@ -265,15 +271,15 @@ def _parse_generator(raw: Mapping, ctx: str, bus: str | None = None) -> Generato
 def _parse_ess(raw: Mapping, ctx: str, bus: str | None = None) -> EssSpec:
     spec = EssSpec(
         bus=bus if bus is not None else str(_require(raw, "bus", ctx)),
-        e_cap=float(_require(raw, "e_cap", ctx)),
-        soc_min=float(raw.get("soc_min", 0.0)),
-        soc_max=float(raw.get("soc_max", 1.0)),
-        soc_init=float(_require(raw, "soc_init", ctx)),
-        p_ch_max=float(_require(raw, "p_ch_max", ctx)),
-        p_dis_max=float(_require(raw, "p_dis_max", ctx)),
-        q_max=float(raw.get("q_max", 0.0)),
-        eta_ch=float(raw.get("eta_ch", 0.95)),
-        eta_dis=float(raw.get("eta_dis", 0.95)),
+        e_cap=_number(raw, "e_cap", ctx),
+        soc_min=_number(raw, "soc_min", ctx, 0.0),
+        soc_max=_number(raw, "soc_max", ctx, 1.0),
+        soc_init=_number(raw, "soc_init", ctx),
+        p_ch_max=_number(raw, "p_ch_max", ctx),
+        p_dis_max=_number(raw, "p_dis_max", ctx),
+        q_max=_number(raw, "q_max", ctx, 0.0),
+        eta_ch=_number(raw, "eta_ch", ctx, 0.95),
+        eta_dis=_number(raw, "eta_dis", ctx, 0.95),
     )
     if not (0.0 <= spec.soc_min <= spec.soc_init <= spec.soc_max <= 1.0):
         raise NetworkValidationError(f"{ctx}: require 0 <= soc_min <= soc_init <= soc_max <= 1")
@@ -301,10 +307,10 @@ def load_network(source: Union[str, bytes, IO]) -> NetworkModel:
 
 def network_from_document(doc: Mapping) -> NetworkModel:
     base = _require(doc, "base", "document")
-    base_kva = float(_require(base, "kva", "base"))
-    base_kv = float(_require(base, "kv", "base"))
-    horizon = int(_require(doc, "horizon", "document"))
-    dt_hours = float(_require(doc, "dt_hours", "document"))
+    base_kva = _number(base, "kva", "base")
+    base_kv = _number(base, "kv", "base")
+    horizon = _integer(doc, "horizon", "document")
+    dt_hours = _number(doc, "dt_hours", "document")
     if horizon < 1:
         raise NetworkValidationError("horizon must be >= 1")
     if dt_hours <= 0:
@@ -313,8 +319,8 @@ def network_from_document(doc: Mapping) -> NetworkModel:
         raise NetworkValidationError("base kva/kv must be > 0")
 
     vl = doc.get("voltage_limits", {})
-    u_min_default = float(vl.get("u_min", 0.81))
-    u_max_default = float(vl.get("u_max", 1.21))
+    u_min_default = _number(vl, "u_min", "voltage_limits", 0.81)
+    u_max_default = _number(vl, "u_max", "voltage_limits", 1.21)
 
     buses = []
     u_min_by_bus: dict[str, float] = {}
@@ -327,16 +333,16 @@ def network_from_document(doc: Mapping) -> NetworkModel:
             phases=phases,
             demand_p=_profile(raw_bus.get("demand_p"), phases, horizon, f"bus {bid}"),
             demand_q=_profile(raw_bus.get("demand_q"), phases, horizon, f"bus {bid}"),
-            shed_cost=float(raw_bus.get("shed_cost", 0.0)),
+            shed_cost=_number(raw_bus, "shed_cost", f"bus {bid}", 0.0),
             priority=bool(raw_bus.get("priority", False)),
             substation=bool(raw_bus.get("substation", False)),
         )
         if bus.shed_cost < 0:
             raise NetworkValidationError(f"bus {bid}: shed_cost must be nonnegative")
         if "u_min" in raw_bus:
-            u_min_by_bus[bid] = float(raw_bus["u_min"])
+            u_min_by_bus[bid] = _number(raw_bus, "u_min", f"bus {bid}")
         if "u_max" in raw_bus:
-            u_max_by_bus[bid] = float(raw_bus["u_max"])
+            u_max_by_bus[bid] = _number(raw_bus, "u_max", f"bus {bid}")
         buses.append(bus)
     bus_ids = [b.id for b in buses]
     if len(set(bus_ids)) != len(bus_ids):
@@ -391,13 +397,13 @@ def network_from_document(doc: Mapping) -> NetworkModel:
             phases=phases,
             r_matrix=r_m,
             x_matrix=x_m,
-            p_max=float(_require(raw_line, "p_max", ctx)),
-            q_max=float(_require(raw_line, "q_max", ctx)),
+            p_max=_number(raw_line, "p_max", ctx),
+            q_max=_number(raw_line, "q_max", ctx),
             switchable=lid in switch_flags,
             normally_open=switch_flags.get(lid, False),
-            poles=int(raw_line.get("poles", 0)),
-            spans=int(raw_line.get("spans", 0)),
-            underground_prob=float(raw_line.get("underground_prob", 0.0)),
+            poles=_integer(raw_line, "poles", ctx, 0),
+            spans=_integer(raw_line, "spans", ctx, 0),
+            underground_prob=_number(raw_line, "underground_prob", ctx, 0.0),
         )
         if line.p_max < 0 or line.q_max < 0:
             raise NetworkValidationError(f"{ctx}: flow limits must be nonnegative")
@@ -424,8 +430,8 @@ def network_from_document(doc: Mapping) -> NetworkModel:
         for lid in members:
             if lid not in line_id_set:
                 raise NetworkValidationError(f"region {rid}: unknown line '{lid}'")
-        crew_min = int(raw_region.get("crew_min", 0))
-        crew_max = int(raw_region.get("crew_max", 10**6))
+        crew_min = _integer(raw_region, "crew_min", f"region {rid}", 0)
+        crew_max = _integer(raw_region, "crew_max", f"region {rid}", 10**6)
         if not 0 <= crew_min <= crew_max:
             raise NetworkValidationError(f"region {rid}: require 0 <= crew_min <= crew_max")
         regions.append(Region(id=rid, depot_bus=depot, lines=members, crew_min=crew_min, crew_max=crew_max))
@@ -443,8 +449,8 @@ def network_from_document(doc: Mapping) -> NetworkModel:
         spec = PvSpec(
             bus=str(_require(raw_pv, "bus", ctx)),
             pv_type=str(_require(raw_pv, "pv_type", ctx)),
-            p_rate=float(_require(raw_pv, "p_rate", ctx)),
-            s_inverter=float(_require(raw_pv, "s_inverter", ctx)),
+            p_rate=_number(raw_pv, "p_rate", ctx),
+            s_inverter=_number(raw_pv, "s_inverter", ctx),
         )
         if spec.bus not in bus_map:
             raise NetworkValidationError(f"{ctx}: unknown bus '{spec.bus}'")
@@ -495,120 +501,6 @@ def network_from_document(doc: Mapping) -> NetworkModel:
         u_max_by_bus=u_max_by_bus,
     )
     return model
-
-
-def network_to_document(model: NetworkModel) -> dict:
-    """Inverse of :func:`network_from_document` (field-by-field round trip)."""
-    doc: dict = {
-        "base": {"kva": model.base_kva, "kv": model.base_kv},
-        "horizon": model.horizon,
-        "dt_hours": model.dt_hours,
-        "voltage_limits": {"u_min": model.u_min_default, "u_max": model.u_max_default},
-        "buses": [],
-        "lines": [],
-        "switches": [],
-        "regions": [],
-        "generators": [],
-        "pv": [],
-        "ess": [],
-        "candidate_buses": sorted(model.candidate_buses),
-    }
-    for b in model.buses:
-        raw = {
-            "id": b.id,
-            "phases": "".join(b.phases),
-            "demand_p": {ph: list(v) for ph, v in sorted(b.demand_p.items())},
-            "demand_q": {ph: list(v) for ph, v in sorted(b.demand_q.items())},
-            "shed_cost": b.shed_cost,
-            "priority": b.priority,
-            "substation": b.substation,
-        }
-        if b.id in model.u_min_by_bus:
-            raw["u_min"] = model.u_min_by_bus[b.id]
-        if b.id in model.u_max_by_bus:
-            raw["u_max"] = model.u_max_by_bus[b.id]
-        doc["buses"].append(raw)
-    for k in model.lines:
-        doc["lines"].append(
-            {
-                "id": k.id,
-                "from_bus": k.from_bus,
-                "to_bus": k.to_bus,
-                "phases": "".join(k.phases),
-                "r_matrix": [list(r) for r in k.r_matrix],
-                "x_matrix": [list(r) for r in k.x_matrix],
-                "p_max": k.p_max,
-                "q_max": k.q_max,
-                "poles": k.poles,
-                "spans": k.spans,
-                "underground_prob": k.underground_prob,
-            }
-        )
-        if k.switchable:
-            doc["switches"].append({"line": k.id, "normally_open": k.normally_open})
-    for r in model.regions:
-        doc["regions"].append(
-            {
-                "id": r.id,
-                "depot_bus": r.depot_bus,
-                "lines": list(r.lines),
-                "crew_min": r.crew_min,
-                "crew_max": r.crew_max,
-            }
-        )
-    for g in model.generators:
-        doc["generators"].append(
-            {
-                "bus": g.bus,
-                "p_max": g.p_max,
-                "q_max": g.q_max,
-                "fuel_present": g.fuel_present,
-                "fuel_cap": g.fuel_cap,
-                "grid_forming": g.grid_forming,
-            }
-        )
-    for pv in model.pv_units:
-        doc["pv"].append(
-            {"bus": pv.bus, "pv_type": pv.pv_type, "p_rate": pv.p_rate, "s_inverter": pv.s_inverter}
-        )
-    for e in model.ess_units:
-        doc["ess"].append(
-            {
-                "bus": e.bus,
-                "e_cap": e.e_cap,
-                "soc_min": e.soc_min,
-                "soc_max": e.soc_max,
-                "soc_init": e.soc_init,
-                "p_ch_max": e.p_ch_max,
-                "p_dis_max": e.p_dis_max,
-                "q_max": e.q_max,
-                "eta_ch": e.eta_ch,
-                "eta_dis": e.eta_dis,
-            }
-        )
-    if model.meg_template is not None:
-        g = model.meg_template
-        doc["meg"] = {
-            "p_max": g.p_max,
-            "q_max": g.q_max,
-            "fuel_present": g.fuel_present,
-            "fuel_cap": g.fuel_cap,
-            "grid_forming": g.grid_forming,
-        }
-    if model.mes_template is not None:
-        e = model.mes_template
-        doc["mes"] = {
-            "e_cap": e.e_cap,
-            "soc_min": e.soc_min,
-            "soc_max": e.soc_max,
-            "soc_init": e.soc_init,
-            "p_ch_max": e.p_ch_max,
-            "p_dis_max": e.p_dis_max,
-            "q_max": e.q_max,
-            "eta_ch": e.eta_ch,
-            "eta_dis": e.eta_dis,
-        }
-    return doc
 
 
 def enumerate_loops(model: NetworkModel) -> LoopSet:

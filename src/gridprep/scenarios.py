@@ -110,10 +110,6 @@ class ScenarioSet:
         return iter(self.scenarios)
 
 
-def fragility_to_document(params: FragilityParams) -> dict:
-    return {f: getattr(params, f) for f in FragilityParams.__dataclass_fields__}
-
-
 def fragility_from_document(doc: Mapping) -> FragilityParams:
     known = set(FragilityParams.__dataclass_fields__)
     return FragilityParams(**{k: v for k, v in doc.items() if k in known})
@@ -274,9 +270,3 @@ def load_wind_csv(source: Union[str, IO]) -> WindProfile:
         raise ValueError("wind CSV must have columns t,wind_mps")
     speeds = tuple(float(r["wind_mps"]) for r in rows)
     return WindProfile(speeds=speeds)
-
-
-def dump_wind_csv(wind: WindProfile) -> str:
-    lines = ["t,wind_mps"]
-    lines.extend(f"{t},{w}" for t, w in enumerate(wind.speeds))
-    return "\n".join(lines) + "\n"

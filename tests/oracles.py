@@ -3,7 +3,9 @@
 None of these share code paths with the package: the LP oracle is a plain
 Big-M tableau simplex under Bland's rule, the MILP oracle enumerates every
 integer assignment, cycle counts come from union-find, energization from
-breadth-first search, and big-M values from interval arithmetic.
+breadth-first search, and big-M values from interval arithmetic.  The
+membership and violation checks at the end test points against the package's
+own polygon faces and problem rows.
 """
 
 from __future__ import annotations
@@ -285,3 +287,49 @@ def interval_voltage_big_m(line, model):
         worst = max(worst, row)
     flow_span = 2.0 * worst / model.base_kva
     return max(hi + flow_span, -(lo - flow_span))
+
+
+# -- membership and violation checks ------------------------------------------
+
+
+def polygon_admits(p: float, q: float, s_kva: float, segments: int, p_nonneg: bool = True) -> bool:
+    """Membership oracle for the polygonized capacity region."""
+    from gridprep.formulation import polygonize_capacity
+
+    if p_nonneg and p < -1e-12:
+        return False
+    return all(a * p + b * q <= rhs + 1e-9 for a, b, rhs in polygonize_capacity(s_kva, segments))
+
+
+def expr_value(expr, values) -> float:
+    return expr.constant + sum(coef * values[vid] for vid, coef in expr.terms.items())
+
+
+def constraint_violation(con, values) -> float:
+    from gridprep.milp import GE, LE
+
+    lhs = expr_value(con.expr, values)
+    if con.sense == LE:
+        return max(0.0, lhs - con.rhs)
+    if con.sense == GE:
+        return max(0.0, con.rhs - lhs)
+    return abs(lhs - con.rhs)
+
+
+def max_violation(problem, values) -> float:
+    worst = 0.0
+    for v in problem.variables:
+        x = values[v.id]
+        worst = max(worst, v.lower - x, x - v.upper)
+    for con in problem.constraints:
+        worst = max(worst, constraint_violation(con, values))
+    return worst
+
+
+def max_integrality_violation(problem, values) -> float:
+    worst = 0.0
+    for v in problem.variables:
+        if v.is_integer:
+            x = values[v.id]
+            worst = max(worst, abs(x - round(x)))
+    return worst

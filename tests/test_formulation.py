@@ -20,17 +20,16 @@ from gridprep.formulation import (
     build_first_stage,
     build_ph_subproblem,
     build_subproblem,
-    compute_big_m,
-    evaluate_objective,
+    big_m_virtual,
+    big_m_voltage,
     extract_schedule,
     first_stage_vector_ids,
     fuel_site_bounds,
     gen_units,
     plan_from_document,
-    plan_from_solution,
     plan_to_document,
-    polygon_admits,
     polygonize_capacity,
+    scenario_cost,
     storage_units,
     VariableIndex,
 )
@@ -39,7 +38,7 @@ from gridprep.network import enumerate_loops, network_from_document
 from gridprep.scenarios import DamageScenario, ScenarioSet
 
 from .conftest import small_network_doc
-from .oracles import interval_voltage_big_m, reachable_buses
+from .oracles import interval_voltage_big_m, polygon_admits, reachable_buses
 
 
 def no_damage(horizon, sid=0, prob=1.0, irradiance=500.0):
@@ -100,7 +99,7 @@ class TestPolygonization:
 
 class TestBigM:
     def test_virtual_family_is_bus_count(self, feeder13):
-        assert compute_big_m("virtual", feeder13) == 13.0
+        assert big_m_virtual(feeder13) == 13.0
 
     def test_voltage_family_zero_impedance(self):
         doc = small_network_doc()
@@ -111,13 +110,13 @@ class TestBigM:
         line = model.lines[0]
         # one endpoint may sit at its ceiling while the other is dark, so the
         # zero-impedance bound is the larger squared-voltage ceiling
-        assert compute_big_m("voltage", model, line) == pytest.approx(
+        assert big_m_voltage(line, model) == pytest.approx(
             max(model.u_max(line.from_bus), model.u_max(line.to_bus))
         )
 
     def test_voltage_family_matches_interval_oracle(self, feeder13):
         for line in feeder13.lines:
-            assert compute_big_m("voltage", feeder13, line) == pytest.approx(
+            assert big_m_voltage(line, feeder13) == pytest.approx(
                 interval_voltage_big_m(line, feeder13), abs=1e-12
             )
 
@@ -125,16 +124,12 @@ class TestBigM:
         # with the line open, any feasible endpoint voltages must satisfy the
         # relaxed rows: check the extreme corners of the variable box
         for line in feeder13.lines:
-            m_val = compute_big_m("voltage", feeder13, line)
+            m_val = big_m_voltage(line, feeder13)
             u_hi_i = feeder13.u_max(line.from_bus)
             u_hi_j = feeder13.u_max(line.to_bus)
             for ui, uj in ((0.0, u_hi_j), (u_hi_i, 0.0), (u_hi_i, u_hi_j)):
                 assert ui - uj >= -m_val - 1e-12
                 assert ui - uj <= m_val + 1e-12
-
-    def test_unknown_family_rejected(self, feeder13):
-        with pytest.raises(ValueError):
-            compute_big_m("nonsense", feeder13)
 
 
 class TestFirstStage:
@@ -309,8 +304,8 @@ class TestSecondStage:
         sol = solve_preferring_energization(compiled, gap_tol=0.0)
         sched = extract_schedule(chain3, scen, compiled.index, sol, 0)
         # the tie-broken point must still attain the true optimum
-        scen_set = ScenarioSet(scenarios=(scen,), seed=0)
-        true_cost = evaluate_objective(plan, [sched], scen_set, chain3_config, chain3)
+        true_cost = scen.probability * sum(
+            scenario_cost(chain3, scen, sched, chain3_config).values())
         assert true_cost == pytest.approx(plain.objective, abs=1e-5)
         for t in range(3):
             closed = {k.id for k in chain3.lines if sched.line_closed[(k.id, t)] > 0.5}
@@ -655,33 +650,27 @@ class TestObjectiveEvaluation:
         model, scen, sched = self.make_stub(gen_kw=100.0, shed_kw=0.0, periods=1)
         config = FormulationConfig(n_meg=0, n_mes=0, n_fuel=500.0, n_crew=1,
                                    fuel_cost=1.0, fuel_rate=0.3)
-        scen_set = ScenarioSet(scenarios=(scen,), seed=0)
-        plan = FirstStagePlan(meg_at={}, mes_at={}, fuel_lots={}, crews={})
-        total = evaluate_objective(plan, [sched], scen_set, config, model)
+        total = scen.probability * sum(scenario_cost(model, scen, sched, config).values())
         assert total == pytest.approx(30.0)
 
     def test_everything_served_costs_nothing(self):
         model, scen, sched = self.make_stub(gen_kw=0.0, shed_kw=0.0, periods=2)
         config = FormulationConfig(n_meg=0, n_mes=0, n_fuel=0.0, n_crew=1)
-        scen_set = ScenarioSet(scenarios=(scen,), seed=0)
-        plan = FirstStagePlan(meg_at={}, mes_at={}, fuel_lots={}, crews={})
-        assert evaluate_objective(plan, [sched], scen_set, config, model) == 0.0
+        assert scen.probability * sum(scenario_cost(model, scen, sched, config).values()) == 0.0
 
     def test_shed_ten_kw_two_hours_at_fourteen(self):
         model, scen, sched = self.make_stub(gen_kw=0.0, shed_kw=10.0, periods=2)
         config = FormulationConfig(n_meg=0, n_mes=0, n_fuel=0.0, n_crew=1)
-        scen_set = ScenarioSet(scenarios=(scen,), seed=0)
-        plan = FirstStagePlan(meg_at={}, mes_at={}, fuel_lots={}, crews={})
-        assert evaluate_objective(plan, [sched], scen_set, config, model) == pytest.approx(280.0)
+        total = scen.probability * sum(scenario_cost(model, scen, sched, config).values())
+        assert total == pytest.approx(280.0)
 
     def test_solver_objective_matches_recomputation(self, chain3, chain3_config):
         scen = damage({"l23": 2}, 3)
         compiled = build_subproblem(chain3, scen, chain3_config)
         sol = solve_milp(compiled.problem, gap_tol=0.0)
         sched = extract_schedule(chain3, scen, compiled.index, sol, 0)
-        plan = plan_from_solution(compiled.index, sol)
-        scen_set = ScenarioSet(scenarios=(scen,), seed=0)
-        recomputed = evaluate_objective(plan, [sched], scen_set, chain3_config, chain3)
+        recomputed = scen.probability * sum(
+            scenario_cost(chain3, scen, sched, chain3_config).values())
         assert recomputed == pytest.approx(sol.objective, abs=1e-6)
 
 

@@ -1,8 +1,10 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_cli_import_leaves_scipy_stats_out():
@@ -11,3 +13,36 @@ def test_cli_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, cwd=SRC)
     assert out.stdout.strip() == "False"
+
+
+def names_used(path: Path) -> set[str]:
+    """Identifiers the file refers to; a package ``__init__`` re-exporting a name is no use."""
+    reexports = path.name == "__init__.py"
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif not reexports and isinstance(node, ast.alias):
+            used.add(node.name)
+        elif not reexports and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)  # perfbench/spans.py looks functions up by name
+    return used
+
+
+def test_every_public_definition_is_used():
+    """Each module-level public function or class in the package is named
+    somewhere in the package, the scripts or the benchmark; tests do not count."""
+    used = set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            used |= names_used(path)
+    unused = [
+        f"{path.relative_to(SRC)}:{node.name}"
+        for path in sorted((SRC / "gridprep").rglob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in used
+    ]
+    assert not unused, "named by no command, script or benchmark: " + ", ".join(unused)

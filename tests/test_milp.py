@@ -8,18 +8,18 @@ from gridprep.milp import (
     EQ,
     GE,
     INTEGER,
+    ITERATION_LIMIT,
     LE,
     LinearExpr,
     MilpProblem,
     NumericalInstabilityError,
     ProblemError,
     VarSpec,
-    solve_lp,
     solve_milp,
     write_lp,
 )
 
-from .oracles import brute_force_milp, naive_simplex
+from .oracles import brute_force_milp, max_integrality_violation, max_violation, naive_simplex
 
 
 def build(c, a, senses, b, bounds, kinds=None):
@@ -121,15 +121,17 @@ class TestProblemRepresentation:
 
 
 class TestSolveLp:
+    """Problems with no integer variable, which ``solve_milp`` hands to HiGHS's LP solver."""
+
     def test_lower_bounded_singleton(self):
         p = build([1.0], [[1.0]], [GE], [3.0], [(0.0, 10.0)])
-        sol = solve_lp(p)
+        sol = solve_milp(p)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
     def test_symmetric_face(self):
         p = build([-1.0, -1.0], [[1.0, 1.0]], [LE], [1.0], [(0, 1), (0, 1)])
-        assert solve_lp(p).objective == pytest.approx(-1.0, abs=1e-9)
+        assert solve_milp(p).objective == pytest.approx(-1.0, abs=1e-9)
 
     @pytest.mark.parametrize("path", PRESOLVE_PATHS)
     def test_twenty_random_lps_match_naive_oracle(self, path):
@@ -146,7 +148,7 @@ class TestSolveLp:
             hi = np.array([x[1] for x in bounds])
             status, ref_obj = naive_simplex(c, a, senses, b, lo, hi)
             p = build(c, a, senses, b, bounds, kinds)
-            sol = solve_lp(p)
+            sol = solve_milp(p)
             if status == "optimal":
                 assert sol.status == "optimal"
                 assert sol.objective == pytest.approx(ref_obj, abs=1e-6)
@@ -156,28 +158,28 @@ class TestSolveLp:
 
     def test_infeasible(self):
         p = build([1.0], [[1.0], [1.0]], [GE, LE], [2.0, 1.0], [(0.0, 10.0)])
-        assert solve_lp(p).status == "infeasible"
+        assert solve_milp(p).status == "infeasible"
 
     def test_unbounded(self):
         p = MilpProblem()
         x = p.add_variable(-math.inf, math.inf)
         p.set_objective(LinearExpr({x: 1.0}))
-        assert solve_lp(p.seal()).status == "unbounded"
+        assert solve_milp(p.seal()).status == "unbounded"
 
     def test_feasibility_residual_within_tolerance(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             c, a, senses, b, bounds = random_lp(rng)
             p = build(c, a, senses, b, bounds)
-            sol = solve_lp(p)
+            sol = solve_milp(p)
             if sol.status == "optimal":
-                assert p.max_violation(sol.values) <= 1e-6
+                assert max_violation(p, sol.values) <= 1e-6
 
     def test_equality_heavy_system(self):
         # x + y = 1, x - y = 0 -> x = y = 1/2
         p = build([1.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], [EQ, EQ], [1.0, 0.0],
                   [(0, 1), (0, 1)])
-        sol = solve_lp(p)
+        sol = solve_milp(p)
         assert sol.values[0] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -194,8 +196,9 @@ class TestSolveMilp:
         c, a, senses, b, bounds = random_lp(rng)
         p = build(c, a, senses, b, bounds)
         milp_sol = solve_milp(p, gap_tol=0.0)
-        lp_sol = solve_lp(p)
-        assert milp_sol.objective == pytest.approx(lp_sol.objective, abs=1e-9)
+        status, ref_obj = naive_simplex(c, a, senses, b, *np.transpose(bounds))
+        assert status == "optimal"
+        assert milp_sol.objective == pytest.approx(ref_obj, abs=1e-9)
 
     @pytest.mark.parametrize("path", PRESOLVE_PATHS)
     def test_random_instances_match_brute_force(self, path):
@@ -247,8 +250,8 @@ class TestSolveMilp:
             p = build(c, a, [LE, LE], b, [(0, 1)] * nb, kinds=[BINARY] * nb)
             sol = solve_milp(p, gap_tol=0.0)
             if sol.ok:
-                assert p.max_violation(sol.values) <= 1e-6
-                assert p.max_integrality_violation(sol.values) <= 1e-6
+                assert max_violation(p, sol.values) <= 1e-6
+                assert max_integrality_violation(p, sol.values) <= 1e-6
 
     @pytest.mark.parametrize("engine, kind", [("scipy_milp", BINARY), ("linprog", "continuous")])
     def test_point_breaking_a_row_is_refused(self, monkeypatch, engine, kind):
@@ -267,6 +270,28 @@ class TestSolveMilp:
         monkeypatch.setattr(solve_mod, engine, corrupted)
         with pytest.raises(NumericalInstabilityError, match="breaks a row by 0.6"):
             solve_milp(p, gap_tol=0.0)
+
+    def test_node_limit_is_a_limit_not_an_error(self):
+        """SciPy reports HiGHS's node limit as status 4, as it does a solve
+        error; a solve stopped at its node limit still ends as
+        ``ITERATION_LIMIT``, with its incumbent when it has one."""
+        w = [40.0, 44.0, 58.0, 49.0, 45.0, 41.0, 42.0, 57.0, 31.0, 52.0]
+        v = [47.0, 45.0, 62.0, 57.0, 50.0, 42.0, 49.0, 64.0, 39.0, 54.0]
+        knapsack = build([-x for x in v], [w], [LE], [230.0], [(0, 1)] * 10, kinds=[BINARY] * 10)
+        full = solve_milp(knapsack, gap_tol=0.0)
+        assert full.status == "optimal" and full.objective == pytest.approx(-261.0)
+        assert full.node_count > 1
+        limited = solve_milp(knapsack, gap_tol=0.0, node_limit=1)
+        assert limited.status == ITERATION_LIMIT
+        assert max_violation(knapsack, limited.values) <= 1e-6
+        assert limited.objective >= full.objective - 1e-9
+        # a market split: one node finds no point at all
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 100, (2, 12)).astype(float)
+        b = np.floor(a.sum(axis=1) / 2)
+        split = build(rng.normal(size=12), a, [EQ, EQ], b, [(0, 1)] * 12, kinds=[BINARY] * 12)
+        stopped = solve_milp(split, gap_tol=0.0, node_limit=1)
+        assert stopped.status == ITERATION_LIMIT and not stopped.values
 
     def test_determinism_across_runs(self):
         rng = np.random.default_rng(55)
@@ -287,7 +312,7 @@ class TestPresolve:
         y = p.add_variable(0.0, 5.0, name="free")
         p.add_constraint(LinearExpr({x: 1.0, y: 1.0}), GE, 4.0)
         p.set_objective(LinearExpr({y: 1.0}))
-        sol = solve_lp(p.seal())
+        sol = solve_milp(p.seal())
         assert sol.values[x] == 2.0
         assert sol.objective == pytest.approx(2.0)
 
@@ -296,7 +321,7 @@ class TestPresolve:
         x = p.add_variable(0.0, 10.0)
         p.add_constraint(LinearExpr({x: 2.0}), LE, 6.0)  # x <= 3
         p.set_objective(LinearExpr({x: -1.0}))
-        sol = solve_lp(p.seal())
+        sol = solve_milp(p.seal())
         assert sol.objective == pytest.approx(-3.0)
 
     def test_integer_bound_rounding_detects_infeasibility(self):

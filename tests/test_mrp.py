@@ -109,6 +109,36 @@ class TestReplicateGap:
         assert tainted
 
 
+    def test_node_limited_fixture_solve_taints(self, feeder13, config13, wind13, fragility13,
+                                               loops13, monkeypatch):
+        """A real solve stopped at its node limit taints the replication.
+
+        The wrapper only holds HiGHS to one node; the statuses are HiGHS's
+        own.  Pricing the base plan on the second storm of sample 41 then
+        ends at the limit.
+        """
+        import gridprep.mrp as mrp_mod
+        from gridprep.report import build_base_plan
+        from gridprep.scenarios import generate_scenario_set
+
+        real = mrp_mod.solve_milp
+        statuses = []
+
+        def one_node(problem, gap_tol=0.0, **kw):
+            sol = real(problem, gap_tol=gap_tol, node_limit=1)
+            statuses.append(sol.status)
+            return sol
+
+        def sampler(n, seed):
+            return generate_scenario_set(feeder13, wind13, fragility13, count=n, seed=seed)
+
+        monkeypatch.setattr(mrp_mod, "solve_milp", one_node)
+        gap, cost, tainted = replicate_gap(build_base_plan(feeder13, config13), feeder13,
+                                           config13, sampler, n=2, seed=41, loops=loops13,
+                                           workers=1)
+        assert tainted and math.isnan(gap) and math.isnan(cost)
+        assert statuses == ["optimal", "optimal", "iteration_limit"]
+
 class TestMrpValidate:
     def test_degenerate_sampler_gives_zero_interval(self, chain3, chain3_config):
         scen = chain_scenario()

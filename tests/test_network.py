@@ -1,20 +1,20 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridprep.data import feeder13_path
 from gridprep.network import (
     NetworkParseError,
     NetworkValidationError,
     enumerate_loops,
     load_network,
     network_from_document,
-    network_to_document,
     validate_regions,
 )
 
-from .conftest import small_network_doc
 from .oracles import cycle_space_dimension
 
 UNIT = [[0.01, 0, 0], [0, 0, 0], [0, 0, 0]]
@@ -76,6 +76,25 @@ class TestLoadNetwork:
         with pytest.raises(NetworkValidationError, match="negative demand"):
             network_from_document(doc)
 
+    @pytest.mark.parametrize("where, value", [
+        (("lines", 0, "p_max"), math.nan),
+        (("lines", 0, "p_max"), math.inf),
+        (("lines", 0, "r_matrix", 0, 0), math.nan),
+        (("buses", 1, "demand_p", "a", 1), math.inf),
+        (("horizon",), math.nan),
+        (("lines", 0, "poles"), math.inf),
+    ], ids=["p_max-nan", "p_max-inf", "r_matrix-nan", "demand-inf", "horizon-nan", "poles-inf"])
+    def test_non_finite_number_rejected(self, where, value):
+        # Python's json reads NaN and Infinity, and NaN passes every range check
+        doc = json.loads(json.dumps(minimal_doc()))
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(NetworkValidationError, match="finite"):
+            load_network(json.dumps(doc))
+
     def test_phase_must_exist_at_both_endpoints(self):
         doc = minimal_doc()
         doc["lines"][0]["phases"] = "ab"
@@ -111,15 +130,6 @@ class TestLoadNetwork:
         doc["switches"] = ["nope"]
         with pytest.raises(NetworkValidationError, match="unknown line 'nope'"):
             network_from_document(doc)
-
-    def test_round_trip_preserves_the_model(self, feeder13):
-        doc = network_to_document(feeder13)
-        again = network_from_document(json.loads(json.dumps(doc)))
-        assert again == feeder13
-
-    def test_round_trip_small(self):
-        model = network_from_document(small_network_doc())
-        assert network_from_document(network_to_document(model)) == model
 
 
 class TestEnumerateLoops:
@@ -189,8 +199,8 @@ class TestEnumerateLoops:
         for loop in loops:
             assert len(loop.members) >= 2
 
-    def test_every_loop_member_is_a_declared_line(self, feeder13):
-        doc = network_to_document(feeder13)
+    def test_every_loop_member_is_a_declared_line(self):
+        doc = json.loads(feeder13_path().read_text())
         doc["lines"].append(line_doc("tie", "l5", "l8", "a"))
         model = network_from_document(doc)
         loops = enumerate_loops(model)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -134,7 +135,7 @@ class TestBasePlan:
         config = FormulationConfig(n_meg=1, n_mes=0, n_fuel=5000.0, n_crew=1,
                                    fuel_rate=0.3, fuel_quantum=1.0)
         plan = build_base_plan(model, config)
-        assert plan.fuel_liters("b2", config.fuel_quantum) == pytest.approx(2160.0)
+        assert plan.fuel_lots.get("b2", 0) * config.fuel_quantum == pytest.approx(2160.0)
 
     def test_insufficient_megs_for_substations(self):
         doc = small_network_doc()
@@ -233,6 +234,13 @@ class TestCli:
         bad.write_text("{")
         code = self.run("check-network", "--network", str(bad))
         assert code == 2
+
+    def test_non_finite_network_number_is_input_error(self, paths, tmp_path):
+        doc = json.loads(Path(paths["network"]).read_text())
+        doc["lines"][0]["p_max"] = math.nan
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))  # written as NaN, which json reads back
+        assert self.run("check-network", "--network", str(bad)) == 2
 
     def test_infeasible_config_exit_code(self, paths, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -13,13 +13,9 @@ from gridprep.scenarios import (
     WindProfile,
     conductor_failure_prob,
     dump_scenarios,
-    dump_wind_csv,
-    fragility_from_document,
-    fragility_to_document,
     generate_scenario_set,
     line_failure_prob,
     load_scenarios,
-    load_wind_csv,
     pole_failure_prob,
     sample_damage_scenario,
     storm_damage_prob,
@@ -226,13 +222,6 @@ class TestSerialization:
         a = dump_scenarios(generate_scenario_set(feeder13, wind13, fragility13, 4, 11))
         b = dump_scenarios(generate_scenario_set(feeder13, wind13, fragility13, 4, 11))
         assert a == b
-
-    def test_wind_csv_round_trip(self):
-        wind = WindProfile(speeds=(10.0, 22.5, 31.0))
-        assert load_wind_csv(dump_wind_csv(wind)) == wind
-
-    def test_fragility_round_trip(self, fragility13):
-        assert fragility_from_document(fragility_to_document(fragility13)) == fragility13
 
     def test_probabilities_must_sum_to_one(self):
         scen = DamageScenario(id=0, probability=0.5, damaged_lines=frozenset(),
