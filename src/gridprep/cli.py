@@ -43,6 +43,7 @@ from .report import (
 )
 from .scenarios import (
     FragilityParams,
+    WindProfile,
     fragility_from_document,
     dump_scenarios,
     generate_scenario_set,
@@ -94,6 +95,13 @@ def _load_fragility(args) -> FragilityParams:
     return FragilityParams()
 
 
+def _load_wind(args) -> WindProfile:
+    try:
+        return load_wind_csv(_read(args.wind))
+    except ValueError as exc:
+        raise CliError(f"wind file: {exc}") from exc
+
+
 def _load_scenario_set(args, model):
     if getattr(args, "scenarios", None):
         try:
@@ -103,7 +111,7 @@ def _load_scenario_set(args, model):
     if getattr(args, "count", None):
         if not getattr(args, "wind", None):
             raise CliError("generating scenarios inline needs --wind")
-        wind = load_wind_csv(_read(args.wind))
+        wind = _load_wind(args)
         params = _load_fragility(args)
         return generate_scenario_set(model, wind, params, count=args.count, seed=args.seed)
     raise CliError("provide --scenarios FILE or --count N --seed K --wind FILE")
@@ -131,7 +139,7 @@ def cmd_generate(args) -> int:
     model = _load_model(args)
     if args.count < 1:
         raise CliError("--count must be >= 1")
-    wind = load_wind_csv(_read(args.wind))
+    wind = _load_wind(args)
     params = _load_fragility(args)
     scen_set = generate_scenario_set(model, wind, params, count=args.count, seed=args.seed)
     out = _out_dir(args)
@@ -209,7 +217,7 @@ def cmd_validate_mrp(args) -> int:
     model = _load_model(args)
     config = _load_config(args)
     candidate = _load_plan(args.candidate, config)
-    wind = load_wind_csv(_read(args.wind))
+    wind = _load_wind(args)
     params = _load_fragility(args)
 
     def sampler(n, seed):

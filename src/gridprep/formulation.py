@@ -2,9 +2,16 @@
 
 Produces the stochastic extensive form (shared first stage, one
 probability-weighted operations block per scenario), single-scenario
-subproblems, and hedging-augmented subproblems with an exactly linearized
-proximal term.  Owns big-M derivation, inverter-capacity polygonization,
-and first-stage plan handling.
+subproblems, and hedging-priced copies of a compiled subproblem with an
+exactly linearized proximal term.  Owns big-M derivation,
+inverter-capacity polygonization, and first-stage plan handling.
+
+Compilation is array-native: each variable family is one block of columns
+over an (entity, period) grid, and each constraint family one block of rows
+over a grid of the same kind, with its terms given as index arrays.  Rows
+and columns come out in the order of the nested entity, phase and period
+loops that define them, so the compiled problem is the same bit for bit as
+when it was built one row at a time.
 
 Sign convention for nodal balance: line flow is positive in the declared
 from->to direction; storage discharging injects and charging draws (the
@@ -15,8 +22,10 @@ discharge minus charge on the injection side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .milp import (
     BINARY,
@@ -25,7 +34,6 @@ from .milp import (
     GE,
     INTEGER,
     LE,
-    LinearExpr,
     MilpProblem,
     MilpSolution,
 )
@@ -204,25 +212,35 @@ class VariableIndex:
 
     def __init__(self):
         self._by_key: dict[tuple, int] = {}
-        self._by_id: dict[int, tuple] = {}
+        self._by_id: dict[int, tuple] | None = None  # built when first asked
 
     @staticmethod
     def key(kind: str, entity=None, phase: str | None = None, t: int | None = None, s: int | None = None):
         return (kind, entity, phase, t, s)
 
-    def register(self, key: tuple, var_id: int) -> None:
-        if key in self._by_key:
-            raise KeyError(f"duplicate variable key {key}")
-        if var_id in self._by_id:
-            raise KeyError(f"variable id {var_id} already indexed")
-        self._by_key[key] = var_id
-        self._by_id[var_id] = key
+    def register_block(self, keys: Sequence[tuple], var_ids: Sequence[int]) -> None:
+        """Index fresh columns (ids no key holds yet) under ``keys``."""
+        before = len(self._by_key)
+        self._by_key.update(zip(keys, var_ids))
+        if len(self._by_key) != before + len(keys):
+            raise KeyError("duplicate variable key in block")
+        self._by_id = None
+
+    def _ids(self) -> dict[int, tuple]:
+        if self._by_id is None:
+            self._by_id = {vid: key for key, vid in self._by_key.items()}
+        return self._by_id
 
     def id_of(self, kind: str, entity=None, phase: str | None = None, t: int | None = None, s: int | None = None) -> int:
         return self._by_key[self.key(kind, entity, phase, t, s)]
 
     def key_of(self, var_id: int) -> tuple:
-        return self._by_id[var_id]
+        return self._ids()[var_id]
+
+    def copy(self) -> "VariableIndex":
+        clone = VariableIndex()
+        clone._by_key = dict(self._by_key)
+        return clone
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -417,6 +435,89 @@ def check_first_stage_config(model: NetworkModel, config: FormulationConfig) -> 
         )
 
 
+def _columns(
+    problem: MilpProblem,
+    index: VariableIndex,
+    kinds: Sequence[str],
+    cells: Sequence[tuple],
+    lower: Sequence,
+    upper: Sequence,
+    vkind: str,
+    s: int | None = None,
+) -> list[np.ndarray]:
+    """One column per kind for each ``(entity, phase, t)`` cell, kinds
+    interleaved within a cell; returns each kind's ids in cell order.
+
+    ``lower`` and ``upper`` hold one entry per kind: a number or one value
+    per cell.
+    """
+    n, w = len(cells), len(kinds)
+    lo = np.empty((n, w))
+    hi = np.empty((n, w))
+    for j in range(w):
+        lo[:, j] = lower[j]
+        hi[:, j] = upper[j]
+    keys = [(kind, entity, phase, t, s) for entity, phase, t in cells for kind in kinds]
+    start = problem.add_columns(lo.ravel(), hi.ravel(), vkind, lambda: [_vname(k) for k in keys])
+    ids = np.arange(start, start + n * w)
+    index.register_block(keys, ids.tolist())
+    return [ids[j::w] for j in range(w)]
+
+
+def _rows(problem: MilpProblem, terms, sense, rhs, names, keep=None) -> None:
+    """Append one constraint family laid out on a grid of rows.
+
+    Each term is (column ids, coefficients), both broadcast to the grid; a
+    zero coefficient leaves the term out of its row.  ``sense`` and ``rhs``
+    broadcast to the grid too, ``names()`` lists every grid row's name in C
+    order, and ``keep`` marks the rows that exist.
+    """
+    shapes = [np.shape(x) for term in terms for x in term] + [np.shape(rhs), np.shape(sense)]
+    if keep is not None:
+        shapes.append(np.shape(keep))
+    shape = np.broadcast_shapes(*shapes)
+    if not terms or math.prod(shape) == 0:
+        return
+    cols = np.empty(shape + (len(terms),), dtype=np.int64)
+    coefs = np.empty(shape + (len(terms),))
+    for j, (ids, coef) in enumerate(terms):
+        cols[..., j] = ids
+        coefs[..., j] = coef
+    cols = cols.reshape(-1, len(terms))
+    coefs = coefs.reshape(-1, len(terms))
+    if np.ndim(rhs):
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), shape).ravel()
+    if not isinstance(sense, str):
+        sense = np.broadcast_to(np.asarray(sense), shape).ravel()
+    row_names = names
+    if keep is not None:
+        keep = np.broadcast_to(keep, shape).ravel()
+        cols, coefs = cols[keep], coefs[keep]
+        rhs = rhs[keep] if np.ndim(rhs) else rhs
+        sense = sense if isinstance(sense, str) else sense[keep]
+        row_names = lambda: [name for name, kept in zip(names(), keep) if kept]  # noqa: E731
+    if len(cols):
+        problem.add_rows(cols, coefs, sense, rhs, row_names)
+
+
+def _col(values, dtype=None) -> np.ndarray:
+    """One value per entity, as a column that broadcasts across periods."""
+    return np.array(values, dtype=dtype).reshape(-1, 1)
+
+
+def _padded(groups: Sequence[Sequence[tuple[int, float]]]) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, coefficients) of shape (groups, widest group): each
+    group's (position, coefficient) pairs, padded with zero coefficients."""
+    width = max((len(g) for g in groups), default=0)
+    pos = np.zeros((len(groups), width), dtype=np.int64)
+    coef = np.zeros((len(groups), width))
+    for i, group in enumerate(groups):
+        for j, (p, c) in enumerate(group):
+            pos[i, j] = p
+            coef[i, j] = c
+    return pos, coef
+
+
 def build_first_stage(
     model: NetworkModel,
     config: FormulationConfig,
@@ -432,56 +533,35 @@ def build_first_stage(
     """
     check_first_stage_config(model, config)
     totals_sense = EQ if totals_equality else LE
-    meg: dict[str, int] = {}
-    mes: dict[str, int] = {}
-    for b in sorted(model.candidate_buses):
-        if model.meg_template is not None:
-            key = VariableIndex.key("meg", b)
-            meg[b] = problem.add_variable(0, 1, BINARY, _vname(key))
-            index.register(key, meg[b])
-        if model.mes_template is not None:
-            key = VariableIndex.key("mes", b)
-            mes[b] = problem.add_variable(0, 1, BINARY, _vname(key))
-            index.register(key, mes[b])
+    cands = sorted(model.candidate_buses)
+    kinds = [kind for kind, template in (("meg", model.meg_template), ("mes", model.mes_template))
+             if template is not None]
+    placed = _columns(problem, index, kinds, [(b, None, None) for b in cands],
+                      [0.0] * len(kinds), [1.0] * len(kinds), BINARY)
+    units = {kind: dict(zip(cands, ids.tolist())) for kind, ids in zip(kinds, placed)}
+    meg, mes = units.get("meg", {}), units.get("mes", {})
+    for group, total, name in ((meg, config.n_meg, "meg_total"), (mes, config.n_mes, "mes_total")):
+        if group:
+            problem.add_rows([list(group.values())], 1.0, totals_sense, float(total), [name])
+    if placed:
+        problem.add_rows(np.stack(placed, axis=1), 1.0, LE, [float(config.n_mu(b)) for b in cands],
+                         [f"mobile_cap[{b}]" for b in cands])
 
-    if meg:
-        problem.add_constraint(LinearExpr({v: 1.0 for v in meg.values()}), totals_sense,
-                               float(config.n_meg), "meg_total")
-    if mes:
-        problem.add_constraint(LinearExpr({v: 1.0 for v in mes.values()}), totals_sense,
-                               float(config.n_mes), "mes_total")
-    for b in sorted(model.candidate_buses):
-        expr = LinearExpr()
-        if b in meg:
-            expr.add(meg[b], 1.0)
-        if b in mes:
-            expr.add(mes[b], 1.0)
-        if expr.terms:
-            problem.add_constraint(expr, LE, float(config.n_mu(b)), f"mobile_cap[{b}]")
-
-    lots: dict[str, int] = {}
     sites = fuel_site_bounds(model, config)
-    for b in model.fuel_site_buses:
-        lo, hi = sites[b]
-        key = VariableIndex.key("lots", b)
-        lots[b] = problem.add_variable(float(lo), float(hi), INTEGER, _vname(key))
-        index.register(key, lots[b])
+    site_buses = list(model.fuel_site_buses)
+    lot_ids, = _columns(problem, index, ["lots"], [(b, None, None) for b in site_buses],
+                        [[float(sites[b][0]) for b in site_buses]],
+                        [[float(sites[b][1]) for b in site_buses]], INTEGER)
+    lots = dict(zip(site_buses, lot_ids.tolist()))
     if lots:
-        problem.add_constraint(
-            LinearExpr({v: config.fuel_quantum for v in lots.values()}),
-            LE,
-            float(config.n_fuel),
-            "fuel_budget",
-        )
+        problem.add_rows([lot_ids], config.fuel_quantum, LE, float(config.n_fuel), ["fuel_budget"])
 
-    crew: dict[str, int] = {}
-    for r in model.regions:
-        key = VariableIndex.key("crew", r.id)
-        crew[r.id] = problem.add_variable(float(r.crew_min), float(r.crew_max), INTEGER, _vname(key))
-        index.register(key, crew[r.id])
+    crew_ids, = _columns(problem, index, ["crew"], [(r.id, None, None) for r in model.regions],
+                         [[float(r.crew_min) for r in model.regions]],
+                         [[float(r.crew_max) for r in model.regions]], INTEGER)
+    crew = dict(zip((r.id for r in model.regions), crew_ids.tolist()))
     if crew:
-        problem.add_constraint(LinearExpr({v: 1.0 for v in crew.values()}), totals_sense,
-                               float(config.n_crew), "crew_total")
+        problem.add_rows([crew_ids], 1.0, totals_sense, float(config.n_crew), ["crew_total"])
     return FirstStageVars(meg=meg, mes=mes, lots=lots, crew=crew)
 
 
@@ -496,391 +576,348 @@ def build_second_stage(
     s: int,
     weight: float,
 ) -> None:
-    """One scenario's operations block, objective-weighted by ``weight``."""
+    """One scenario's operations block, objective-weighted by ``weight``.
+
+    Each variable family is one block of columns and each constraint family
+    one block of rows, laid out on a grid of entities by period.
+    """
     T = model.horizon
+    periods = range(T)
     dt = model.dt_hours
     damaged = scenario.damaged_lines
     for lid in damaged:
         model.line(lid)  # raises KeyError for unknown ids
+    region_of = {lid: r.id for r in model.regions for lid in r.lines}
+    for lid in sorted(damaged):
+        if lid not in region_of:
+            raise FormulationError(f"damaged line '{lid}' belongs to no region")
     mv = big_m_virtual(model)
     gens = gen_units(model)
     stores = storage_units(model)
     pvs = pv_units(model)
     gf_buses = grid_forming_buses(model)
+    buses = model.buses
+    lines = model.lines
+    line_pos = {k.id: i for i, k in enumerate(lines)}
+    bus_pos = {b.id: i for i, b in enumerate(buses)}
 
-    def var(kind, entity=None, phase=None, t=None, lo=0.0, hi=1.0, kindof=CONTINUOUS):
-        key = VariableIndex.key(kind, entity, phase, t, s)
-        vid = problem.add_variable(lo, hi, kindof, _vname(key))
-        index.register(key, vid)
-        return vid
+    def columns(kinds, cells, lower, upper, vkind=CONTINUOUS):
+        """Columns over (entity, phase, t) cells; each kind's ids as an (entities, T) grid."""
+        return [ids.reshape(-1, T) for ids in _columns(problem, index, kinds, cells, lower, upper, vkind, s)]
 
-    y = {(b.id, t): var("y", b.id, t=t, kindof=BINARY) for b in model.buses for t in range(T)}
-    chi = {(b.id, t): var("chi", b.id, t=t, kindof=BINARY) for b in model.buses for t in range(T)}
+    # entity-phase pairs: one row of the (pair, period) grids below each
+    bus_ph = [(b, ph) for b in buses for ph in b.phases]
+    line_ph = [(k, ph) for k in lines for ph in k.phases]
+    gen_ph = [(gu, ph) for gu in gens for ph in model.bus(gu.bus).phases]
+    pv_ph = [(pu, ph) for pu in pvs for ph in model.bus(pu.bus).phases]
+    bp_pos = {(b.id, ph): i for i, (b, ph) in enumerate(bus_ph)}
+    lp_pos = {(k.id, ph): i for i, (k, ph) in enumerate(line_ph)}
+
+    y, = columns(["y"], [(b.id, None, t) for b in buses for t in periods], [0.0], [1.0], BINARY)
+    chi, = columns(["chi"], [(b.id, None, t) for b in buses for t in periods], [0.0], [1.0], BINARY)
 
     # line status: damaged and switchable lines get variables, the rest are
     # closed constants; undamaged switches are pinned to their declared
     # initial state in the first period
-    u_var: dict[tuple[str, int], int] = {}
-    u_const: dict[tuple[str, int], float] = {}
-    for line in model.lines:
-        for t in range(T):
-            if line.id in damaged:
-                u_var[(line.id, t)] = var("u", line.id, t=t, kindof=BINARY)
-            elif line.switchable:
-                if t == 0:
-                    u_const[(line.id, t)] = 0.0 if line.normally_open else 1.0
-                else:
-                    u_var[(line.id, t)] = var("u", line.id, t=t, kindof=BINARY)
-            else:
-                u_const[(line.id, t)] = 1.0
+    u_is_var = np.array([[k.id in damaged or (k.switchable and t > 0) for t in periods]
+                         for k in lines], dtype=bool).reshape(len(lines), T)
+    u_const = np.array([[0.0 if (k.switchable and k.normally_open and t == 0) else 1.0
+                         for t in periods] for k in lines]).reshape(len(lines), T)
+    u_const[u_is_var] = 0.0
+    u_ids, = _columns(problem, index, ["u"], [(k.id, None, t) for k in lines for t in periods
+                                             if u_is_var[line_pos[k.id], t]], [0.0], [1.0], BINARY, s)
+    u = np.zeros((len(lines), T), dtype=np.int64)
+    u[u_is_var] = u_ids
+    u_open = ~u_is_var & (u_const == 0.0)
 
-    def u_term(expr: LinearExpr, lid: str, t: int, coef: float) -> LinearExpr:
-        if (lid, t) in u_var:
-            expr.add(u_var[(lid, t)], coef)
-        else:
-            expr.constant += coef * u_const[(lid, t)]
-        return expr
+    repaired = sorted(damaged)
+    z, = columns(["z"], [(lid, None, t) for lid in repaired for t in periods], [0.0], [1.0], BINARY)
+    gamma, = _columns(problem, index, ["gamma"], [(lid, None, t) for lid in model.switch_ids
+                                                  for t in range(1, T)], [0.0], [1.0], BINARY, s)
+    gamma = gamma.reshape(len(model.switch_ids), T - 1)
+    h, = columns(["h"], [(st.uid, None, t) for st in stores for t in periods], [0.0], [1.0], BINARY)
 
-    z = {(lid, t): var("z", lid, t=t, kindof=BINARY) for lid in sorted(damaged) for t in range(T)}
-    gamma = {
-        (lid, t): var("gamma", lid, t=t, kindof=BINARY)
-        for lid in model.switch_ids
-        for t in range(1, T)
-    }
-    h = {(st.uid, t): var("h", st.uid, t=t, kindof=BINARY) for st in stores for t in range(T)}
+    def per_period(values):
+        return np.repeat(np.asarray(values, dtype=float), T)
 
-    pk, qk = {}, {}
-    for line in model.lines:
-        for ph in line.phases:
-            for t in range(T):
-                pk[(line.id, ph, t)] = var("pk", line.id, ph, t, lo=-line.p_max, hi=line.p_max)
-                qk[(line.id, ph, t)] = var("qk", line.id, ph, t, lo=-line.q_max, hi=line.q_max)
+    p_max = np.array([k.p_max for k, _ in line_ph])
+    q_max = np.array([k.q_max for k, _ in line_ph])
+    pk, qk = columns(["pk", "qk"], [(k.id, ph, t) for k, ph in line_ph for t in periods],
+                     [per_period(-p_max), per_period(-q_max)], [per_period(p_max), per_period(q_max)])
+    pg, qg = columns(["pg", "qg"], [(gu.uid, ph, t) for gu, ph in gen_ph for t in periods],
+                     [0.0, 0.0], [per_period([gu.spec.p_max for gu, _ in gen_ph]),
+                                  per_period([gu.spec.q_max for gu, _ in gen_ph])])
+    irradiance = np.array([scenario.irradiance[t] for t in periods], dtype=float) / 1000.0
+    pv_irr = np.array([pu.spec.p_rate for pu, _ in pv_ph])[:, None] * irradiance[None, :]
+    s_inv = per_period([pu.spec.s_inverter for pu, _ in pv_ph])
+    ppv, qpv = columns(["ppv", "qpv"], [(pu.uid, ph, t) for pu, ph in pv_ph for t in periods],
+                       [0.0, -s_inv], [pv_irr.reshape(-1, T).ravel(), s_inv])
 
-    pg, qg = {}, {}
-    for gu in gens:
-        for ph in model.bus(gu.bus).phases:
-            for t in range(T):
-                pg[(gu.uid, ph, t)] = var("pg", gu.uid, ph, t, lo=0.0, hi=gu.spec.p_max)
-                qg[(gu.uid, ph, t)] = var("qg", gu.uid, ph, t, lo=0.0, hi=gu.spec.q_max)
-
-    ppv, qpv = {}, {}
-    for pu in pvs:
-        for ph in model.bus(pu.bus).phases:
-            for t in range(T):
-                irr = scenario.irradiance[t] / 1000.0 * pu.spec.p_rate
-                ppv[(pu.uid, ph, t)] = var("ppv", pu.uid, ph, t, lo=0.0, hi=irr)
-                qpv[(pu.uid, ph, t)] = var(
-                    "qpv", pu.uid, ph, t, lo=-pu.spec.s_inverter, hi=pu.spec.s_inverter
-                )
-
-    pch, pdis, qess, soc = {}, {}, {}, {}
+    soc, pch, pdis, qess = [], [], [], []
     for st in stores:
-        for t in range(T):
-            soc[(st.uid, t)] = var("soc", st.uid, t=t, lo=st.spec.soc_min, hi=st.spec.soc_max)
-        for ph in model.bus(st.bus).phases:
-            for t in range(T):
-                pch[(st.uid, ph, t)] = var("pch", st.uid, ph, t, lo=0.0, hi=st.spec.p_ch_max)
-                pdis[(st.uid, ph, t)] = var("pdis", st.uid, ph, t, lo=0.0, hi=st.spec.p_dis_max)
-                qess[(st.uid, ph, t)] = var("qess", st.uid, ph, t, lo=-st.spec.q_max, hi=st.spec.q_max)
+        soc.append(columns(["soc"], [(st.uid, None, t) for t in periods],
+                           [st.spec.soc_min], [st.spec.soc_max])[0][0])
+        cells = [(st.uid, ph, t) for ph in model.bus(st.bus).phases for t in periods]
+        ch, dis, q = columns(["pch", "pdis", "qess"], cells, [0.0, 0.0, -st.spec.q_max],
+                             [st.spec.p_ch_max, st.spec.p_dis_max, st.spec.q_max])
+        pch.append(ch)
+        pdis.append(dis)
+        qess.append(q)
 
-    volt = {
-        (b.id, ph, t): var("volt", b.id, ph, t, lo=0.0, hi=model.u_max(b.id))
-        for b in model.buses
-        for ph in b.phases
-        for t in range(T)
-    }
-
+    volt, = columns(["volt"], [(b.id, ph, t) for b, ph in bus_ph for t in periods],
+                    [0.0], [per_period([model.u_max(b.id) for b, _ in bus_ph])])
     vsrc_buses = sorted(gf_buses | set(model.candidate_buses))
-    vsrc = {(b, t): var("vsrc", b, t=t, lo=0.0, hi=mv) for b in vsrc_buses for t in range(T)}
-    vflow = {(k.id, t): var("vflow", k.id, t=t, lo=-mv, hi=mv) for k in model.lines for t in range(T)}
+    vsrc, = columns(["vsrc"], [(b, None, t) for b in vsrc_buses for t in periods], [0.0], [mv])
+    vflow, = columns(["vflow"], [(k.id, None, t) for k in lines for t in periods], [-mv], [mv])
+    fuel, = _columns(problem, index, ["fuel"], [(b, None, None) for b in model.fuel_site_buses],
+                     [0.0], [float(config.n_fuel)], CONTINUOUS, s)
 
-    fuel = {
-        b: var("fuel", b, lo=0.0, hi=float(config.n_fuel))
-        for b in model.fuel_site_buses
-    }
+    # PV output and capacity (grid-following output collapses when de-energized):
+    # per unit, phase and period an energization row, then one row per face
+    if pvs:
+        faces = np.array([polygonize_capacity(pu.spec.s_inverter, config.polygon_segments)
+                          for pu, _ in pv_ph])  # (pairs, faces, (a, b, rhs))
+        nf = faces.shape[1]
+        following = np.array([pu.spec.pv_type == PV_GRID_FOLLOWING for pu, _ in pv_ph])[:, None, None]
+        chi_pv = chi[[bus_pos[pu.bus] for pu, _ in pv_ph]]
+        grid = (len(pv_ph), T, 1 + nf)
 
-    con = problem.add_constraint
+        def slots(first_slot, face_values):
+            out = np.empty(grid)
+            out[..., 0] = first_slot
+            out[..., 1:] = face_values
+            return out
 
-    # PV output and capacity (grid-following output collapses when de-energized)
-    for pu in pvs:
-        faces = polygonize_capacity(pu.spec.s_inverter, config.polygon_segments)
-        following = pu.spec.pv_type == PV_GRID_FOLLOWING
-        for ph in model.bus(pu.bus).phases:
-            for t in range(T):
-                if following:
-                    irr = scenario.irradiance[t] / 1000.0 * pu.spec.p_rate
-                    expr = LinearExpr({ppv[(pu.uid, ph, t)]: 1.0, chi[(pu.bus, t)]: -irr})
-                    con(expr, LE, 0.0, f"pv_energized[{pu.uid},{ph},{t}]")
-                for fi, (a, bcoef, rhs) in enumerate(faces):
-                    expr = LinearExpr({ppv[(pu.uid, ph, t)]: a, qpv[(pu.uid, ph, t)]: bcoef})
-                    if following:
-                        expr.add(chi[(pu.bus, t)], -rhs)
-                        con(expr, LE, 0.0, f"pv_cap[{pu.uid},{ph},{t},{fi}]")
-                    else:
-                        con(expr, LE, rhs, f"pv_cap[{pu.uid},{ph},{t},{fi}]")
+        face_rhs = faces[:, None, :, 2]
+        _rows(problem,
+              [(ppv[..., None], slots(1.0, faces[:, None, :, 0])),
+               (qpv[..., None], slots(0.0, faces[:, None, :, 1])),
+               (chi_pv[..., None], slots(-pv_irr, np.where(following, -face_rhs, 0.0)))],
+              LE, slots(0.0, np.where(following, 0.0, face_rhs)),
+              lambda: [name for pu, ph in pv_ph for t in periods
+                       for name in [f"pv_energized[{pu.uid},{ph},{t}]"]
+                       + [f"pv_cap[{pu.uid},{ph},{t},{fi}]" for fi in range(nf)]],
+              keep=slots(following[..., 0], True).astype(bool))
 
     # virtual network: unit loads reachable from grid-forming sources
-    for b in model.buses:
-        for t in range(T):
-            expr = LinearExpr()
-            if (b.id, t) in vsrc:
-                expr.add(vsrc[(b.id, t)], 1.0)
-            for k in model.lines:
-                if k.to_bus == b.id:
-                    expr.add(vflow[(k.id, t)], 1.0)
-                elif k.from_bus == b.id:
-                    expr.add(vflow[(k.id, t)], -1.0)
-            expr.add(chi[(b.id, t)], -1.0)
-            con(expr, EQ, 0.0, f"virtual_balance[{b.id},{t}]")
-    for k in model.lines:
-        for t in range(T):
-            if (k.id, t) in u_var:
-                con(LinearExpr({vflow[(k.id, t)]: 1.0, u_var[(k.id, t)]: -mv}), LE, 0.0,
-                    f"virtual_flow_ub[{k.id},{t}]")
-                con(LinearExpr({vflow[(k.id, t)]: 1.0, u_var[(k.id, t)]: mv}), GE, 0.0,
-                    f"virtual_flow_lb[{k.id},{t}]")
-            elif u_const[(k.id, t)] == 0.0:
-                con(LinearExpr({vflow[(k.id, t)]: 1.0}), EQ, 0.0, f"virtual_flow_open[{k.id},{t}]")
-    for b in vsrc_buses:
-        if b in gf_buses:
-            continue  # always-on source, plain bound applies
-        for t in range(T):
-            expr = LinearExpr({vsrc[(b, t)]: 1.0})
-            if b in first.meg:
-                expr.add(first.meg[b], -mv)
-            if b in first.mes:
-                expr.add(first.mes[b], -mv)
-            con(expr, LE, 0.0, f"virtual_source_gate[{b},{t}]")
+    vsrc_pos = {b: i for i, b in enumerate(vsrc_buses)}
+    has_vsrc = np.array([[b.id in vsrc_pos] for b in buses], dtype=float)
+    incident, sign = _padded([[(i, 1.0 if k.to_bus == b.id else -1.0) for i, k in enumerate(lines)
+                               if b.id in (k.to_bus, k.from_bus)] for b in buses])
+    _rows(problem,
+          ([(vsrc[[vsrc_pos.get(b.id, 0) for b in buses]], has_vsrc)] if vsrc_buses else [])
+          + [(chi, -1.0)] + [(vflow[incident[:, j]], sign[:, j, None]) for j in range(incident.shape[1])],
+          EQ, 0.0, lambda: [f"virtual_balance[{b.id},{t}]" for b in buses for t in periods])
+    _rows(problem, [(vflow[..., None], 1.0), (u[..., None], [-mv, mv, 0.0])],
+          [LE, GE, EQ], 0.0,
+          lambda: [f"virtual_flow_{x}[{k.id},{t}]" for k in lines for t in periods
+                   for x in ("ub", "lb", "open")],
+          keep=np.stack([u_is_var, u_is_var, u_open], axis=-1))
+    gated = [b for b in vsrc_buses if b not in gf_buses]  # always-on sources keep a plain bound
+    _rows(problem,
+          [(vsrc[[vsrc_pos[b] for b in gated]], 1.0)]
+          + [(_col([group.get(b, 0) for b in gated]), _col([-mv if b in group else 0.0 for b in gated]))
+             for group in (first.meg, first.mes)],
+          LE, 0.0, lambda: [f"virtual_source_gate[{b},{t}]" for b in gated for t in periods])
 
     # load pickup needs an energized bus unless a local source exempts it;
     # candidate buses without a fixed source relax by their mobile placements
     local = locally_served_buses(model)
-    for b in model.buses:
-        for t in range(T):
-            if b.id in local:
-                continue
-            if b.id in model.candidate_buses:
-                expr = LinearExpr({y[(b.id, t)]: 1.0, chi[(b.id, t)]: -1.0})
-                if b.id in first.meg:
-                    expr.add(first.meg[b.id], -1.0)
-                if b.id in first.mes:
-                    expr.add(first.mes[b.id], -1.0)
-                con(expr, LE, 0.0, f"pickup_mobile[{b.id},{t}]")
-            else:
-                con(LinearExpr({y[(b.id, t)]: 1.0, chi[(b.id, t)]: -1.0}), LE, 0.0,
-                    f"pickup_energized[{b.id},{t}]")
+    _rows(problem,
+          [(y, 1.0), (chi, -1.0)]
+          + [(_col([group.get(b.id, 0) for b in buses]),
+              _col([-1.0 if b.id in group else 0.0 for b in buses])) for group in (first.meg, first.mes)],
+          LE, 0.0,
+          lambda: [f"pickup_{'mobile' if b.id in model.candidate_buses else 'energized'}[{b.id},{t}]"
+                   for b in buses for t in periods],
+          keep=_col([b.id not in local for b in buses]))
 
-    # nodal balance per bus and phase
-    gens_at: dict[str, list[GenUnit]] = {}
-    for gu in gens:
-        gens_at.setdefault(gu.bus, []).append(gu)
-    stores_at: dict[str, list[StorageUnit]] = {}
-    for st in stores:
-        stores_at.setdefault(st.bus, []).append(st)
-    pv_at: dict[str, list[PvUnit]] = {}
-    for pu in pvs:
-        pv_at.setdefault(pu.bus, []).append(pu)
+    # nodal balance per bus, phase and period: the P row, then the Q row
+    def at_bus(pairs, sign):
+        pos = {}
+        for i, (unit, ph) in enumerate(pairs):
+            pos.setdefault((unit.bus, ph), []).append((i, sign))
+        return _padded([pos.get((b.id, ph), []) for b, ph in bus_ph])
 
-    for b in model.buses:
-        for ph in b.phases:
-            for t in range(T):
-                pexpr = LinearExpr()
-                qexpr = LinearExpr()
-                for k in model.lines:
-                    if ph not in k.phases:
-                        continue
-                    sgn = 1.0 if k.from_bus == b.id else (-1.0 if k.to_bus == b.id else 0.0)
-                    if sgn:
-                        pexpr.add(pk[(k.id, ph, t)], sgn)
-                        qexpr.add(qk[(k.id, ph, t)], sgn)
-                for gu in gens_at.get(b.id, []):
-                    pexpr.add(pg[(gu.uid, ph, t)], -1.0)
-                    qexpr.add(qg[(gu.uid, ph, t)], -1.0)
-                for pu in pv_at.get(b.id, []):
-                    pexpr.add(ppv[(pu.uid, ph, t)], -1.0)
-                    qexpr.add(qpv[(pu.uid, ph, t)], -1.0)
-                for st in stores_at.get(b.id, []):
-                    pexpr.add(pdis[(st.uid, ph, t)], -1.0)
-                    pexpr.add(pch[(st.uid, ph, t)], 1.0)
-                    qexpr.add(qess[(st.uid, ph, t)], -1.0)
-                pexpr.add(y[(b.id, t)], b.demand_at(ph, t))
-                qexpr.add(y[(b.id, t)], b.reactive_at(ph, t))
-                con(pexpr, EQ, 0.0, f"balance_p[{b.id},{ph},{t}]")
-                con(qexpr, EQ, 0.0, f"balance_q[{b.id},{ph},{t}]")
+    line_at, line_sign = _padded([[(lp_pos[(k.id, ph)], 1.0 if k.from_bus == b.id else -1.0)
+                                   for k in lines if ph in k.phases and b.id in (k.from_bus, k.to_bus)]
+                                  for b, ph in bus_ph])
+    gen_at, gen_sign = at_bus(gen_ph, -1.0)
+    pv_at, pv_sign = at_bus(pv_ph, -1.0)
+    store_ph = [(st, ph) for st in stores for ph in model.bus(st.bus).phases]
+    store_at, store_sign = at_bus(store_ph, -1.0)
+    pch_all, pdis_all, qess_all = (np.concatenate(x) if x else np.zeros((0, T), dtype=np.int64)
+                                   for x in (pch, pdis, qess))
+
+    def pq(p_ids, q_ids, pos, coef, j):
+        return np.stack([p_ids[pos[:, j]], q_ids[pos[:, j]]], axis=-1), coef[:, j, None, None]
+
+    y_bp = y[[bus_pos[b.id] for b, _ in bus_ph]]
+    demand = np.array([[b.demand_at(ph, t) for t in periods] for b, ph in bus_ph]).reshape(-1, T)
+    reactive = np.array([[b.reactive_at(ph, t) for t in periods] for b, ph in bus_ph]).reshape(-1, T)
+    _rows(problem,
+          [pq(pk, qk, line_at, line_sign, j) for j in range(line_at.shape[1])]
+          + [pq(pg, qg, gen_at, gen_sign, j) for j in range(gen_at.shape[1])]
+          + [pq(ppv, qpv, pv_at, pv_sign, j) for j in range(pv_at.shape[1])]
+          + [pq(pdis_all, qess_all, store_at, store_sign, j) for j in range(store_at.shape[1])]
+          + [(pch_all[store_at[:, j]][..., None], -store_sign[:, j, None, None] * np.array([1.0, 0.0]))
+             for j in range(store_at.shape[1])]
+          + [(y_bp[..., None], np.stack([demand, reactive], axis=-1))],
+          EQ, 0.0,
+          lambda: [f"balance_{x}[{b.id},{ph},{t}]" for b, ph in bus_ph for t in periods for x in "pq"])
 
     # flow limits gate on line status where the status is a variable
-    for k in model.lines:
-        for ph in k.phases:
-            for t in range(T):
-                if (k.id, t) in u_var:
-                    uv = u_var[(k.id, t)]
-                    con(LinearExpr({pk[(k.id, ph, t)]: 1.0, uv: -k.p_max}), LE, 0.0,
-                        f"flow_p_ub[{k.id},{ph},{t}]")
-                    con(LinearExpr({pk[(k.id, ph, t)]: 1.0, uv: k.p_max}), GE, 0.0,
-                        f"flow_p_lb[{k.id},{ph},{t}]")
-                    con(LinearExpr({qk[(k.id, ph, t)]: 1.0, uv: -k.q_max}), LE, 0.0,
-                        f"flow_q_ub[{k.id},{ph},{t}]")
-                    con(LinearExpr({qk[(k.id, ph, t)]: 1.0, uv: k.q_max}), GE, 0.0,
-                        f"flow_q_lb[{k.id},{ph},{t}]")
-                elif u_const[(k.id, t)] == 0.0:
-                    con(LinearExpr({pk[(k.id, ph, t)]: 1.0}), EQ, 0.0, f"flow_p_open[{k.id},{ph},{t}]")
-                    con(LinearExpr({qk[(k.id, ph, t)]: 1.0}), EQ, 0.0, f"flow_q_open[{k.id},{ph},{t}]")
+    lp_line = [line_pos[k.id] for k, _ in line_ph]
+    lp_var, lp_open = u_is_var[lp_line], u_open[lp_line]
+    _rows(problem,
+          [(np.stack([pk, pk, qk, qk, pk, qk], axis=-1), 1.0),
+           (u[lp_line][..., None],
+            np.stack([-p_max, p_max, -q_max, q_max, 0.0 * p_max, 0.0 * q_max], axis=-1)[:, None, :])],
+          [LE, GE, LE, GE, EQ, EQ], 0.0,
+          lambda: [f"flow_{x}[{k.id},{ph},{t}]" for k, ph in line_ph for t in periods
+                   for x in ("p_ub", "p_lb", "q_ub", "q_lb", "p_open", "q_open")],
+          keep=np.stack([lp_var] * 4 + [lp_open] * 2, axis=-1))
 
     # mobile generator capacity follows its placement binary
-    for gu in gens:
-        if not gu.mobile:
-            continue
-        for ph in model.bus(gu.bus).phases:
-            for t in range(T):
-                con(LinearExpr({pg[(gu.uid, ph, t)]: 1.0, first.meg[gu.bus]: -gu.spec.p_max}),
-                    LE, 0.0, f"meg_gate_p[{gu.uid},{ph},{t}]")
-                con(LinearExpr({qg[(gu.uid, ph, t)]: 1.0, first.meg[gu.bus]: -gu.spec.q_max}),
-                    LE, 0.0, f"meg_gate_q[{gu.uid},{ph},{t}]")
+    mobile = [i for i, (gu, _) in enumerate(gen_ph) if gu.mobile]
+    _rows(problem,
+          [(np.stack([pg[mobile], qg[mobile]], axis=-1), 1.0),
+           (_col([first.meg[gen_ph[i][0].bus] for i in mobile])[:, None],
+            np.array([[-gen_ph[i][0].spec.p_max, -gen_ph[i][0].spec.q_max] for i in mobile])
+            .reshape(-1, 1, 2))],
+          LE, 0.0,
+          lambda: [f"meg_gate_{x}[{gen_ph[i][0].uid},{gen_ph[i][1]},{t}]"
+                   for i in mobile for t in periods for x in "pq"])
 
     # voltage drop along closed lines, relaxed by big-M while open
-    for k in model.lines:
-        m_k = big_m_voltage(k, model)
-        for ph in k.phases:
-            i = "abc".index(ph)
-            for t in range(T):
-                expr = LinearExpr()
-                expr.add(volt[(k.from_bus, ph, t)], 1.0)
-                expr.add(volt[(k.to_bus, ph, t)], -1.0)
-                for ph2 in k.phases:
-                    j = "abc".index(ph2)
-                    rc = 2.0 * k.r_matrix[i][j] / model.base_kva
-                    xc = 2.0 * k.x_matrix[i][j] / model.base_kva
-                    if rc:
-                        expr.add(pk[(k.id, ph2, t)], -rc)
-                    if xc:
-                        expr.add(qk[(k.id, ph2, t)], -xc)
-                if (k.id, t) in u_var:
-                    uv = u_var[(k.id, t)]
-                    lo_expr = expr.copy()
-                    lo_expr.add(uv, -m_k)
-                    con(lo_expr, GE, -m_k, f"volt_drop_lo[{k.id},{ph},{t}]")
-                    hi_expr = expr.copy()
-                    hi_expr.add(uv, m_k)
-                    con(hi_expr, LE, m_k, f"volt_drop_hi[{k.id},{ph},{t}]")
-                elif u_const[(k.id, t)] == 1.0:
-                    con(expr, EQ, 0.0, f"volt_drop_eq[{k.id},{ph},{t}]")
+    m_line = np.array([big_m_voltage(k, model) for k in lines])[lp_line]
+    impedance = []
+    for k, ph in line_ph:
+        i = "abc".index(ph)
+        row = []
+        for ph2 in k.phases:
+            j = "abc".index(ph2)
+            row.append((lp_pos[(k.id, ph2)], -(2.0 * k.r_matrix[i][j] / model.base_kva),
+                        -(2.0 * k.x_matrix[i][j] / model.base_kva)))
+        impedance.append(row)
+    imp_at, r_coef = _padded([[(p, r) for p, r, _ in row] for row in impedance])
+    _, x_coef = _padded([[(p, x) for p, _, x in row] for row in impedance])
+    big_m = np.stack([-m_line, m_line, 0.0 * m_line], axis=-1)[:, None, :]
+    _rows(problem,
+          [(volt[[bp_pos[(k.from_bus, ph)] for k, ph in line_ph]][..., None], 1.0),
+           (volt[[bp_pos[(k.to_bus, ph)] for k, ph in line_ph]][..., None], -1.0)]
+          + [(pk[imp_at[:, j]][..., None], r_coef[:, j, None, None]) for j in range(imp_at.shape[1])]
+          + [(qk[imp_at[:, j]][..., None], x_coef[:, j, None, None]) for j in range(imp_at.shape[1])]
+          + [(u[lp_line][..., None], big_m)],
+          [GE, LE, EQ], big_m,
+          lambda: [f"volt_drop_{x}[{k.id},{ph},{t}]" for k, ph in line_ph for t in periods
+                   for x in ("lo", "hi", "eq")],
+          keep=np.stack([lp_var, lp_var, ~lp_var & (u_const[lp_line] == 1.0)], axis=-1))
 
     # voltage window scales with the energization flag
-    for b in model.buses:
-        for ph in b.phases:
-            for t in range(T):
-                con(LinearExpr({volt[(b.id, ph, t)]: 1.0, chi[(b.id, t)]: -model.u_max(b.id)}),
-                    LE, 0.0, f"volt_range_hi[{b.id},{ph},{t}]")
-                con(LinearExpr({volt[(b.id, ph, t)]: 1.0, chi[(b.id, t)]: -model.u_min(b.id)}),
-                    GE, 0.0, f"volt_range_lo[{b.id},{ph},{t}]")
+    chi_bp = chi[[bus_pos[b.id] for b, _ in bus_ph]]
+    _rows(problem,
+          [(volt[..., None], 1.0),
+           (chi_bp[..., None], -np.array([[model.u_max(b.id), model.u_min(b.id)] for b, _ in bus_ph])
+            .reshape(-1, 1, 2))],
+          [LE, GE], 0.0,
+          lambda: [f"volt_range_{x}[{b.id},{ph},{t}]" for b, ph in bus_ph for t in periods
+                   for x in ("hi", "lo")])
 
     # radiality: every enumerated cycle keeps at least one member open
-    for li, loop in enumerate(loops):
-        for t in range(T):
-            expr = LinearExpr()
-            for lid in sorted(loop.members):
-                u_term(expr, lid, t, 1.0)
-            con(expr, LE, float(len(loop.members) - 1), f"radiality[{li},{t}]")
+    members = [sorted(loop.members) for loop in loops]
+    loop_at, in_loop = _padded([[(line_pos[lid], 1.0) for lid in m] for m in members])
+    var = u_is_var[loop_at] & (in_loop[..., None] > 0)  # (loops, members, T)
+    closed = np.where(var, 0.0, u_const[loop_at] * in_loop[..., None]).sum(axis=1)
+    _rows(problem, [(u[loop_at[:, j]], var[:, j]) for j in range(loop_at.shape[1])],
+          LE, _col([len(m) - 1.0 for m in members]) - closed,
+          lambda: [f"radiality[{li},{t}]" for li in range(len(members)) for t in periods])
 
-    # repair crews: regional capacity, per-line effort budget, status release
-    region_of: dict[str, str] = {}
-    for r in model.regions:
-        for lid in r.lines:
-            region_of[lid] = r.id
-    for lid in sorted(damaged):
-        if lid not in region_of:
-            raise FormulationError(f"damaged line '{lid}' belongs to no region")
-    for r in model.regions:
-        members = [lid for lid in sorted(damaged) if region_of[lid] == r.id]
-        if not members:
-            continue
-        for t in range(T):
-            expr = LinearExpr({z[(lid, t)]: 1.0 for lid in members})
-            expr.add(first.crew[r.id], -1.0)
-            con(expr, LE, 0.0, f"crew_region[{r.id},{t}]")
-    for lid in sorted(damaged):
-        tr = scenario.repair_periods[lid]
-        con(LinearExpr({z[(lid, t)]: 1.0 for t in range(T)}), LE, float(tr),
-            f"repair_budget[{lid}]")
-        for t in range(T):
-            ub = LinearExpr({u_var[(lid, t)]: 1.0})
-            for tau in range(t):
-                ub.add(z[(lid, tau)], -1.0 / tr)
-            con(ub, LE, 0.0, f"repair_progress_ub[{lid},{t}]")
-            lb = LinearExpr({u_var[(lid, t)]: 1.0})
-            for tau in range(t):
-                lb.add(z[(lid, tau)], -1.0 / tr)
-            con(lb, GE, config.crew_epsilon - 1.0, f"repair_progress_lb[{lid},{t}]")
+    # repair crews: regional capacity, then per damaged line its effort
+    # budget and, per period, the status release (both bounds)
+    crews = [(r, [i for i, lid in enumerate(repaired) if region_of[lid] == r.id]) for r in model.regions]
+    crews = [(r, m) for r, m in crews if m]
+    crew_z, crew_coef = _padded([[(i, 1.0) for i in m] for _, m in crews])
+    _rows(problem,
+          [(z[crew_z[:, j]], crew_coef[:, j, None]) for j in range(crew_z.shape[1])]
+          + [(_col([first.crew[r.id] for r, _ in crews]), -1.0)],
+          LE, 0.0, lambda: [f"crew_region[{r.id},{t}]" for r, _ in crews for t in periods])
+    needed = _col([float(scenario.repair_periods[lid]) for lid in repaired])
+    ts = np.arange(T)
+    u_dmg = u[[line_pos[lid] for lid in repaired]].reshape(-1, T)
+    _rows(problem,
+          [(np.concatenate([u_dmg[:, :1], np.repeat(u_dmg, 2, axis=1)], axis=1),
+            np.concatenate([[0.0], np.ones(2 * T)]))]
+          + [(z[:, tau, None], np.concatenate(
+              [np.ones_like(needed), np.repeat(np.where(tau < ts, -1.0 / needed, 0.0), 2, axis=1)], axis=1))
+             for tau in periods],
+          np.concatenate([[LE], np.tile([LE, GE], T)]),
+          np.concatenate([needed, np.tile([0.0, config.crew_epsilon - 1.0], (len(repaired), T))], axis=1),
+          lambda: [name for lid in repaired
+                   for name in [f"repair_budget[{lid}]"]
+                   + [f"repair_progress_{x}[{lid},{t}]" for t in periods for x in ("ub", "lb")]])
 
     # switching operations count closed/open transitions
-    for lid in model.switch_ids:
-        for t in range(1, T):
-            pos = LinearExpr({gamma[(lid, t)]: 1.0})
-            u_term(pos, lid, t, -1.0)
-            u_term(pos, lid, t - 1, 1.0)
-            con(pos, GE, 0.0, f"switch_change_pos[{lid},{t}]")
-            neg = LinearExpr({gamma[(lid, t)]: 1.0})
-            u_term(neg, lid, t, 1.0)
-            u_term(neg, lid, t - 1, -1.0)
-            con(neg, GE, 0.0, f"switch_change_neg[{lid},{t}]")
+    sw = [line_pos[lid] for lid in model.switch_ids]
+    now_var, prev_var = u_is_var[sw, 1:][..., None], u_is_var[sw, :-1][..., None]
+    now_const, prev_const = u_const[sw, 1:][..., None], u_const[sw, :-1][..., None]
+    turn = np.array([-1.0, 1.0])  # coefficient on u(t) in the pos and neg rows
+    constant = (0.0 + np.where(now_var, 0.0, turn * now_const)) + np.where(prev_var, 0.0, -turn * prev_const)
+    _rows(problem,
+          [(gamma[..., None], 1.0),
+           (u[sw, 1:][..., None], np.where(now_var, turn, 0.0)),
+           (u[sw, :-1][..., None], np.where(prev_var, -turn, 0.0))],
+          GE, 0.0 - constant,
+          lambda: [f"switch_change_{x}[{lid},{t}]" for lid in model.switch_ids for t in range(1, T)
+                   for x in ("pos", "neg")])
 
     # storage dynamics and mutual exclusion of charge/discharge
-    for st in stores:
+    for st, soc_ids, ch, dis, q, h_ids in zip(stores, soc, pch, pdis, qess, h):
         cap = st.spec.e_cap
         phases = model.bus(st.bus).phases
-        for t in range(T):
-            expr = LinearExpr({soc[(st.uid, t)]: 1.0})
-            rhs = 0.0
-            if t == 0:
-                rhs = st.spec.soc_init
-            else:
-                expr.add(soc[(st.uid, t - 1)], -1.0)
-            for ph in phases:
-                expr.add(pch[(st.uid, ph, t)], -dt * st.spec.eta_ch / cap)
-                expr.add(pdis[(st.uid, ph, t)], dt / (st.spec.eta_dis * cap))
-            con(expr, EQ, rhs, f"soc_step[{st.uid},{t}]")
-        for ph in phases:
-            for t in range(T):
-                con(LinearExpr({pch[(st.uid, ph, t)]: 1.0, h[(st.uid, t)]: -st.spec.p_ch_max}),
-                    LE, 0.0, f"charge_excl[{st.uid},{ph},{t}]")
-                con(LinearExpr({pdis[(st.uid, ph, t)]: 1.0, h[(st.uid, t)]: st.spec.p_dis_max}),
-                    LE, st.spec.p_dis_max, f"discharge_excl[{st.uid},{ph},{t}]")
-                if st.mobile:
-                    mes_var = first.mes[st.bus]
-                    con(LinearExpr({pch[(st.uid, ph, t)]: 1.0, mes_var: -st.spec.p_ch_max}),
-                        LE, 0.0, f"mes_gate_ch[{st.uid},{ph},{t}]")
-                    con(LinearExpr({pdis[(st.uid, ph, t)]: 1.0, mes_var: -st.spec.p_dis_max}),
-                        LE, 0.0, f"mes_gate_dis[{st.uid},{ph},{t}]")
-                    con(LinearExpr({qess[(st.uid, ph, t)]: 1.0, mes_var: -st.spec.q_max}),
-                        LE, 0.0, f"mes_gate_q_ub[{st.uid},{ph},{t}]")
-                    con(LinearExpr({qess[(st.uid, ph, t)]: 1.0, mes_var: st.spec.q_max}),
-                        GE, 0.0, f"mes_gate_q_lb[{st.uid},{ph},{t}]")
+        _rows(problem,
+              [(soc_ids, 1.0), (np.roll(soc_ids, 1), np.where(ts > 0, -1.0, 0.0))]
+              + [(ch[i], -dt * st.spec.eta_ch / cap) for i in range(len(phases))]
+              + [(dis[i], dt / (st.spec.eta_dis * cap)) for i in range(len(phases))],
+              EQ, np.where(ts == 0, st.spec.soc_init, 0.0),
+              lambda st=st: [f"soc_step[{st.uid},{t}]" for t in periods])
+        gates = ["charge_excl", "discharge_excl"]
+        unit_ids = [ch, dis]
+        gate_ids = [np.broadcast_to(h_ids, ch.shape)] * 2
+        gate_coef = [-st.spec.p_ch_max, st.spec.p_dis_max]
+        senses, rhs = [LE, LE], [0.0, st.spec.p_dis_max]
+        if st.mobile:
+            mes_ids = np.full(ch.shape, first.mes[st.bus], dtype=np.int64)
+            gates += ["mes_gate_ch", "mes_gate_dis", "mes_gate_q_ub", "mes_gate_q_lb"]
+            unit_ids += [ch, dis, q, q]
+            gate_ids += [mes_ids] * 4
+            gate_coef += [-st.spec.p_ch_max, -st.spec.p_dis_max, -st.spec.q_max, st.spec.q_max]
+            senses += [LE, LE, LE, GE]
+            rhs += [0.0] * 4
+        _rows(problem,
+              [(np.stack(unit_ids, axis=-1), 1.0), (np.stack(gate_ids, axis=-1), np.array(gate_coef))],
+              senses, rhs,
+              lambda st=st, phases=phases, gates=gates: [f"{g}[{st.uid},{ph},{t}]" for ph in phases
+                                                        for t in periods for g in gates])
 
     # scenario fuel use per site, capped by the allocated lots
-    for b in model.fuel_site_buses:
-        expr = LinearExpr({fuel[b]: 1.0})
-        for gu in gens_at.get(b, []):
-            for ph in model.bus(b).phases:
-                for t in range(T):
-                    expr.add(pg[(gu.uid, ph, t)], -config.fuel_rate * dt)
-        con(expr, EQ, 0.0, f"fuel_def[{b}]")
-        con(LinearExpr({fuel[b]: 1.0, first.lots[b]: -config.fuel_quantum}), LE, 0.0,
-            f"fuel_cap[{b}]")
+    sites = list(model.fuel_site_buses)
+    burn_at, burn = _padded([[(pg[i, t], -config.fuel_rate * dt) for i, (gu, _) in enumerate(gen_ph)
+                              if gu.bus == b for t in periods] for b in sites])
+    _rows(problem,
+          [(fuel[:, None], 1.0),
+           (np.array([[first.lots[b]] for b in sites], dtype=np.int64), [0.0, -config.fuel_quantum])]
+          + [(burn_at[:, j, None], burn[:, j, None] * np.array([1.0, 0.0])) for j in range(burn_at.shape[1])],
+          [EQ, LE], 0.0, lambda: [f"fuel_{x}[{b}]" for b in sites for x in ("def", "cap")])
 
     # objective: fuel burn, switching operations, unserved demand
-    for b in model.fuel_site_buses:
-        problem.add_objective_term(fuel[b], weight * config.fuel_cost)
-    for (lid, t), gv in gamma.items():
-        problem.add_objective_term(gv, weight * config.switch_cost)
-    shed_const = 0.0
-    for b in model.buses:
-        for ph in b.phases:
-            for t in range(T):
-                d = b.demand_at(ph, t)
-                if d:
-                    problem.add_objective_term(y[(b.id, t)], -weight * b.shed_cost * d * dt)
-                    shed_const += weight * b.shed_cost * d * dt
-    problem.objective.constant += shed_const
+    problem.add_objective(fuel, weight * config.fuel_cost)
+    problem.add_objective(gamma.ravel(), weight * config.switch_cost)
+    shed_cost = np.array([b.shed_cost for b, _ in bus_ph])[:, None]
+    served = demand != 0.0
+    problem.add_objective(y_bp[served], (-weight * shed_cost * demand * dt)[served])
+    shed = (weight * shed_cost * demand * dt)[served]
+    problem.objective_constant += float(np.add.accumulate(shed)[-1]) if len(shed) else 0.0
 
 
 @dataclass
@@ -946,18 +983,12 @@ def build_subproblem(
 
 
 def _pin_plan(problem: MilpProblem, first: FirstStageVars, plan: FirstStagePlan) -> None:
-    def pin(vid: int, value: float):
-        spec = problem.variables[vid]
-        problem.variables[vid] = replace(spec, lower=float(value), upper=float(value))
-
-    for b, vid in first.meg.items():
-        pin(vid, plan.meg_at.get(b, 0))
-    for b, vid in first.mes.items():
-        pin(vid, plan.mes_at.get(b, 0))
-    for b, vid in first.lots.items():
-        pin(vid, plan.fuel_lots.get(b, 0))
-    for r, vid in first.crew.items():
-        pin(vid, plan.crews.get(r, 0))
+    pins = [(vid, values.get(entity, 0))
+            for group, values in ((first.meg, plan.meg_at), (first.mes, plan.mes_at),
+                                  (first.lots, plan.fuel_lots), (first.crew, plan.crews))
+            for entity, vid in group.items()]
+    values = [float(v) for _, v in pins]
+    problem.set_bounds([vid for vid, _ in pins], values, values)
 
 
 def build_ph_subproblem(
@@ -972,58 +1003,82 @@ def build_ph_subproblem(
 ) -> CompiledProblem:
     """Scenario subproblem augmented with the hedging price, proximal term and tie-break.
 
+    The same as :func:`price_subproblem` of :func:`build_subproblem`.
+    """
+    plain = build_subproblem(model, scenario, config, loops=loops)
+    return price_subproblem(plain, multipliers, anchor, rho, tie_break)
+
+
+def price_subproblem(
+    plain: CompiledProblem,
+    multipliers: Sequence[float],
+    anchor: Sequence[float],
+    rho: float,
+    tie_break: float = 0.0,
+) -> CompiledProblem:
+    """A copy of a compiled scenario subproblem with the hedging price,
+    proximal term and tie-break added; ``plain`` stays as it was.
+
     ``multipliers`` and ``anchor`` are keyed by position in the first-stage
     vector (see :func:`first_stage_vector_ids`).  Binary deviations expand
     exactly; integer lots/crews get a secant chain that is exact at integers.
     After those terms, position ``j`` of ``n`` costs ``tie_break * (1 + j / n)``
     more, so exact ties resolve the same way in every scenario.
     """
-    compiled = build_subproblem(model, scenario, config, loops=loops)
-    problem = compiled.problem
-    # augmenting the sealed copy: rebuild mutable view
-    augmented = problem.copy()
-    ids = first_stage_vector_ids(compiled.index)
-    eta_vec = _as_vector(multipliers, len(ids), "multipliers")
-    anchor_vec = _as_vector(anchor, len(ids), "anchor")
-    for pos, vid in enumerate(ids):
-        eta = eta_vec[pos]
-        xbar = anchor_vec[pos]
-        if eta:
-            augmented.add_objective_term(vid, eta)
-        if rho == 0.0:
-            continue
-        spec = augmented.variables[vid]
-        if spec.kind == BINARY:
-            # (x - xbar)^2 == (1 - 2 xbar) x + xbar^2 for binary x
-            augmented.add_objective_term(vid, 0.5 * rho * (1.0 - 2.0 * xbar))
-            augmented.objective.constant += 0.5 * rho * xbar * xbar
-        else:
-            lo, hi = int(spec.lower), int(spec.upper)
-            src_kind, src_entity = compiled.index.key_of(vid)[0], compiled.index.key_of(vid)[1]
-            key = VariableIndex.key("prox", (src_kind, src_entity), None, None, scenario.id)
-            wid = augmented.add_variable(0.0, math.inf, CONTINUOUS, _vname(key))
-            compiled.index.register(key, wid)
+    index = plain.index.copy()
+    ids = np.array(first_stage_vector_ids(plain.index), dtype=np.int64)
+    eta = np.array(_as_vector(multipliers, len(ids), "multipliers"))
+    xbar = np.array(_as_vector(anchor, len(ids), "anchor"))
+    augmented = plain.problem.copy()
+    priced = eta != 0.0
+    augmented.add_objective(ids[priced], eta[priced])
+    if rho != 0.0:
+        lower, upper = (bound[ids] for bound in augmented.column_bounds())
+        binary = augmented.kind_mask(BINARY)[ids]
+        # (x - xbar)^2 == (1 - 2 xbar) x + xbar^2 for binary x
+        augmented.add_objective(ids[binary], 0.5 * rho * (1.0 - 2.0 * xbar[binary]))
+        augmented.objective_constant = float(np.add.accumulate(
+            np.concatenate([[augmented.objective_constant], 0.5 * rho * xbar[binary] * xbar[binary]]))[-1])
+        general = np.flatnonzero(~binary)
+        s = plain.scenario_ids[0]
+        # the (kind, entity) of each position, read from the first-stage maps
+        # rather than plain.index, whose reverse map a first lookup would build
+        # (and keep) on whatever thread prices the copy
+        entity = {vid: (kind, e) for kind, group in (("meg", plain.first.meg), ("mes", plain.first.mes),
+                                                     ("lots", plain.first.lots), ("crew", plain.first.crew))
+                  for e, vid in group.items()}
+        keys = [("prox", entity[int(ids[p])], None, None, s) for p in general]
+        start = augmented.add_columns(np.zeros(len(general)), np.full(len(general), math.inf),
+                                      CONTINUOUS, lambda: [_vname(k) for k in keys])
+        index.register_block(keys, range(start, start + len(general)))
+        cols, coefs, rhs, names = [], [], [], []
+        for wid, p in enumerate(general, start):
+            vid, xb = int(ids[p]), float(xbar[p])
+            lo, hi = int(lower[p]), int(upper[p])
             for v in range(lo, hi):
-                f0 = (v - xbar) ** 2
-                f1 = (v + 1 - xbar) ** 2
-                slope = f1 - f0
-                expr = LinearExpr({wid: 1.0, vid: -slope})
-                augmented.add_constraint(expr, GE, f0 - slope * v, f"prox_secant[{vid},{v}]")
+                f0 = (v - xb) ** 2
+                slope = (v + 1 - xb) ** 2 - f0
+                cols.append((wid, vid))
+                coefs.append((1.0, -slope))
+                rhs.append(f0 - slope * v)
+                names.append(f"prox_secant[{vid},{v}]")
             if lo == hi:
-                augmented.add_constraint(
-                    LinearExpr({wid: 1.0}), GE, (lo - xbar) ** 2, f"prox_secant[{vid},fixed]"
-                )
-            augmented.add_objective_term(wid, 0.5 * rho)
+                cols.append((wid, vid))
+                coefs.append((1.0, 0.0))
+                rhs.append((lo - xb) ** 2)
+                names.append(f"prox_secant[{vid},fixed]")
+        if cols:
+            augmented.add_rows(cols, coefs, GE, rhs, names)
+        augmented.add_objective(np.arange(start, start + len(general)), 0.5 * rho)
     if tie_break:
-        for j, vid in enumerate(ids):
-            augmented.add_objective_term(vid, tie_break * (1.0 + j / len(ids)))
+        augmented.add_objective(ids, tie_break * (1.0 + np.arange(len(ids)) / len(ids)))
     augmented.seal()
     return CompiledProblem(
         problem=augmented,
-        index=compiled.index,
-        first=compiled.first,
-        scenario_ids=compiled.scenario_ids,
-        probabilities=compiled.probabilities,
+        index=index,
+        first=plain.first,
+        scenario_ids=plain.scenario_ids,
+        probabilities=plain.probabilities,
     )
 
 
@@ -1100,16 +1155,17 @@ def extract_schedule(
 ) -> SecondStageSchedule:
     vals = solution.values
     T = model.horizon
+    by_kind: dict[str, dict] = {}
+    for (kind, entity, phase, t, scen), vid in index.items():
+        if scen == s:
+            if phase is not None:
+                entry = (entity, phase, t)
+            else:
+                entry = (entity, t) if t is not None else entity
+            by_kind.setdefault(kind, {})[entry] = vals[vid]
 
     def grab(kind):
-        out = {}
-        for key, vid in index.items():
-            if key[0] == kind and key[4] == s:
-                if key[2] is None:
-                    out[(key[1], key[3]) if key[3] is not None else key[1]] = vals[vid]
-                else:
-                    out[(key[1], key[2], key[3])] = vals[vid]
-        return out
+        return by_kind.get(kind, {})
 
     line_closed = grab("u")
     for line in model.lines:

@@ -1,8 +1,18 @@
 """Solver-neutral linear problem representation.
 
-A :class:`MilpProblem` is built incrementally (variables, constraints,
-objective) and then sealed; sealed problems are immutable and safe to share
-across solver instances.  Every optimization in the toolkit goes through
+A :class:`MilpProblem` stores its columns as arrays (bounds and a kind
+code) and its rows as COO triplets with a right-hand side and a sense per
+row.  Builders append whole blocks at once (:meth:`MilpProblem.add_columns`,
+:meth:`MilpProblem.add_rows`, :meth:`MilpProblem.add_objective`), and every
+check runs once per block: finite coefficients and right-hand sides, known
+column ids, lower <= upper and binary bounds.  ``add_variable``,
+``add_constraint`` and :class:`LinearExpr` are one-row entry points into the
+same storage.  Names are kept as callables and rendered only when
+:func:`write_lp` or a view asks for them; ``variables``, ``constraints`` and
+``objective`` are read-only views built on demand.
+
+A problem is built and then sealed; a sealed problem is immutable and safe
+to share across solves.  Every optimization in the toolkit goes through
 this representation.
 """
 
@@ -10,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -27,6 +37,12 @@ FEASIBILITY_TOL = 1e-6
 INTEGRALITY_TOL = 1e-6
 DEFAULT_GAP_TOL = 1e-4
 
+_KINDS = (CONTINUOUS, BINARY, INTEGER)  # a column's kind code is its position here
+_SENSES = (LE, GE, EQ)
+
+#: names of a block: a list, or a callable that renders them when asked
+Names = Sequence[str] | Callable[[], Sequence[str]] | None
+
 
 class ProblemError(ValueError):
     """Ill-formed problem: unknown variable, bad bounds, sealed mutation."""
@@ -34,6 +50,15 @@ class ProblemError(ValueError):
 
 class NumericalInstabilityError(RuntimeError):
     """HiGHS ended in an error, or returned a point that breaks the problem's rows or bounds."""
+
+
+def _check_bounds(lower: np.ndarray, upper: np.ndarray, binary: np.ndarray, what) -> None:
+    crossed = lower > upper
+    if crossed.any():
+        raise ProblemError(f"variable {what(int(np.argmax(crossed)))}: lower > upper")
+    outside = binary & ((lower < -1e-12) | (upper > 1 + 1e-12))
+    if outside.any():
+        raise ProblemError(f"binary variable {what(int(np.argmax(outside)))} needs bounds within [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -45,12 +70,10 @@ class VarSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.kind not in (CONTINUOUS, BINARY, INTEGER):
+        if self.kind not in _KINDS:
             raise ProblemError(f"unknown variable kind '{self.kind}'")
-        if self.lower > self.upper:
-            raise ProblemError(f"variable {self.name or self.id}: lower > upper")
-        if self.kind == BINARY and (self.lower < -1e-12 or self.upper > 1 + 1e-12):
-            raise ProblemError(f"binary variable {self.name or self.id} needs bounds within [0, 1]")
+        _check_bounds(np.array([self.lower]), np.array([self.upper]),
+                      np.array([self.kind == BINARY]), lambda _: self.name or self.id)
 
     @property
     def is_integer(self) -> bool:
@@ -98,56 +121,135 @@ class Constraint:
     name: str = ""
 
 
+def _render(names: Names, count: int, default: str, start: int) -> list[str]:
+    """A block's names, with ``default`` + id for the blank ones."""
+    rendered = names() if callable(names) else names
+    if rendered is None:
+        return [f"{default}{start + i}" for i in range(count)]
+    return [name or f"{default}{start + i}" for i, name in enumerate(rendered)]
+
+
+def _concat(parts: list, slot: int) -> np.ndarray:
+    return np.concatenate([p[slot] for p in parts]) if len(parts) > 1 else parts[0][slot]
+
+
 class MilpProblem:
-    """Minimization problem over declared variables; seal before solving."""
+    """Minimization problem over array-stored columns and COO rows; seal before solving."""
 
     def __init__(self, name: str = ""):
         self.name = name
-        self.variables: list[VarSpec] = []
-        self.constraints: list[Constraint] = []
-        self.objective = LinearExpr()
+        self.objective_constant = 0.0
+        self._n = 0
+        self._m = 0
+        self._cols: list[tuple] = []  # (lower, upper, kind codes)
+        self._col_names: list[tuple[int, int, Names]] = []  # (first id, count, names)
+        self._rows: list[tuple] = []  # (row ids, col ids, coefs, b, sense codes)
+        self._row_names: list[tuple[int, int, Names]] = []
+        self._obj: list[tuple] = []  # (col ids, coefs), summed in order
         self._sealed = False
         self._matrix_cache = None
+        self._views: dict[str, list] = {}
 
     # -- construction -----------------------------------------------------
-    def add_variable(
-        self,
-        lower: float,
-        upper: float,
-        kind: str = CONTINUOUS,
-        name: str = "",
-    ) -> int:
+    def add_columns(self, lower, upper, kind: str = CONTINUOUS, names: Names = None) -> int:
+        """Append one block of columns of one kind; returns the first new id."""
         self._check_mutable()
-        vid = len(self.variables)
-        self.variables.append(VarSpec(id=vid, lower=lower, upper=upper, kind=kind, name=name))
-        return vid
+        if kind not in _KINDS:
+            raise ProblemError(f"unknown variable kind '{kind}'")
+        lower, upper = np.broadcast_arrays(np.asarray(lower, dtype=float),
+                                           np.asarray(upper, dtype=float))
+        lower, upper = lower.ravel().copy(), upper.ravel().copy()
+        start = self._n
+        _check_bounds(lower, upper, np.full(len(lower), kind == BINARY),
+                      lambda i: _render(names, len(lower), "x", start)[i])
+        self._cols.append((lower, upper, np.full(len(lower), _KINDS.index(kind), dtype=np.int8)))
+        self._col_names.append((start, len(lower), names))
+        self._n += len(lower)
+        return start
+
+    def add_rows(self, cols, coefs, sense, rhs, names: Names = None) -> int:
+        """Append one block of rows; returns the first new row id.
+
+        ``cols`` is a (rows, terms) array of column ids and ``coefs`` holds
+        their coefficients (broadcast to it); a zero coefficient leaves its
+        term out.  ``sense`` and ``rhs`` are one value or one per row.
+        """
+        self._check_mutable()
+        cols = np.asarray(cols, dtype=np.int64)
+        if cols.ndim != 2:
+            raise ProblemError("row block columns must be a (rows, terms) array")
+        coefs = np.asarray(coefs, dtype=float)
+        if coefs.shape != cols.shape:
+            coefs = np.broadcast_to(coefs, cols.shape)
+        m = cols.shape[0]
+        b = np.asarray(rhs, dtype=float)
+        b = np.full(m, b) if b.ndim == 0 else b.reshape(m).copy()
+        codes = self._sense_codes(sense, m)
+        if not np.isfinite(coefs).all():
+            raise ProblemError("non-finite coefficient in linear expression")
+        if not np.isfinite(b).all():
+            raise ProblemError(f"constraint {_render(names, m, 'c', self._m)[np.argmax(~np.isfinite(b))]}: "
+                               "non-finite rhs")
+        present = coefs != 0.0
+        used = cols[present]
+        if used.size and (used.min() < 0 or used.max() >= self._n):
+            i, j = np.argwhere(present & ((cols < 0) | (cols >= self._n)))[0]
+            raise ProblemError(f"constraint {_render(names, m, 'c', self._m)[i]}: "
+                               f"unknown variable id {int(cols[i, j])}")
+        start = self._m
+        row_ids = np.repeat(np.arange(start, start + m), cols.shape[1])[present.ravel()]
+        self._rows.append((row_ids, used, coefs[present], b, codes))
+        self._row_names.append((start, m, names))
+        self._m += m
+        return start
+
+    def add_objective(self, cols, coefs) -> None:
+        """Add ``coefs`` to the objective coefficients of ``cols``, in order."""
+        self._check_mutable()
+        cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
+        coefs = np.broadcast_to(np.asarray(coefs, dtype=float), cols.shape)
+        if cols.size and (cols.min() < 0 or cols.max() >= self._n):
+            bad = cols[(cols < 0) | (cols >= self._n)][0]
+            raise ProblemError(f"objective references unknown variable id {bad}")
+        if not np.all(np.isfinite(coefs)):
+            raise ProblemError("non-finite coefficient in linear expression")
+        self._obj.append((cols.copy(), coefs.copy()))
+
+    def add_variable(self, lower: float, upper: float, kind: str = CONTINUOUS, name: str = "") -> int:
+        return self.add_columns([lower], [upper], kind, [name])
 
     def add_constraint(self, expr: LinearExpr, sense: str, rhs: float, name: str = "") -> int:
-        self._check_mutable()
-        if sense not in (LE, GE, EQ):
-            raise ProblemError(f"unknown constraint sense '{sense}'")
-        if not math.isfinite(rhs):
-            raise ProblemError(f"constraint {name}: non-finite rhs")
-        for vid in expr.terms:
-            if vid < 0 or vid >= len(self.variables):
-                raise ProblemError(f"constraint {name}: unknown variable id {vid}")
-        self.constraints.append(Constraint(expr=expr.copy(), sense=sense, rhs=float(rhs), name=name))
-        return len(self.constraints) - 1
+        return self.add_rows(np.array([list(expr.terms)], dtype=np.int64).reshape(1, -1),
+                             [list(expr.terms.values())], sense, float(rhs) - expr.constant, [name])
 
     def set_objective(self, expr: LinearExpr) -> None:
         self._check_mutable()
-        for vid in expr.terms:
-            if vid < 0 or vid >= len(self.variables):
-                raise ProblemError(f"objective references unknown variable id {vid}")
-        self.objective = expr.copy()
+        self._obj = []
+        self.add_objective(list(expr.terms), list(expr.terms.values()))
+        self.objective_constant = expr.constant
 
     def add_objective_term(self, var_id: int, coef: float) -> None:
+        self.add_objective([var_id], [coef])
+
+    def set_bounds(self, cols, lower, upper) -> None:
+        """Replace the bounds of ``cols``; their kinds keep applying."""
         self._check_mutable()
-        if var_id < 0 or var_id >= len(self.variables):
-            raise ProblemError(f"objective references unknown variable id {var_id}")
-        self.objective.add(var_id, coef)
+        cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
+        lo_all, hi_all, kinds = (a.copy() for a in self._columns())
+        lo_all[cols] = lower
+        hi_all[cols] = upper
+        _check_bounds(lo_all[cols], hi_all[cols], kinds[cols] == _KINDS.index(BINARY),
+                      lambda i: self.column_names()[cols[i]])
+        self._cols = [(lo_all, hi_all, kinds)]
 
     def seal(self) -> "MilpProblem":
+        """Freeze the problem and join its blocks into one array each, which
+        copies share and later allocations do not fragment."""
+        self._columns()
+        if len(self._rows) > 1:
+            self._rows = [tuple(_concat(self._rows, k) for k in range(5))]
+        if len(self._obj) > 1:
+            self._obj = [tuple(_concat(self._obj, k) for k in range(2))]
         self._sealed = True
         return self
 
@@ -159,50 +261,137 @@ class MilpProblem:
         if self._sealed:
             raise ProblemError("problem is sealed; copy() it to modify")
         self._matrix_cache = None
+        self._views = {}
+
+    @staticmethod
+    def _sense_codes(sense, m: int) -> np.ndarray:
+        if isinstance(sense, str):
+            if sense not in _SENSES:
+                raise ProblemError(f"unknown constraint sense '{sense}'")
+            return np.full(m, _SENSES.index(sense), dtype=np.int8)
+        sense = np.asarray(sense).reshape(m)
+        codes = np.full(m, -1, dtype=np.int8)
+        for code, s in enumerate(_SENSES):
+            codes[sense == s] = code
+        if (codes < 0).any():
+            raise ProblemError(f"unknown constraint sense '{sense[np.argmax(codes < 0)]}'")
+        return codes
 
     def copy(self) -> "MilpProblem":
+        """A mutable copy; the stored blocks are shared, since no method writes into one."""
         clone = MilpProblem(self.name)
-        clone.variables = list(self.variables)
-        clone.constraints = list(self.constraints)
-        clone.objective = self.objective.copy()
+        clone.objective_constant = self.objective_constant
+        clone._n, clone._m = self._n, self._m
+        clone._cols = list(self._cols)
+        clone._col_names = list(self._col_names)
+        clone._rows = list(self._rows)
+        clone._row_names = list(self._row_names)
+        clone._obj = list(self._obj)
         return clone
 
     # -- introspection ----------------------------------------------------
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return self._n
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return self._m
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if not self._cols:
+            empty = np.empty(0)
+            return empty, empty, np.empty(0, dtype=np.int8)
+        if len(self._cols) > 1:
+            self._cols = [tuple(_concat(self._cols, k) for k in range(3))]
+        return self._cols[0]
+
+    def column_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        lower, upper, _ = self._columns()
+        return lower, upper
+
+    def kind_mask(self, kind: str) -> np.ndarray:
+        return self._columns()[2] == _KINDS.index(kind)
+
+    @property
+    def integer_mask(self) -> np.ndarray:
+        return ~self.kind_mask(CONTINUOUS)
 
     @property
     def integer_ids(self) -> list[int]:
-        return [v.id for v in self.variables if v.is_integer]
+        return np.flatnonzero(self.integer_mask).tolist()
+
+    def objective_vector(self) -> np.ndarray:
+        """Objective coefficients, each summed in the order its terms were added."""
+        if not self._obj:
+            return np.zeros(self._n)
+        c = np.bincount(_concat(self._obj, 0), weights=_concat(self._obj, 1), minlength=self._n)
+        c[np.abs(c) < 1e-300] = 0.0  # a term that cancels drops out, as in LinearExpr
+        return c
 
     def matrices(self):
         """(c, A, senses, b, lower, upper) with A in CSR form; cached."""
         if self._matrix_cache is None:
-            n = len(self.variables)
-            m = len(self.constraints)
-            c = np.zeros(n)
-            for vid, coef in self.objective.terms.items():
-                c[vid] = coef
-            rows, cols, data = [], [], []
-            b = np.zeros(m)
-            senses = []
-            for i, con in enumerate(self.constraints):
-                for vid, coef in con.expr.terms.items():
-                    rows.append(i)
-                    cols.append(vid)
-                    data.append(coef)
-                b[i] = con.rhs - con.expr.constant
-                senses.append(con.sense)
-            a_mat = sparse.csr_matrix((data, (rows, cols)), shape=(m, n))
-            lower = np.array([v.lower for v in self.variables], dtype=float)
-            upper = np.array([v.upper for v in self.variables], dtype=float)
-            self._matrix_cache = (c, a_mat, tuple(senses), b, lower, upper)
+            lower, upper, _ = self._columns()
+            if self._rows:
+                rows, cols, data, b, codes = (_concat(self._rows, k) for k in range(5))
+            else:
+                rows = cols = np.empty(0, dtype=np.int64)
+                data = b = np.empty(0)
+                codes = np.empty(0, dtype=np.int8)
+            a_mat = sparse.csr_matrix((data, (rows, cols)), shape=(self._m, self._n))
+            a_mat.eliminate_zeros()  # repeated terms that cancel
+            senses = tuple(np.array(_SENSES)[codes].tolist())
+            self._matrix_cache = (self.objective_vector(), a_mat, senses, b, lower, upper)
         return self._matrix_cache
+
+    # -- names and read-only views ----------------------------------------
+    def column_names(self) -> list[str]:
+        out: list[str] = []
+        for start, count, names in self._col_names:
+            out += _render(names, count, "x", start)
+        return out
+
+    def row_names(self) -> list[str]:
+        out: list[str] = []
+        for start, count, names in self._row_names:
+            out += _render(names, count, "c", start)
+        return out
+
+    def _view(self, name: str, build) -> list:
+        """A list built from the arrays, kept until the problem changes."""
+        if name not in self._views:
+            self._views[name] = build()
+        return list(self._views[name])
+
+    @property
+    def variables(self) -> list[VarSpec]:
+        return self._view("variables", self._variables)
+
+    def _variables(self) -> list[VarSpec]:
+        lower, upper, kinds = self._columns()
+        return [VarSpec(id=j, lower=lo, upper=hi, kind=_KINDS[k], name=name)
+                for j, (lo, hi, k, name) in enumerate(zip(lower.tolist(), upper.tolist(),
+                                                         kinds.tolist(), self.column_names()))]
+
+    @property
+    def constraints(self) -> list[Constraint]:
+        return self._view("constraints", self._constraints)
+
+    def _constraints(self) -> list[Constraint]:
+        _, a_mat, senses, b, _, _ = self.matrices()
+        out = []
+        for i, name in enumerate(self.row_names()):
+            lo, hi = a_mat.indptr[i], a_mat.indptr[i + 1]
+            terms = dict(zip(a_mat.indices[lo:hi].tolist(), a_mat.data[lo:hi].tolist()))
+            out.append(Constraint(expr=LinearExpr(terms), sense=senses[i], rhs=float(b[i]), name=name))
+        return out
+
+    @property
+    def objective(self) -> LinearExpr:
+        c = self.objective_vector()
+        nz = np.flatnonzero(c)
+        return LinearExpr(dict(zip(nz.tolist(), c[nz].tolist())), self.objective_constant)
 
 
 OPTIMAL = "optimal"
@@ -232,38 +421,36 @@ def _fmt(x: float) -> str:
 
 def write_lp(problem: MilpProblem) -> str:
     """Render the problem in LP text format for external cross-checking."""
+    c, a_mat, senses, b, lower, upper = problem.matrices()
+    names = problem.column_names()
 
-    def render_expr(expr: LinearExpr) -> str:
+    def render(cols, coefs) -> str:
         parts = []
-        for vid in sorted(expr.terms):
-            coef = expr.terms[vid]
-            name = problem.variables[vid].name or f"x{vid}"
+        for vid, coef in zip(cols, coefs):
             sign = "+" if coef >= 0 else "-"
-            parts.append(f"{sign} {_fmt(abs(coef))} {name}")
+            parts.append(f"{sign} {_fmt(abs(coef))} {names[vid]}")
         if not parts:
             return "0"
         out = " ".join(parts)
         return out[2:] if out.startswith("+ ") else out
 
-    lines = [f"\\ Problem: {problem.name or 'unnamed'}", "Minimize", f" obj: {render_expr(problem.objective)}"]
+    nz = np.flatnonzero(c)
+    lines = [f"\\ Problem: {problem.name or 'unnamed'}", "Minimize",
+             f" obj: {render(nz.tolist(), c[nz].tolist())}"]
     lines.append("Subject To")
-    for i, con in enumerate(problem.constraints):
-        cname = con.name or f"c{i}"
-        op = {LE: "<=", GE: ">=", EQ: "="}[con.sense]
-        lines.append(f" {cname}: {render_expr(con.expr)} {op} {_fmt(con.rhs - con.expr.constant)}")
+    indptr, indices, data = a_mat.indptr, a_mat.indices.tolist(), a_mat.data.tolist()
+    for i, cname in enumerate(problem.row_names()):
+        lo, hi = indptr[i], indptr[i + 1]
+        lines.append(f" {cname}: {render(indices[lo:hi], data[lo:hi])} {senses[i]} {_fmt(b[i])}")
     lines.append("Bounds")
-    for v in problem.variables:
-        name = v.name or f"x{v.id}"
-        lo = "-inf" if math.isinf(v.lower) else _fmt(v.lower)
-        hi = "+inf" if math.isinf(v.upper) else _fmt(v.upper)
-        lines.append(f" {lo} <= {name} <= {hi}")
-    generals = [v for v in problem.variables if v.kind == INTEGER]
-    binaries = [v for v in problem.variables if v.kind == BINARY]
-    if generals:
-        lines.append("Generals")
-        lines.append(" " + " ".join(v.name or f"x{v.id}" for v in generals))
-    if binaries:
-        lines.append("Binaries")
-        lines.append(" " + " ".join(v.name or f"x{v.id}" for v in binaries))
+    for name, lo, hi in zip(names, lower.tolist(), upper.tolist()):
+        lo_s = "-inf" if math.isinf(lo) else _fmt(lo)
+        hi_s = "+inf" if math.isinf(hi) else _fmt(hi)
+        lines.append(f" {lo_s} <= {name} <= {hi_s}")
+    for title, kind in (("Generals", INTEGER), ("Binaries", BINARY)):
+        ids = np.flatnonzero(problem.kind_mask(kind))
+        if len(ids):
+            lines.append(title)
+            lines.append(" " + " ".join(names[j] for j in ids))
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -5,9 +5,11 @@ bounds, integer bounds rounded, fixed variables substituted out), then HiGHS
 through SciPy, ``milp`` while integer variables remain and ``linprog`` once
 none do.  HiGHS is deterministic at fixed inputs, so every solve is too.
 Each returned point is checked against the original rows and bounds, and
-one that breaks them raises :class:`NumericalInstabilityError`, as does a
-HiGHS solve that ends in a load, presolve, solve or postsolve error; a
-MILP stopped at its node limit returns ``ITERATION_LIMIT`` instead.
+one that breaks them raises :class:`NumericalInstabilityError`.  A HiGHS
+MILP solve that ends in a load, presolve, solve or postsolve error is tried
+once more with HiGHS's own presolve off, and raises the same error only if
+that fails too; a MILP stopped at its node limit returns ``ITERATION_LIMIT``
+instead.
 """
 
 from __future__ import annotations
@@ -54,15 +56,30 @@ def _highs_error(message: str) -> bool:
 class _Reduced:
     c: np.ndarray
     a: sparse.csr_matrix
-    senses: tuple[str, ...]
+    senses: np.ndarray
     b: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     integer_mask: np.ndarray
     obj_const: float
     keep_vars: np.ndarray  # original column ids of kept variables
-    fixed: dict[int, float]
+    fixed: np.ndarray  # original column ids of variables presolve fixed
+    fixed_values: np.ndarray
     infeasible: bool = False
+
+
+def _tighten(bound: np.ndarray, cols: np.ndarray, values: np.ndarray, better) -> None:
+    """Move ``bound[j]`` to each of ``values`` (for ``cols``) that is ``better``, in order.
+
+    The result equals applying them one by one: the first value that
+    reaches the best one wins, so a tie between 0.0 and -0.0 keeps the
+    earlier sign.
+    """
+    best = bound.copy()
+    (np.minimum if better is np.less else np.maximum).at(best, cols, values)
+    moves = better(best[cols], bound[cols]) & (values == best[cols])
+    moved, first = np.unique(cols[moves], return_index=True)
+    bound[moved] = values[moves][first]
 
 
 def _presolve(problem: MilpProblem) -> _Reduced:
@@ -71,91 +88,76 @@ def _presolve(problem: MilpProblem) -> _Reduced:
     lower = lower.copy()
     upper = upper.copy()
     b = b.copy()
+    senses = np.array(senses, dtype=str)
     n = len(lower)
-    integer_mask = np.array([v.is_integer for v in problem.variables], dtype=bool)
+    integer_mask = problem.integer_mask
 
     def round_integer_bounds():
         lower[integer_mask] = np.ceil(lower[integer_mask] - INTEGRALITY_TOL)
         upper[integer_mask] = np.floor(upper[integer_mask] + INTEGRALITY_TOL)
 
+    def infeasible():
+        return _Reduced(c, a_mat, senses, b, lower, upper, integer_mask, 0.0,
+                        np.arange(n), np.empty(0, dtype=np.int64), np.empty(0), infeasible=True)
+
     round_integer_bounds()
     if np.any(lower > upper + 1e-12):
-        return _Reduced(c, a_mat, senses, b, lower, upper, integer_mask, 0.0,
-                        np.arange(n), {}, infeasible=True)
+        return infeasible()
 
     a_csr = a_mat.tocsr()
-    drop_row = np.zeros(len(senses), dtype=bool)
     # singleton rows fold into variable bounds
-    nnz_per_row = np.diff(a_csr.indptr)
-    for i in np.nonzero(nnz_per_row == 1)[0]:
-        j = a_csr.indices[a_csr.indptr[i]]
-        coef = a_csr.data[a_csr.indptr[i]]
-        if coef == 0.0:
-            continue
-        bound = b[i] / coef
-        sense = senses[i]
-        if sense == EQ:
-            lower[j] = max(lower[j], bound)
-            upper[j] = min(upper[j], bound)
-        elif (sense == LE and coef > 0) or (sense == GE and coef < 0):
-            upper[j] = min(upper[j], bound)
-        else:
-            lower[j] = max(lower[j], bound)
-        drop_row[i] = True
+    singles = np.flatnonzero(np.diff(a_csr.indptr) == 1)
+    singles = singles[a_csr.data[a_csr.indptr[singles]] != 0.0]
+    drop_row = np.zeros(len(senses), dtype=bool)
+    drop_row[singles] = True
+    cols = a_csr.indices[a_csr.indptr[singles]]
+    coef = a_csr.data[a_csr.indptr[singles]]
+    bound = b[singles] / coef
+    sense = senses[singles]
+    caps_upper = (sense == EQ) | ((sense == LE) & (coef > 0)) | ((sense == GE) & (coef < 0))
+    caps_lower = (sense == EQ) | ~caps_upper
+    _tighten(lower, cols[caps_lower], bound[caps_lower], np.greater)
+    _tighten(upper, cols[caps_upper], bound[caps_upper], np.less)
     round_integer_bounds()
     if np.any(lower > upper + 1e-9):
-        return _Reduced(c, a_mat, senses, b, lower, upper, integer_mask, 0.0,
-                        np.arange(n), {}, infeasible=True)
+        return infeasible()
     upper = np.maximum(upper, lower)  # collapse FP slack from rounding
 
     fixed_mask = (upper - lower) <= 1e-12
-    fixed = {int(j): float(lower[j]) for j in np.nonzero(fixed_mask)[0]}
-    keep = np.nonzero(~fixed_mask)[0]
+    keep = np.flatnonzero(~fixed_mask)
 
-    obj_const = problem.objective.constant
-    if fixed:
-        fixed_vals = np.zeros(n)
-        for j, v in fixed.items():
-            fixed_vals[j] = v
+    obj_const = problem.objective_constant
+    if fixed_mask.any():
+        fixed_vals = np.where(fixed_mask, lower, 0.0)
         b = b - a_csr @ fixed_vals
         obj_const += float(c @ fixed_vals)
 
     keep_rows = np.nonzero(~drop_row)[0]
-    a_red = a_csr[keep_rows][:, keep]
+    a_red = a_csr[keep_rows][:, keep].tocsr()
     b_red = b[keep_rows]
-    senses_red = tuple(senses[i] for i in keep_rows)
+    senses_red = senses[keep_rows]
 
-    # empty rows after substitution must be trivially satisfied
-    nnz = np.diff(a_red.tocsr().indptr)
-    ok_rows = []
-    for i, cnt in enumerate(nnz):
-        if cnt > 0:
-            ok_rows.append(i)
-            continue
-        lhs = 0.0
-        rhs = b_red[i]
-        sense = senses_red[i]
-        bad = (sense == LE and lhs > rhs + FEASIBILITY_TOL) or (
-            sense == GE and lhs < rhs - FEASIBILITY_TOL
-        ) or (sense == EQ and abs(lhs - rhs) > FEASIBILITY_TOL)
-        if bad:
-            return _Reduced(c, a_mat, senses, b, lower, upper, integer_mask, 0.0,
-                            np.arange(n), {}, infeasible=True)
-    a_red = a_red.tocsr()[ok_rows]
-    b_red = b_red[ok_rows]
-    senses_red = tuple(senses_red[i] for i in ok_rows)
+    # empty rows after substitution must be trivially satisfied (0 against the rhs)
+    empty = np.diff(a_red.indptr) == 0
+    bad = empty & (((senses_red == LE) & (0.0 > b_red + FEASIBILITY_TOL))
+                   | ((senses_red == GE) & (0.0 < b_red - FEASIBILITY_TOL))
+                   | ((senses_red == EQ) & (np.abs(b_red) > FEASIBILITY_TOL)))
+    if bad.any():
+        return infeasible()
+    ok_rows = np.flatnonzero(~empty)
 
     return _Reduced(
         c=c[keep],
-        a=a_red,
-        senses=senses_red,
-        b=b_red,
+        a=a_red[ok_rows],
+        senses=senses_red[ok_rows],
+        b=b_red[ok_rows],
         lower=lower[keep],
         upper=upper[keep],
         integer_mask=integer_mask[keep],
         obj_const=obj_const,
         keep_vars=keep,
-        fixed=fixed,
+        fixed=np.flatnonzero(fixed_mask),
+        fixed_values=lower[fixed_mask],
     )
 
 
@@ -182,8 +184,7 @@ def _expand_values(red: _Reduced, x: np.ndarray, problem: MilpProblem) -> dict[i
     """Every original variable's value, once the point passes :func:`_check_point`."""
     point = np.empty(problem.num_variables)
     point[red.keep_vars] = x
-    if red.fixed:
-        point[list(red.fixed)] = list(red.fixed.values())
+    point[red.fixed] = red.fixed_values
     _check_point(problem, point)
     return dict(enumerate(point.tolist()))
 
@@ -194,23 +195,23 @@ def _lp_highs(problem: MilpProblem, red: _Reduced) -> MilpSolution:
         values = _expand_values(red, np.empty(0), problem)
         obj = red.obj_const
         return MilpSolution(status=OPTIMAL, values=values, objective=obj, best_bound=obj)
-    le_rows = [i for i, s in enumerate(red.senses) if s == LE]
-    ge_rows = [i for i, s in enumerate(red.senses) if s == GE]
-    eq_rows = [i for i, s in enumerate(red.senses) if s == EQ]
+    le_rows = np.flatnonzero(red.senses == LE)
+    ge_rows = np.flatnonzero(red.senses == GE)
+    eq_rows = np.flatnonzero(red.senses == EQ)
     a_csr = red.a
     a_ub = b_ub = a_eq = b_eq = None
-    if le_rows or ge_rows:
+    if len(le_rows) or len(ge_rows):
         parts = []
         rhs = []
-        if le_rows:
+        if len(le_rows):
             parts.append(a_csr[le_rows])
             rhs.append(red.b[le_rows])
-        if ge_rows:
+        if len(ge_rows):
             parts.append(-a_csr[ge_rows])
             rhs.append(-red.b[ge_rows])
         a_ub = sparse.vstack(parts).tocsr()
         b_ub = np.concatenate(rhs)
-    if eq_rows:
+    if len(eq_rows):
         a_eq = a_csr[eq_rows]
         b_eq = red.b[eq_rows]
     res = linprog(
@@ -240,30 +241,31 @@ def _relative_gap(incumbent: float, bound: float) -> float:
 
 
 def _milp_highs(problem: MilpProblem, red: _Reduced, gap_tol: float, node_limit: int) -> MilpSolution:
-    lb = np.empty(len(red.senses))
-    ub = np.empty(len(red.senses))
-    for i, sense in enumerate(red.senses):
-        if sense == LE:
-            lb[i], ub[i] = -np.inf, red.b[i]
-        elif sense == GE:
-            lb[i], ub[i] = red.b[i], np.inf
-        else:
-            lb[i], ub[i] = red.b[i], red.b[i]
+    lb = np.where(red.senses == LE, -np.inf, red.b)
+    ub = np.where(red.senses == GE, np.inf, red.b)
     constraints = LinearConstraint(red.a, lb, ub) if len(red.senses) else ()
-    res = scipy_milp(
-        c=red.c,
-        constraints=constraints,
-        integrality=red.integer_mask.astype(int),
-        bounds=Bounds(red.lower, red.upper),
-        options={"mip_rel_gap": gap_tol, "node_limit": node_limit, "presolve": True},
-    )
+
+    def run(presolve: bool):
+        return scipy_milp(
+            c=red.c,
+            constraints=constraints,
+            integrality=red.integer_mask.astype(int),
+            bounds=Bounds(red.lower, red.upper),
+            options={"mip_rel_gap": gap_tol, "node_limit": node_limit, "presolve": presolve},
+        )
+
+    res = run(presolve=True)
+    if res.status == 4 and _highs_error(res.message):
+        # HiGHS's presolve can fail on a problem its solver handles (the
+        # 26-column consensus repair of ROADMAP's D2): retry once without it
+        res = run(presolve=False)
+        if res.status == 4 and _highs_error(res.message):
+            raise NumericalInstabilityError(f"HiGHS MILP failed: {res.message}")
     node_count = int(getattr(res, "mip_node_count", 0) or 0)
     if res.status == 2:
         return MilpSolution(status=INFEASIBLE, node_count=node_count)
     if res.status == 3:
         return MilpSolution(status=UNBOUNDED, node_count=node_count)
-    if res.status == 4 and _highs_error(res.message):
-        raise NumericalInstabilityError(f"HiGHS MILP failed: {res.message}")
     if res.x is None:
         return MilpSolution(status=ITERATION_LIMIT, node_count=node_count)
     x = np.asarray(res.x)

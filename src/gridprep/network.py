@@ -199,7 +199,11 @@ def _require(doc: Mapping, key: str, ctx: str):
 
 def _number(doc: Mapping, key: str, ctx: str, default: float | None = None) -> float:
     """``doc[key]``, or ``default`` when given and the key is absent, as a finite float."""
-    value = float(_require(doc, key, ctx) if default is None else doc.get(key, default))
+    raw = _require(doc, key, ctx) if default is None else doc.get(key, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError) as exc:
+        raise NetworkParseError(f"{ctx}: {key} must be a number, got {raw!r}") from exc
     if not math.isfinite(value):
         raise NetworkValidationError(f"{ctx}: {key} must be finite, got {value}")
     return value
@@ -239,7 +243,10 @@ def _profile(raw, phases: Sequence[str], horizon: int, ctx: str) -> dict[str, tu
     for ph, prof in raw.items():
         if ph not in phases:
             raise NetworkValidationError(f"{ctx}: demand declared on absent phase '{ph}'")
-        vals = tuple(float(v) for v in prof)
+        try:
+            vals = tuple(float(v) for v in prof)
+        except (TypeError, ValueError) as exc:
+            raise NetworkParseError(f"{ctx}: demand on phase '{ph}' must be a list of numbers") from exc
         if len(vals) != horizon:
             raise NetworkValidationError(
                 f"{ctx}: demand profile on phase '{ph}' has length {len(vals)}, horizon is {horizon}"

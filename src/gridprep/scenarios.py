@@ -67,8 +67,8 @@ class WindProfile:
     speeds: tuple[float, ...]  # m/s
 
     def __post_init__(self):
-        if any(w < 0 for w in self.speeds):
-            raise ValueError("wind speeds must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.speeds):
+            raise ValueError("wind speeds must be finite and nonnegative")
 
     def __len__(self) -> int:
         return len(self.speeds)
@@ -268,5 +268,8 @@ def load_wind_csv(source: Union[str, IO]) -> WindProfile:
     rows = list(csv.DictReader(io.StringIO(raw)))
     if not rows or "wind_mps" not in rows[0]:
         raise ValueError("wind CSV must have columns t,wind_mps")
-    speeds = tuple(float(r["wind_mps"]) for r in rows)
+    try:
+        speeds = tuple(float(r["wind_mps"]) for r in rows)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"wind CSV: every wind_mps must be a number ({exc})") from exc
     return WindProfile(speeds=speeds)

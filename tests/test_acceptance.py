@@ -208,8 +208,6 @@ def test_criterion_05_crew_repair_dynamics(feeder13, config13, training_scenario
                              for lid in scen.damaged_lines if region_of[lid] == r.id)
                 assert active <= crews
     # the worked sequence: T^r = 3, z = (0,0,1,1,1,0,0) forces u = (0,0,0,0,0,1,1)
-    from dataclasses import replace as dc_replace
-
     from gridprep.network import network_from_document
 
     model7 = network_from_document(small_network_doc(horizon=7))
@@ -222,8 +220,7 @@ def test_criterion_05_crew_repair_dynamics(feeder13, config13, training_scenario
     pinned = comp7.problem.copy()
     for t, zv in enumerate([0, 0, 1, 1, 1, 0, 0]):
         vid = comp7.index.id_of("z", "l23", None, t, 0)
-        pinned.variables[vid] = dc_replace(pinned.variables[vid],
-                                           lower=float(zv), upper=float(zv))
+        pinned.set_bounds(vid, float(zv), float(zv))
     sol7 = solve_milp(pinned.seal(), gap_tol=0.0)
     u7 = [round(sol7.values[comp7.index.id_of("u", "l23", None, t, 0)]) for t in range(7)]
     assert u7 == [0, 0, 0, 0, 0, 1, 1]

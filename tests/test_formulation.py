@@ -281,12 +281,9 @@ class TestSecondStage:
         compiled = build_subproblem(model, scen, config)
         problem = compiled.problem.copy()
         z_pattern = [0, 0, 1, 1, 1, 0, 0]
-        from dataclasses import replace as dc_replace
-
         for t, zv in enumerate(z_pattern):
             vid = compiled.index.id_of("z", "l23", None, t, 0)
-            spec = problem.variables[vid]
-            problem.variables[vid] = dc_replace(spec, lower=float(zv), upper=float(zv))
+            problem.set_bounds(vid, float(zv), float(zv))
         sol = solve_milp(problem.seal(), gap_tol=0.0)
         assert sol.ok
         u_seq = [round(sol.values[compiled.index.id_of("u", "l23", None, t, 0)])

@@ -9,7 +9,7 @@ from gridprep.hedging import (
     ph_solve,
     repair_consensus,
 )
-from gridprep.milp import NumericalInstabilityError, solve_milp
+from gridprep.milp import solve_milp
 from gridprep.scenarios import DamageScenario, ScenarioSet
 
 
@@ -123,6 +123,23 @@ class TestPhSolve:
         assert threaded.scenario_objectives == ph_serial.scenario_objectives
         assert threaded.state.to_document() == ph_serial.state.to_document()
 
+    def test_each_scenario_compiles_once(self, chain3, chain3_config, monkeypatch):
+        import gridprep.hedging as hedging
+
+        plain_builds = []
+
+        def counting(model, scen, config, loops=None, fixed_plan=None):
+            if fixed_plan is None:
+                plain_builds.append(scen.id)
+            return build_subproblem(model, scen, config, loops=loops, fixed_plan=fixed_plan)
+
+        monkeypatch.setattr(hedging, "build_subproblem", counting)
+        scens = (damage({"l23": 2}, 3, sid=0, prob=0.5), damage({"l12": 3}, 3, sid=1, prob=0.5))
+        result = ph_solve(chain3, ScenarioSet(scenarios=scens, seed=0), chain3_config,
+                          PhConfig(workers=1))
+        assert result.iterations >= 1
+        assert plain_builds == [0, 1]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PhConfig(rho=0.0)
@@ -184,15 +201,17 @@ class TestConsensusRepair:
 
     def test_solver_error_is_not_reported_as_infeasible(self, feeder13, config13):
         # what ph_solve hands the repair with max_iterations=1 on the 8-storm
-        # seed-11 sample; HiGHS stops on this 26-column MILP with status 4, "Solve error"
+        # seed-11 sample; HiGHS's presolve stops on this 26-column MILP with
+        # status 4, "Solve error", and the retry without it finds the plan
         votes = {
             "meg": {"f0": 1.0, "f2": 0.375, "f4": 0.5, "l8": 0.125},
             "mes": {"f2": 0.625, "f4": 0.375},
             "lots": {"f0": 3.125, "f1": 1.5, "f2": 0.625, "f3": 0.25, "f4": 0.5, "l8": 0.125},
             "crew": {"r1": 4.0, "r2": 1.0, "r3": 1.0},
         }
-        with pytest.raises(NumericalInstabilityError, match="HiGHS MILP failed"):
-            repair_consensus(feeder13, config13, votes)
+        plan = repair_consensus(feeder13, config13, votes)
+        assert plan.violations(feeder13, config13) == []
+        assert plan.crews == {"r1": 4, "r2": 1, "r3": 1}
 
 
 class TestArtifacts:

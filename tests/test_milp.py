@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -292,6 +293,39 @@ class TestSolveMilp:
         split = build(rng.normal(size=12), a, [EQ, EQ], b, [(0, 1)] * 12, kinds=[BINARY] * 12)
         stopped = solve_milp(split, gap_tol=0.0, node_limit=1)
         assert stopped.status == ITERATION_LIMIT and not stopped.values
+
+    def test_solver_error_retries_without_presolve(self, monkeypatch):
+        import gridprep.milp.solve as milp_solve
+
+        real = milp_solve.scipy_milp
+        presolve_flags = []
+
+        def error_with_presolve(**kwargs):
+            presolve_flags.append(kwargs["options"]["presolve"])
+            if kwargs["options"]["presolve"]:
+                return SimpleNamespace(status=4, message="HiGHS Status 4: Solve error", x=None)
+            return real(**kwargs)
+
+        monkeypatch.setattr(milp_solve, "scipy_milp", error_with_presolve)
+        p = build([-1.0, -1.0], [[2.0, 2.0]], [LE], [7.0], [(0, 5), (0, 5)], kinds=[INTEGER, INTEGER])
+        sol = solve_milp(p, gap_tol=0.0)
+        assert presolve_flags == [True, False]
+        assert sol.status == "optimal" and sol.objective == pytest.approx(-3.0)
+
+    def test_solver_error_on_both_attempts_raises(self, monkeypatch):
+        import gridprep.milp.solve as milp_solve
+
+        presolve_flags = []
+
+        def always_error(**kwargs):
+            presolve_flags.append(kwargs["options"]["presolve"])
+            return SimpleNamespace(status=4, message="HiGHS Status 4: Solve error", x=None)
+
+        monkeypatch.setattr(milp_solve, "scipy_milp", always_error)
+        p = build([-1.0, -1.0], [[2.0, 2.0]], [LE], [7.0], [(0, 5), (0, 5)], kinds=[INTEGER, INTEGER])
+        with pytest.raises(NumericalInstabilityError, match="HiGHS MILP failed"):
+            solve_milp(p, gap_tol=0.0)
+        assert presolve_flags == [True, False]
 
     def test_determinism_across_runs(self):
         rng = np.random.default_rng(55)

@@ -95,6 +95,18 @@ class TestLoadNetwork:
         with pytest.raises(NetworkValidationError, match="finite"):
             load_network(json.dumps(doc))
 
+    @pytest.mark.parametrize("where", [("lines", 0, "p_max"), ("buses", 1, "demand_p", "a", 1)],
+                             ids=["p_max", "demand"])
+    def test_non_numeric_value_rejected(self, where):
+        doc = json.loads(json.dumps(minimal_doc()))
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = "abc"
+        with pytest.raises(NetworkParseError, match="number"):
+            load_network(json.dumps(doc))
+
     def test_phase_must_exist_at_both_endpoints(self):
         doc = minimal_doc()
         doc["lines"][0]["phases"] = "ab"

@@ -242,6 +242,26 @@ class TestCli:
         bad.write_text(json.dumps(doc))  # written as NaN, which json reads back
         assert self.run("check-network", "--network", str(bad)) == 2
 
+    def test_non_numeric_network_value_is_input_error(self, paths, tmp_path):
+        doc = json.loads(Path(paths["network"]).read_text())
+        doc["lines"][0]["p_max"] = "abc"
+        bad = tmp_path / "abc.json"
+        bad.write_text(json.dumps(doc))
+        assert self.run("check-network", "--network", str(bad)) == 2
+
+    @pytest.mark.parametrize("speed", ["nan", "-3", "abc"])
+    def test_bad_wind_speed_is_input_error(self, paths, tmp_path, speed):
+        rows = Path(paths["wind"]).read_text().splitlines()
+        t, _ = rows[2].split(",")
+        rows[2] = f"{t},{speed}"
+        bad = tmp_path / "wind.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        code = self.run("generate-scenarios", "--network", paths["network"], "--wind", str(bad),
+                        "--fragility", paths["fragility"], "--count", "8", "--seed", "11",
+                        "--out", str(tmp_path / "s"))
+        assert code == 2
+        assert not (tmp_path / "s" / "scenarios.json").exists()
+
     def test_infeasible_config_exit_code(self, paths, tmp_path):
         cfg = tmp_path / "cfg.json"
         doc = json.loads(Path(paths["config"]).read_text())

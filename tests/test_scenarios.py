@@ -16,6 +16,7 @@ from gridprep.scenarios import (
     generate_scenario_set,
     line_failure_prob,
     load_scenarios,
+    load_wind_csv,
     pole_failure_prob,
     sample_damage_scenario,
     storm_damage_prob,
@@ -53,6 +54,18 @@ class TestPoleCurve:
     def test_negative_wind_rejected(self):
         with pytest.raises(ValueError):
             pole_failure_prob(-1.0, FragilityParams())
+
+
+class TestWindProfile:
+    @pytest.mark.parametrize("speed", [math.nan, math.inf, -3.0])
+    def test_bad_speed_rejected(self, speed):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            WindProfile(speeds=(10.0, speed, 10.0))
+
+    @pytest.mark.parametrize("text", ["nan", "-3", "abc"])
+    def test_bad_csv_speed_rejected(self, text):
+        with pytest.raises(ValueError, match="wind"):
+            load_wind_csv(f"t,wind_mps\n0,10\n1,{text}\n")
 
 
 class TestConductorCurve:
