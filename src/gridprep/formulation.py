@@ -231,9 +231,6 @@ class VariableIndex:
             self._by_id = {vid: key for key, vid in self._by_key.items()}
         return self._by_id
 
-    def id_of(self, kind: str, entity=None, phase: str | None = None, t: int | None = None, s: int | None = None) -> int:
-        return self._by_key[self.key(kind, entity, phase, t, s)]
-
     def key_of(self, var_id: int) -> tuple:
         return self._ids()[var_id]
 
@@ -926,7 +923,6 @@ class CompiledProblem:
     index: VariableIndex
     first: FirstStageVars
     scenario_ids: tuple[int, ...]
-    probabilities: tuple[float, ...]
 
 
 def build_extensive_form(
@@ -934,16 +930,13 @@ def build_extensive_form(
     scen_set: ScenarioSet,
     config: FormulationConfig,
     loops: LoopSet | None = None,
-    fixed_plan: FirstStagePlan | None = None,
 ) -> CompiledProblem:
     """Single MILP with one shared first stage and all weighted scenarios."""
     if loops is None:
         loops = enumerate_loops(model)
     problem = MilpProblem("extensive_form")
     index = VariableIndex()
-    first = build_first_stage(model, config, problem, index, totals_equality=fixed_plan is None)
-    if fixed_plan is not None:
-        _pin_plan(problem, first, fixed_plan)
+    first = build_first_stage(model, config, problem, index)
     for si, scen in enumerate(scen_set.scenarios):
         build_second_stage(model, scen, config, problem, index, first, loops, si, scen.probability)
     problem.seal()
@@ -952,7 +945,6 @@ def build_extensive_form(
         index=index,
         first=first,
         scenario_ids=tuple(sc.id for sc in scen_set.scenarios),
-        probabilities=tuple(sc.probability for sc in scen_set.scenarios),
     )
 
 
@@ -970,7 +962,7 @@ def build_subproblem(
     index = VariableIndex()
     first = build_first_stage(model, config, problem, index, totals_equality=fixed_plan is None)
     if fixed_plan is not None:
-        _pin_plan(problem, first, fixed_plan)
+        pin_plan(problem, first, fixed_plan)
     build_second_stage(model, scenario, config, problem, index, first, loops, scenario.id, 1.0)
     problem.seal()
     return CompiledProblem(
@@ -978,11 +970,11 @@ def build_subproblem(
         index=index,
         first=first,
         scenario_ids=(scenario.id,),
-        probabilities=(1.0,),
     )
 
 
-def _pin_plan(problem: MilpProblem, first: FirstStageVars, plan: FirstStagePlan) -> None:
+def pin_plan(problem: MilpProblem, first: FirstStageVars, plan: FirstStagePlan) -> None:
+    """Fix every first-stage column of ``problem`` at the plan's value."""
     pins = [(vid, values.get(entity, 0))
             for group, values in ((first.meg, plan.meg_at), (first.mes, plan.mes_at),
                                   (first.lots, plan.fuel_lots), (first.crew, plan.crews))
@@ -1078,7 +1070,6 @@ def price_subproblem(
         index=index,
         first=plain.first,
         scenario_ids=plain.scenario_ids,
-        probabilities=plain.probabilities,
     )
 
 

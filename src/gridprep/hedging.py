@@ -16,7 +16,8 @@ constraints) and prices it by re-solving every scenario with the plan
 pinned.
 
 Each scenario's subproblem is compiled once; every iteration solves a
-copy of it with that iteration's prices.  Subproblems of one iteration are
+copy of it with that iteration's prices, and the consensus is priced on
+copies of it with the plan's columns pinned.  Subproblems of one iteration are
 independent and solve on a thread pool (HiGHS releases the GIL), by default
 one worker per usable core and no more than one per scenario.  Results merge in scenario order and HiGHS is
 deterministic, so the worker count never changes the outcome.
@@ -33,23 +34,19 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .formulation import (
+    CompiledProblem,
     FirstStagePlan,
     FormulationConfig,
     build_first_stage,
     build_ph_subproblem,  # noqa: F401  (the benchmark's tracer wraps this binding)
     build_subproblem,
     first_stage_vector_ids,
+    pin_plan,
     plan_from_solution,
     price_subproblem,
     VariableIndex,
 )
-from .milp import (
-    BINARY,
-    GE,
-    LinearExpr,
-    MilpProblem,
-    solve_milp,
-)
+from .milp import BINARY, GE, MilpProblem, solve_milp
 from .network import LoopSet, NetworkModel, enumerate_loops
 from .parallel import default_workers, map_in_order
 from .scenarios import ScenarioSet
@@ -181,21 +178,26 @@ def repair_consensus(
     problem = MilpProblem("consensus_repair")
     index = VariableIndex()
     first = build_first_stage(model, config, problem, index)
-    objective = LinearExpr()
-    groups = {"meg": first.meg, "mes": first.mes, "lots": first.lots, "crew": first.crew}
-    for kind, group in groups.items():
-        for entity, vid in group.items():
-            vote = float(votes.get(kind, {}).get(entity, 0.0))
-            spec = problem.variables[vid]
-            if spec.kind == BINARY:
-                objective.add(vid, 1.0 - 2.0 * vote)
-                objective.constant += vote
-            else:
-                wid = problem.add_variable(0.0, math.inf, name=f"dev_{kind}_{entity}")
-                problem.add_constraint(LinearExpr({wid: 1.0, vid: -1.0}), GE, -vote)
-                problem.add_constraint(LinearExpr({wid: 1.0, vid: 1.0}), GE, vote)
-                objective.add(wid, 1.0)
-    problem.set_objective(objective)
+    cells = [(kind, entity, vid) for kind, group in (("meg", first.meg), ("mes", first.mes),
+                                                     ("lots", first.lots), ("crew", first.crew))
+             for entity, vid in group.items()]
+    vids = np.array([vid for _, _, vid in cells], dtype=np.int64)
+    vote = np.array([float(votes.get(kind, {}).get(entity, 0.0)) for kind, entity, _ in cells])
+    binary = problem.kind_mask(BINARY)[vids]
+    # a general column's move |x - v| is a deviation column w with the rows
+    # w - x >= -v and w + x >= v
+    general = np.flatnonzero(~binary)
+    start = problem.add_columns(np.zeros(len(general)), math.inf,
+                                names=[f"dev_{cells[j][0]}_{cells[j][1]}" for j in general])
+    wids = np.arange(start, start + len(general))
+    problem.add_rows(np.repeat(np.column_stack([wids, vids[general]]), 2, axis=0),
+                     np.tile([[1.0, -1.0], [1.0, 1.0]], (len(general), 1)),
+                     GE, np.column_stack([-vote[general], vote[general]]).ravel())
+    problem.add_objective(vids[binary], 1.0 - 2.0 * vote[binary])
+    problem.add_objective(wids, 1.0)
+    # a binary's move |x - v| is (1 - 2v) x + v; the constants add in cell order
+    for v in vote[binary].tolist():
+        problem.objective_constant += v
     sol = solve_milp(problem.seal(), gap_tol=0.0)
     if not sol.ok:
         raise PhError("consensus repair found no feasible first-stage plan")
@@ -211,24 +213,30 @@ def _votes_from_vector(index: VariableIndex, ids: Sequence[int], x_bar: Sequence
 
 
 def evaluate_plan_cost(
-    model: NetworkModel,
     scen_set: ScenarioSet,
-    config: FormulationConfig,
+    plain: Sequence[CompiledProblem],
     plan: FirstStagePlan,
-    loops: LoopSet,
     gap_tol: float = 1e-4,
     workers: int = 1,
 ) -> tuple[float, list[float]]:
-    """True expected cost of a plan: each scenario re-solved with it pinned."""
+    """True expected cost of a plan: each compiled scenario re-solved with it pinned.
 
-    def solve_one(scen):
-        comp = build_subproblem(model, scen, config, loops=loops, fixed_plan=plan)
-        sol = solve_milp(comp.problem, gap_tol=gap_tol)
+    ``plain`` holds the scenarios' compiles in ``scen_set`` order, with the
+    totals rows as equalities.  The plan must pass the strict first-stage
+    rules: it then meets those rows exactly, every first-stage row is empty
+    once presolve substitutes the pinned columns, and the solver receives
+    what it would from a compile with the plan pinned.
+    """
+
+    def solve_one(comp: CompiledProblem) -> float:
+        pinned = comp.problem.copy()
+        pin_plan(pinned, comp.first, plan)
+        sol = solve_milp(pinned.seal(), gap_tol=gap_tol)
         if not sol.ok:
-            raise SubproblemInfeasibleError(scen.id)
+            raise SubproblemInfeasibleError(comp.scenario_ids[0])
         return sol.objective
 
-    objs = map_in_order(solve_one, scen_set.scenarios, workers)
+    objs = map_in_order(solve_one, plain, workers)
     ef_cost = sum(pr * o for pr, o in zip((s.probability for s in scen_set.scenarios), objs))
     return ef_cost, list(objs)
 
@@ -319,10 +327,7 @@ def ph_solve(
     bad = plan.violations(model, config)
     if bad:
         raise PhError(f"consensus plan violates first-stage constraints: {bad}")
-    ef_cost, scen_objs = evaluate_plan_cost(
-        model, scen_set, config, plan, loops,
-        gap_tol=GAP_TOL, workers=workers,
-    )
+    ef_cost, scen_objs = evaluate_plan_cost(scen_set, plain, plan, gap_tol=GAP_TOL, workers=workers)
     return PhResult(
         plan=plan,
         converged=g <= ph_config.epsilon,

@@ -2,14 +2,16 @@
 
 A :class:`MilpProblem` stores its columns as arrays (bounds and a kind
 code) and its rows as COO triplets with a right-hand side and a sense per
-row.  Builders append whole blocks at once (:meth:`MilpProblem.add_columns`,
-:meth:`MilpProblem.add_rows`, :meth:`MilpProblem.add_objective`), and every
-check runs once per block: finite coefficients and right-hand sides, known
-column ids, lower <= upper and binary bounds.  ``add_variable``,
-``add_constraint`` and :class:`LinearExpr` are one-row entry points into the
-same storage.  Names are kept as callables and rendered only when
-:func:`write_lp` or a view asks for them; ``variables``, ``constraints`` and
-``objective`` are read-only views built on demand.
+row.  There is one way in and one way out.  Builders append whole blocks
+(:meth:`MilpProblem.add_columns`, :meth:`MilpProblem.add_rows`,
+:meth:`MilpProblem.add_objective`) and replace bounds with
+:meth:`MilpProblem.set_bounds`; every check runs once per block: finite
+coefficients and right-hand sides, known column ids, lower <= upper and
+binary bounds.  Readers take arrays: :meth:`MilpProblem.matrices`,
+:meth:`MilpProblem.column_bounds`, :meth:`MilpProblem.kind_mask` and
+``objective_constant``.  Names are kept as callables and rendered only when
+:func:`write_lp`, :meth:`MilpProblem.row_names` or the ``variables`` records
+ask for them.
 
 A problem is built and then sealed; a sealed problem is immutable and safe
 to share across solves.  Every optimization in the toolkit goes through
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -63,62 +65,17 @@ def _check_bounds(lower: np.ndarray, upper: np.ndarray, binary: np.ndarray, what
 
 @dataclass(frozen=True)
 class VarSpec:
+    """One column as a record, read from a problem's arrays."""
+
     id: int
     lower: float
     upper: float
     kind: str = CONTINUOUS
     name: str = ""
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ProblemError(f"unknown variable kind '{self.kind}'")
-        _check_bounds(np.array([self.lower]), np.array([self.upper]),
-                      np.array([self.kind == BINARY]), lambda _: self.name or self.id)
-
     @property
     def is_integer(self) -> bool:
         return self.kind in (BINARY, INTEGER)
-
-
-class LinearExpr:
-    """Sparse linear expression: sum of coef*var plus a constant."""
-
-    __slots__ = ("terms", "constant")
-
-    def __init__(self, terms: Mapping[int, float] | None = None, constant: float = 0.0):
-        self.terms: dict[int, float] = {}
-        if terms:
-            for vid, coef in terms.items():
-                if coef != 0.0:
-                    self.terms[vid] = float(coef)
-        self.constant = float(constant)
-        for coef in self.terms.values():
-            if not math.isfinite(coef):
-                raise ProblemError("non-finite coefficient in linear expression")
-
-    def add(self, var_id: int, coef: float) -> "LinearExpr":
-        if not math.isfinite(coef):
-            raise ProblemError("non-finite coefficient in linear expression")
-        new = self.terms.get(var_id, 0.0) + coef
-        if abs(new) < 1e-300:
-            self.terms.pop(var_id, None)
-        else:
-            self.terms[var_id] = new
-        return self
-
-    def copy(self) -> "LinearExpr":
-        return LinearExpr(dict(self.terms), self.constant)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-@dataclass(frozen=True)
-class Constraint:
-    expr: LinearExpr
-    sense: str
-    rhs: float
-    name: str = ""
 
 
 def _render(names: Names, count: int, default: str, start: int) -> list[str]:
@@ -148,7 +105,7 @@ class MilpProblem:
         self._obj: list[tuple] = []  # (col ids, coefs), summed in order
         self._sealed = False
         self._matrix_cache = None
-        self._views: dict[str, list] = {}
+        self._var_view: list[VarSpec] | None = None
 
     # -- construction -----------------------------------------------------
     def add_columns(self, lower, upper, kind: str = CONTINUOUS, names: Names = None) -> int:
@@ -186,7 +143,7 @@ class MilpProblem:
         b = np.full(m, b) if b.ndim == 0 else b.reshape(m).copy()
         codes = self._sense_codes(sense, m)
         if not np.isfinite(coefs).all():
-            raise ProblemError("non-finite coefficient in linear expression")
+            raise ProblemError("non-finite coefficient")
         if not np.isfinite(b).all():
             raise ProblemError(f"constraint {_render(names, m, 'c', self._m)[np.argmax(~np.isfinite(b))]}: "
                                "non-finite rhs")
@@ -212,24 +169,8 @@ class MilpProblem:
             bad = cols[(cols < 0) | (cols >= self._n)][0]
             raise ProblemError(f"objective references unknown variable id {bad}")
         if not np.all(np.isfinite(coefs)):
-            raise ProblemError("non-finite coefficient in linear expression")
+            raise ProblemError("non-finite coefficient")
         self._obj.append((cols.copy(), coefs.copy()))
-
-    def add_variable(self, lower: float, upper: float, kind: str = CONTINUOUS, name: str = "") -> int:
-        return self.add_columns([lower], [upper], kind, [name])
-
-    def add_constraint(self, expr: LinearExpr, sense: str, rhs: float, name: str = "") -> int:
-        return self.add_rows(np.array([list(expr.terms)], dtype=np.int64).reshape(1, -1),
-                             [list(expr.terms.values())], sense, float(rhs) - expr.constant, [name])
-
-    def set_objective(self, expr: LinearExpr) -> None:
-        self._check_mutable()
-        self._obj = []
-        self.add_objective(list(expr.terms), list(expr.terms.values()))
-        self.objective_constant = expr.constant
-
-    def add_objective_term(self, var_id: int, coef: float) -> None:
-        self.add_objective([var_id], [coef])
 
     def set_bounds(self, cols, lower, upper) -> None:
         """Replace the bounds of ``cols``; their kinds keep applying."""
@@ -253,15 +194,11 @@ class MilpProblem:
         self._sealed = True
         return self
 
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
     def _check_mutable(self):
         if self._sealed:
             raise ProblemError("problem is sealed; copy() it to modify")
         self._matrix_cache = None
-        self._views = {}
+        self._var_view = None
 
     @staticmethod
     def _sense_codes(sense, m: int) -> np.ndarray:
@@ -326,7 +263,7 @@ class MilpProblem:
         if not self._obj:
             return np.zeros(self._n)
         c = np.bincount(_concat(self._obj, 0), weights=_concat(self._obj, 1), minlength=self._n)
-        c[np.abs(c) < 1e-300] = 0.0  # a term that cancels drops out, as in LinearExpr
+        c[np.abs(c) < 1e-300] = 0.0  # terms that cancel leave an exact zero
         return c
 
     def matrices(self):
@@ -358,40 +295,15 @@ class MilpProblem:
             out += _render(names, count, "c", start)
         return out
 
-    def _view(self, name: str, build) -> list:
-        """A list built from the arrays, kept until the problem changes."""
-        if name not in self._views:
-            self._views[name] = build()
-        return list(self._views[name])
-
     @property
     def variables(self) -> list[VarSpec]:
-        return self._view("variables", self._variables)
-
-    def _variables(self) -> list[VarSpec]:
-        lower, upper, kinds = self._columns()
-        return [VarSpec(id=j, lower=lo, upper=hi, kind=_KINDS[k], name=name)
-                for j, (lo, hi, k, name) in enumerate(zip(lower.tolist(), upper.tolist(),
-                                                         kinds.tolist(), self.column_names()))]
-
-    @property
-    def constraints(self) -> list[Constraint]:
-        return self._view("constraints", self._constraints)
-
-    def _constraints(self) -> list[Constraint]:
-        _, a_mat, senses, b, _, _ = self.matrices()
-        out = []
-        for i, name in enumerate(self.row_names()):
-            lo, hi = a_mat.indptr[i], a_mat.indptr[i + 1]
-            terms = dict(zip(a_mat.indices[lo:hi].tolist(), a_mat.data[lo:hi].tolist()))
-            out.append(Constraint(expr=LinearExpr(terms), sense=senses[i], rhs=float(b[i]), name=name))
-        return out
-
-    @property
-    def objective(self) -> LinearExpr:
-        c = self.objective_vector()
-        nz = np.flatnonzero(c)
-        return LinearExpr(dict(zip(nz.tolist(), c[nz].tolist())), self.objective_constant)
+        """Each column as a record; built from the arrays and kept until the problem changes."""
+        if self._var_view is None:
+            lower, upper, kinds = self._columns()
+            self._var_view = [VarSpec(id=j, lower=lo, upper=hi, kind=_KINDS[k], name=name)
+                              for j, (lo, hi, k, name) in enumerate(zip(
+                                  lower.tolist(), upper.tolist(), kinds.tolist(), self.column_names()))]
+        return list(self._var_view)
 
 
 OPTIMAL = "optimal"
@@ -408,7 +320,6 @@ class MilpSolution:
     objective: float = math.nan
     best_bound: float = math.nan
     node_count: int = 0
-    diagnostics: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:

@@ -299,7 +299,7 @@ def solve_milp(
     """
     red = _presolve(problem)
     if red.infeasible:
-        return MilpSolution(status=INFEASIBLE, diagnostics=("infeasible during presolve",))
+        return MilpSolution(status=INFEASIBLE)
     if not np.any(red.integer_mask):
         return _lp_highs(problem, red)
     return _milp_highs(problem, red, gap_tol, node_limit)

@@ -72,10 +72,6 @@ class MrpResult:
     candidate_mean_cost: float
 
     @property
-    def ci(self) -> tuple[float, float]:
-        return (0.0, self.ci_upper)
-
-    @property
     def ci_upper_pct(self) -> float:
         """Upper gap bound as a percentage of the candidate's mean sample cost."""
         if self.candidate_mean_cost == 0.0:

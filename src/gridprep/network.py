@@ -227,10 +227,7 @@ def _matrix3(raw, ctx: str) -> tuple[tuple[float, ...], ...]:
 
 
 def _phases(raw, ctx: str) -> tuple[str, ...]:
-    if isinstance(raw, str):
-        phs = tuple(raw)
-    else:
-        phs = tuple(raw)
+    phs = tuple(raw) if isinstance(raw, (str, list)) else ()
     if not phs or any(p not in PHASES for p in phs) or len(set(phs)) != len(phs):
         raise NetworkParseError(f"{ctx}: phases must be a nonempty subset of 'abc'")
     return tuple(p for p in PHASES if p in phs)
@@ -240,6 +237,8 @@ def _profile(raw, phases: Sequence[str], horizon: int, ctx: str) -> dict[str, tu
     out: dict[str, tuple[float, ...]] = {}
     if raw is None:
         raw = {}
+    if not isinstance(raw, Mapping):
+        raise NetworkParseError(f"{ctx}: demand must map phases to lists of numbers")
     for ph, prof in raw.items():
         if ph not in phases:
             raise NetworkValidationError(f"{ctx}: demand declared on absent phase '{ph}'")

@@ -5,7 +5,8 @@ Big-M tableau simplex under Bland's rule, the MILP oracle enumerates every
 integer assignment, cycle counts come from union-find, energization from
 breadth-first search, and big-M values from interval arithmetic.  The
 membership and violation checks at the end test points against the package's
-own polygon faces and problem rows.
+own polygon faces and against a problem's arrays (``matrices()``, the
+kind masks), which is also all the MILP oracle reads of a problem.
 """
 
 from __future__ import annotations
@@ -132,82 +133,50 @@ def naive_simplex(c, a_mat, senses, b, lower, upper, max_iter=20000):
 def brute_force_milp(problem):
     """Optimal objective by enumerating every integer assignment.
 
-    Continuous remainders are solved with SciPy's LP (a code path disjoint
-    from the package kernel's tree search).  Returns math.inf when every
-    assignment is infeasible.
+    Reads the problem's arrays.  Continuous remainders are solved with
+    SciPy's LP, one per assignment, a path apart from the package's
+    presolve.  Returns math.inf when every assignment is infeasible.
     """
-    from gridprep.milp import EQ, GE, LE
+    from gridprep.milp import CONTINUOUS, EQ, GE, LE
 
-    int_ids = [v.id for v in problem.variables if v.is_integer]
-    cont_ids = [v.id for v in problem.variables if not v.is_integer]
-    ranges = []
-    for vid in int_ids:
-        spec = problem.variables[vid]
-        ranges.append(range(int(math.ceil(spec.lower)), int(math.floor(spec.upper)) + 1))
+    c, a_mat, senses, b, lower, upper = problem.matrices()
+    a_mat = a_mat.toarray()
+    senses = np.asarray(senses)
+    cont = problem.kind_mask(CONTINUOUS)
+    int_ids = np.flatnonzero(~cont)
+    combos = list(itertools.product(*(
+        range(int(math.ceil(lower[j])), int(math.floor(upper[j])) + 1) for j in int_ids)))
+    assignments = np.array(combos, dtype=float).reshape(len(combos), len(int_ids))
+    # each assignment's right-hand sides once the integers are moved across
+    rhs = b - assignments @ a_mat[:, int_ids].T
+    a_cont = a_mat[:, cont]
+    # a row without a continuous term holds or fails on the assignment alone
+    empty = ~a_cont.any(axis=1)
+    broken = empty & (((senses == LE) & (0.0 > rhs + 1e-9))
+                      | ((senses == GE) & (0.0 < rhs - 1e-9))
+                      | ((senses == EQ) & (np.abs(rhs) > 1e-9)))
+    ineq = ~empty & (senses != EQ)
+    eq = ~empty & (senses == EQ)
+    sign = np.where(senses[ineq] == GE, -1.0, 1.0)
     best = math.inf
-    for assignment in itertools.product(*ranges):
-        fixed = dict(zip(int_ids, assignment))
-        if cont_ids:
-            c = np.array([problem.objective.terms.get(v, 0.0) for v in cont_ids])
-            a_ub, b_ub, a_eq, b_eq = [], [], [], []
-            feasible = True
-            for con in problem.constraints:
-                const = con.expr.constant + sum(
-                    coef * fixed[v] for v, coef in con.expr.terms.items() if v in fixed
-                )
-                row = [con.expr.terms.get(v, 0.0) for v in cont_ids]
-                rhs = con.rhs - const
-                if not any(row):
-                    if con.sense == LE and 0.0 > rhs + 1e-9:
-                        feasible = False
-                    if con.sense == GE and 0.0 < rhs - 1e-9:
-                        feasible = False
-                    if con.sense == EQ and abs(rhs) > 1e-9:
-                        feasible = False
-                    continue
-                if con.sense == LE:
-                    a_ub.append(row)
-                    b_ub.append(rhs)
-                elif con.sense == GE:
-                    a_ub.append([-v for v in row])
-                    b_ub.append(-rhs)
-                else:
-                    a_eq.append(row)
-                    b_eq.append(rhs)
-            if not feasible:
-                continue
-            bounds = [(problem.variables[v].lower, problem.variables[v].upper) for v in cont_ids]
+    for x_int, row_rhs, bad in zip(assignments, rhs, broken):
+        if bad.any():
+            continue
+        value = 0.0
+        if cont.any():
             res = linprog(
-                c,
-                A_ub=np.array(a_ub) if a_ub else None,
-                b_ub=np.array(b_ub) if b_ub else None,
-                A_eq=np.array(a_eq) if a_eq else None,
-                b_eq=np.array(b_eq) if b_eq else None,
-                bounds=bounds,
+                c[cont],
+                A_ub=a_cont[ineq] * sign[:, None] if ineq.any() else None,
+                b_ub=row_rhs[ineq] * sign if ineq.any() else None,
+                A_eq=a_cont[eq] if eq.any() else None,
+                b_eq=row_rhs[eq] if eq.any() else None,
+                bounds=list(zip(lower[cont], upper[cont])),
                 method="highs",
             )
             if res.status != 0:
                 continue
             value = float(res.fun)
-        else:
-            ok = True
-            for con in problem.constraints:
-                lhs = con.expr.constant + sum(coef * fixed[v] for v, coef in con.expr.terms.items())
-                if con.sense == LE and lhs > con.rhs + 1e-9:
-                    ok = False
-                elif con.sense == GE and lhs < con.rhs - 1e-9:
-                    ok = False
-                elif con.sense == EQ and abs(lhs - con.rhs) > 1e-9:
-                    ok = False
-                if not ok:
-                    break
-            if not ok:
-                continue
-            value = 0.0
-        total = value + problem.objective.constant + sum(
-            problem.objective.terms.get(v, 0.0) * fixed[v] for v in int_ids
-        )
-        best = min(best, total)
+        best = min(best, value + problem.objective_constant + float(c[int_ids] @ x_int))
     return best
 
 
@@ -264,9 +233,7 @@ def solve_preferring_energization(compiled, delta=0.01, gap_tol=1e-6):
     from gridprep.milp import solve_milp
 
     biased = compiled.problem.copy()
-    for key, vid in compiled.index.items():
-        if key[0] == "chi":
-            biased.add_objective_term(vid, -delta)
+    biased.add_objective([vid for key, vid in compiled.index.items() if key[0] == "chi"], -delta)
     return solve_milp(biased.seal(), gap_tol=gap_tol)
 
 
@@ -301,35 +268,25 @@ def polygon_admits(p: float, q: float, s_kva: float, segments: int, p_nonneg: bo
     return all(a * p + b * q <= rhs + 1e-9 for a, b, rhs in polygonize_capacity(s_kva, segments))
 
 
-def expr_value(expr, values) -> float:
-    return expr.constant + sum(coef * values[vid] for vid, coef in expr.terms.items())
-
-
-def constraint_violation(con, values) -> float:
-    from gridprep.milp import GE, LE
-
-    lhs = expr_value(con.expr, values)
-    if con.sense == LE:
-        return max(0.0, lhs - con.rhs)
-    if con.sense == GE:
-        return max(0.0, con.rhs - lhs)
-    return abs(lhs - con.rhs)
+def _point(problem, values) -> np.ndarray:
+    return np.array([values[j] for j in range(problem.num_variables)])
 
 
 def max_violation(problem, values) -> float:
-    worst = 0.0
-    for v in problem.variables:
-        x = values[v.id]
-        worst = max(worst, v.lower - x, x - v.upper)
-    for con in problem.constraints:
-        worst = max(worst, constraint_violation(con, values))
-    return worst
+    """Largest amount by which ``values`` break a bound or a row, unscaled."""
+    from gridprep.milp import GE, LE
+
+    _, a_mat, senses, b, lower, upper = problem.matrices()
+    x = _point(problem, values)
+    ax = a_mat @ x
+    senses = np.asarray(senses)
+    rows = np.where(senses == LE, ax - b, np.where(senses == GE, b - ax, np.abs(ax - b)))
+    return float(max(0.0, np.max(lower - x, initial=0.0), np.max(x - upper, initial=0.0),
+                     np.max(rows, initial=0.0)))
 
 
 def max_integrality_violation(problem, values) -> float:
-    worst = 0.0
-    for v in problem.variables:
-        if v.is_integer:
-            x = values[v.id]
-            worst = max(worst, abs(x - round(x)))
-    return worst
+    from gridprep.milp import CONTINUOUS
+
+    x = _point(problem, values)[~problem.kind_mask(CONTINUOUS)]
+    return float(np.max(np.abs(x - np.round(x)), initial=0.0))

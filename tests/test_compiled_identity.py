@@ -38,7 +38,7 @@ def arrays_digest(problem) -> str:
     h.update(repr(csc.shape).encode())
     h.update(",".join(senses).encode())
     h.update(",".join(v.kind for v in problem.variables).encode())
-    h.update(repr(problem.objective.constant).encode())
+    h.update(repr(problem.objective_constant).encode())
     return h.hexdigest()
 
 

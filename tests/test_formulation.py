@@ -138,7 +138,6 @@ class TestFirstStage:
         problem = MilpProblem()
         index = VariableIndex()
         first = build_first_stage(chain3, config, problem, index)
-        problem.set_objective(type(problem.objective)())
         sol = solve_milp(problem.seal(), gap_tol=0.0)
         assert sol.ok
         assert all(sol.values[v] == 0.0 for v in first.meg.values())
@@ -280,14 +279,14 @@ class TestSecondStage:
         scen = damage({"l23": 3}, horizon=7)
         compiled = build_subproblem(model, scen, config)
         problem = compiled.problem.copy()
+        ids = dict(compiled.index.items())
         z_pattern = [0, 0, 1, 1, 1, 0, 0]
         for t, zv in enumerate(z_pattern):
-            vid = compiled.index.id_of("z", "l23", None, t, 0)
+            vid = ids[("z", "l23", None, t, 0)]
             problem.set_bounds(vid, float(zv), float(zv))
         sol = solve_milp(problem.seal(), gap_tol=0.0)
         assert sol.ok
-        u_seq = [round(sol.values[compiled.index.id_of("u", "l23", None, t, 0)])
-                 for t in range(7)]
+        u_seq = [round(sol.values[ids[("u", "l23", None, t, 0)]]) for t in range(7)]
         assert u_seq == [0, 0, 0, 0, 0, 1, 1]
 
     def test_energization_matches_reachability(self, chain3, chain3_config):
@@ -531,11 +530,11 @@ class TestPhSubproblem:
         aug = build_ph_subproblem(chain3, scen, chain3_config,
                                   multipliers=[0.0] * dim, anchor=anchor, rho=rho)
         vid = first_stage_vector_ids(aug.index)[0]
-        plain_coef = plain.problem.objective.terms.get(vid, 0.0)
-        aug_coef = aug.problem.objective.terms.get(vid, 0.0)
+        plain_coef = plain.problem.objective_vector()[vid]
+        aug_coef = aug.problem.objective_vector()[vid]
         # (rho/2)(1 - 2*xbar) = -rho/2 on the variable, +rho/2 constant
         assert aug_coef - plain_coef == pytest.approx(-rho / 2)
-        assert aug.problem.objective.constant - plain.problem.objective.constant == pytest.approx(rho / 2)
+        assert aug.problem.objective_constant - plain.problem.objective_constant == pytest.approx(rho / 2)
 
     def test_integer_secants_exact_at_integers(self, chain3, chain3_config):
         scen = no_damage(3)
@@ -548,14 +547,16 @@ class TestPhSubproblem:
         aug = build_ph_subproblem(chain3, scen, chain3_config,
                                   multipliers=[0.0] * len(ids), anchor=anchor, rho=2.0)
         lots_vid = first_stage_vector_ids(aug.index)[pos]
-        secants = [c for c in aug.problem.constraints if c.name.startswith(f"prox_secant[{lots_vid}")]
-        lo = int(aug.problem.variables[lots_vid].lower)
-        hi = int(aug.problem.variables[lots_vid].upper)
+        _, a_mat, senses, b, lower, upper = aug.problem.matrices()
+        secants = [i for i, name in enumerate(aug.problem.row_names())
+                   if name.startswith(f"prox_secant[{lots_vid},")]
+        lo, hi = int(lower[lots_vid]), int(upper[lots_vid])
         assert hi - lo >= 2
-        wid = next(iter(set(secants[0].expr.terms) - {lots_vid}))
+        rows = a_mat[secants].toarray()
+        wid, = set(np.flatnonzero(rows.any(axis=0))) - {lots_vid}
+        assert all(senses[i] == ">=" for i in secants) and (rows[:, wid] > 0).all()
         for v in range(lo, hi + 1):
-            w_min = max((c.rhs - c.expr.terms.get(lots_vid, 0.0) * v) / c.expr.terms[wid]
-                        for c in secants)
+            w_min = max((b[secants] - rows[:, lots_vid] * v) / rows[:, wid])
             assert w_min == pytest.approx((v - 1.5) ** 2, abs=1e-9)
 
     def test_dimension_mismatch_rejected(self, chain3, chain3_config):
@@ -574,8 +575,8 @@ class TestPhSubproblem:
         scen = damage({"l23": 2}, 3)
         plain = build_subproblem(model, scen, config)
         ids = first_stage_vector_ids(plain.index)
-        bounds = [(plain.problem.variables[v].lower, plain.problem.variables[v].upper)
-                  for v in ids]
+        lower, upper = plain.problem.column_bounds()
+        bounds = [(lower[v], upper[v]) for v in ids]
         eta = np.array(data.draw(st.lists(st.floats(-50.0, 50.0),
                                           min_size=len(ids), max_size=len(ids))))
         anchor = np.array([data.draw(st.floats(lo, hi)) for lo, hi in bounds])
@@ -593,19 +594,18 @@ class TestPhSubproblem:
         x = np.array(list(itertools.product(
             *(range(int(lo), int(hi) + 1) for lo, hi in bounds))), dtype=float)
         prox = [vid for key, vid in aug.index.items() if key[0] == "prox"]
+        _, _, senses, b, aug_lower, _ = aug.problem.matrices()
+        by_column = a_aug.tocsc()
         w = np.zeros((len(x), len(prox)))
         for k, wid in enumerate(prox):
-            w[:, k] = aug.problem.variables[wid].lower
-            for con in aug.problem.constraints:
-                coef = con.expr.terms.get(wid)
-                if coef is None:
-                    continue
-                assert con.sense == ">=" and coef > 0
-                assert set(con.expr.terms) - {wid} <= set(ids)
-                row = np.array([con.expr.terms.get(v, 0.0) for v in ids])
-                w[:, k] = np.maximum(w[:, k], (con.rhs - con.expr.constant - x @ row) / coef)
-        plain_obj = plain.problem.objective.constant + x @ c_plain[ids]
-        aug_obj = aug.problem.objective.constant + x @ c_aug[ids] + w @ c_aug[prox]
+            w[:, k] = aug_lower[wid]
+            for i in by_column[:, wid].nonzero()[0]:
+                row = a_aug[i].toarray().ravel()
+                assert senses[i] == ">=" and row[wid] > 0
+                assert set(np.flatnonzero(row)) - {wid} <= set(ids)
+                w[:, k] = np.maximum(w[:, k], (b[i] - x @ row[ids]) / row[wid])
+        plain_obj = plain.problem.objective_constant + x @ c_plain[ids]
+        aug_obj = aug.problem.objective_constant + x @ c_aug[ids] + w @ c_aug[prox]
         expected = (plain_obj + x @ eta + 0.5 * rho * ((x - anchor) ** 2).sum(axis=1)
                     + x @ ties)
         np.testing.assert_allclose(aug_obj, expected, rtol=1e-9, atol=1e-9)
@@ -617,7 +617,7 @@ class TestPhSubproblem:
             shifted = c_plain.copy()
             shifted[ids] += ties
             assert np.array_equal(c_flat, shifted)
-            assert flat.problem.objective.constant == plain.problem.objective.constant
+            assert flat.problem.objective_constant == plain.problem.objective_constant
             assert a_flat.shape == a_plain.shape and (a_flat != a_plain).nnz == 0
 
 

@@ -126,19 +126,19 @@ class TestPhSolve:
     def test_each_scenario_compiles_once(self, chain3, chain3_config, monkeypatch):
         import gridprep.hedging as hedging
 
-        plain_builds = []
+        builds = []
 
-        def counting(model, scen, config, loops=None, fixed_plan=None):
-            if fixed_plan is None:
-                plain_builds.append(scen.id)
-            return build_subproblem(model, scen, config, loops=loops, fixed_plan=fixed_plan)
+        def counting(model, scen, config, **kwargs):
+            builds.append(scen.id)
+            return build_subproblem(model, scen, config, **kwargs)
 
+        # the hedging loop and the pricing of the consensus share one compile per scenario
         monkeypatch.setattr(hedging, "build_subproblem", counting)
         scens = (damage({"l23": 2}, 3, sid=0, prob=0.5), damage({"l12": 3}, 3, sid=1, prob=0.5))
         result = ph_solve(chain3, ScenarioSet(scenarios=scens, seed=0), chain3_config,
                           PhConfig(workers=1))
         assert result.iterations >= 1
-        assert plain_builds == [0, 1]
+        assert builds == [0, 1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -31,18 +31,28 @@ def names_used(path: Path) -> set[str]:
     return used
 
 
+def public_definitions(body, prefix=""):
+    """(name, node) of each public function and class in ``body``, and of
+    each public method and property of those classes, as ``Class.method``."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from public_definitions(node.body, f"{prefix}{node.name}.")
+
+
 def test_every_public_definition_is_used():
-    """Each module-level public function or class in the package is named
-    somewhere in the package, the scripts or the benchmark; tests do not count."""
+    """Each public function or class in the package, and each public method
+    or property of its classes, is named somewhere in the package, the
+    scripts or the benchmark; tests do not count."""
     used = set()
     for folder in ("src", "scripts", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
             used |= names_used(path)
     unused = [
-        f"{path.relative_to(SRC)}:{node.name}"
+        f"{path.relative_to(SRC)}:{qualname}"
         for path in sorted((SRC / "gridprep").rglob("*.py"))
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_") and node.name not in used
+        for qualname, node in public_definitions(ast.parse(path.read_text()).body)
+        if node.name not in used
     ]
     assert not unused, "named by no command, script or benchmark: " + ", ".join(unused)

@@ -11,11 +11,9 @@ from gridprep.milp import (
     INTEGER,
     ITERATION_LIMIT,
     LE,
-    LinearExpr,
     MilpProblem,
     NumericalInstabilityError,
     ProblemError,
-    VarSpec,
     solve_milp,
     write_lp,
 )
@@ -24,14 +22,15 @@ from .oracles import brute_force_milp, max_integrality_violation, max_violation,
 
 
 def build(c, a, senses, b, bounds, kinds=None):
+    """A sealed problem with one column per entry of ``c``, named x0, x1, ..."""
     p = MilpProblem()
     n = len(c)
     kinds = kinds or ["continuous"] * n
-    ids = [p.add_variable(bounds[j][0], bounds[j][1], kinds[j], f"x{j}") for j in range(n)]
-    for i in range(len(b)):
-        p.add_constraint(LinearExpr({ids[j]: a[i][j] for j in range(n) if a[i][j]}),
-                         senses[i], b[i])
-    p.set_objective(LinearExpr({ids[j]: c[j] for j in range(n) if c[j]}))
+    for j in range(n):
+        p.add_columns([bounds[j][0]], [bounds[j][1]], kinds[j], [f"x{j}"])
+    if len(b):
+        p.add_rows(np.tile(np.arange(n), (len(b), 1)), np.asarray(a, dtype=float), list(senses), b)
+    p.add_objective(np.arange(n), c)
     return p.seal()
 
 
@@ -79,36 +78,65 @@ def with_presolve_work(rng, c, a, senses, b, bounds, kinds, cap):
 
 class TestProblemRepresentation:
     def test_zero_coefficients_are_normalized_away(self):
-        e = LinearExpr({1: 1.0})
-        e.add(1, -1.0)
-        assert len(e) == 0
+        p = MilpProblem()
+        p.add_columns([0.0, 0.0], [1.0, 1.0])
+        # a zero coefficient leaves its term out; repeated terms that cancel drop out
+        p.add_rows([[0, 1], [1, 1]], [[0.0, 2.0], [1.0, -1.0]], LE, 1.0)
+        p.add_objective([0, 0], [1.0, -1.0])
+        c, a_mat, *_ = p.seal().matrices()
+        assert a_mat.nnz == 1 and a_mat[0, 1] == 2.0
+        assert not c.any()
 
     def test_binary_bounds_enforced(self):
-        with pytest.raises(ProblemError):
-            VarSpec(id=0, lower=0.0, upper=2.0, kind=BINARY)
+        p = MilpProblem()
+        with pytest.raises(ProblemError, match="binary"):
+            p.add_columns([0.0], [2.0], BINARY)
+        p.add_columns([0.0], [1.0], BINARY)
+        with pytest.raises(ProblemError, match="binary"):
+            p.set_bounds([0], -1.0, 1.0)
 
     def test_crossed_bounds_rejected(self):
-        with pytest.raises(ProblemError):
-            VarSpec(id=0, lower=1.0, upper=0.0)
+        p = MilpProblem()
+        with pytest.raises(ProblemError, match="lower > upper"):
+            p.add_columns([0.0, 1.0], [1.0, 0.0])
+        p.add_columns([0.0], [1.0])
+        with pytest.raises(ProblemError, match="lower > upper"):
+            p.set_bounds([0], 2.0, 1.0)
 
     def test_unknown_variable_in_constraint(self):
         p = MilpProblem()
-        p.add_variable(0, 1)
-        with pytest.raises(ProblemError):
-            p.add_constraint(LinearExpr({5: 1.0}), LE, 1.0)
+        p.add_columns([0.0], [1.0])
+        with pytest.raises(ProblemError, match="unknown variable id 5"):
+            p.add_rows([[5]], 1.0, LE, 1.0)
+        with pytest.raises(ProblemError, match="unknown variable id 5"):
+            p.add_objective([5], 1.0)
 
     def test_sealed_problems_reject_mutation(self):
         p = MilpProblem()
-        x = p.add_variable(0, 1)
+        p.add_columns([0.0], [1.0])
         p.seal()
-        with pytest.raises(ProblemError):
-            p.add_variable(0, 1)
-        with pytest.raises(ProblemError):
-            p.add_constraint(LinearExpr({x: 1.0}), LE, 1.0)
+        with pytest.raises(ProblemError, match="sealed"):
+            p.add_columns([0.0], [1.0])
+        with pytest.raises(ProblemError, match="sealed"):
+            p.add_rows([[0]], 1.0, LE, 1.0)
+        with pytest.raises(ProblemError, match="sealed"):
+            p.add_objective([0], 1.0)
+        with pytest.raises(ProblemError, match="sealed"):
+            p.set_bounds([0], 0.0, 0.0)
+        # a copy is mutable and leaves the original as it was
+        q = p.copy()
+        q.set_bounds([0], 1.0, 1.0)
+        assert p.column_bounds()[0][0] == 0.0 and q.column_bounds()[0][0] == 1.0
 
     def test_non_finite_coefficients_rejected(self):
-        with pytest.raises(ProblemError):
-            LinearExpr({0: math.inf})
+        p = MilpProblem()
+        p.add_columns([0.0], [1.0])
+        with pytest.raises(ProblemError, match="non-finite coefficient"):
+            p.add_rows([[0]], math.inf, LE, 1.0)
+        with pytest.raises(ProblemError, match="non-finite rhs"):
+            p.add_rows([[0]], 1.0, LE, math.nan)
+        with pytest.raises(ProblemError, match="non-finite coefficient"):
+            p.add_objective([0], math.nan)
 
     def test_lp_format_output(self):
         p = build([1.0, -2.5], [[1.0, 1.0]], [LE], [3.0], [(0, 5), (0, 1)],
@@ -162,10 +190,8 @@ class TestSolveLp:
         assert solve_milp(p).status == "infeasible"
 
     def test_unbounded(self):
-        p = MilpProblem()
-        x = p.add_variable(-math.inf, math.inf)
-        p.set_objective(LinearExpr({x: 1.0}))
-        assert solve_milp(p.seal()).status == "unbounded"
+        p = build([1.0], [], [], [], [(-math.inf, math.inf)])
+        assert solve_milp(p).status == "unbounded"
 
     def test_feasibility_residual_within_tolerance(self):
         rng = np.random.default_rng(5)
@@ -341,37 +367,25 @@ class TestSolveMilp:
 
 class TestPresolve:
     def test_fixed_variables_are_substituted(self):
-        p = MilpProblem()
-        x = p.add_variable(2.0, 2.0, name="fixed")
-        y = p.add_variable(0.0, 5.0, name="free")
-        p.add_constraint(LinearExpr({x: 1.0, y: 1.0}), GE, 4.0)
-        p.set_objective(LinearExpr({y: 1.0}))
-        sol = solve_milp(p.seal())
-        assert sol.values[x] == 2.0
+        # x fixed at 2, y in [0, 5]: min y s.t. x + y >= 4
+        p = build([0.0, 1.0], [[1.0, 1.0]], [GE], [4.0], [(2.0, 2.0), (0.0, 5.0)])
+        sol = solve_milp(p)
+        assert sol.values[0] == 2.0
         assert sol.objective == pytest.approx(2.0)
 
     def test_singleton_rows_tighten_bounds(self):
-        p = MilpProblem()
-        x = p.add_variable(0.0, 10.0)
-        p.add_constraint(LinearExpr({x: 2.0}), LE, 6.0)  # x <= 3
-        p.set_objective(LinearExpr({x: -1.0}))
-        sol = solve_milp(p.seal())
+        p = build([-1.0], [[2.0]], [LE], [6.0], [(0.0, 10.0)])  # x <= 3
+        sol = solve_milp(p)
         assert sol.objective == pytest.approx(-3.0)
 
     def test_integer_bound_rounding_detects_infeasibility(self):
-        p = MilpProblem()
-        x = p.add_variable(0.4, 0.6, INTEGER)
-        p.set_objective(LinearExpr({x: 1.0}))
-        assert solve_milp(p.seal()).status == "infeasible"
-
+        p = build([1.0], [], [], [], [(0.4, 0.6)], kinds=[INTEGER])
+        assert solve_milp(p).status == "infeasible"
 
     def test_integer_fixed_by_rounding_stays_integer(self):
         # 2x <= 3 with x integer in [0.5, 10] leaves x = 1 and no integer to branch on
-        p = MilpProblem()
-        x = p.add_variable(0.5, 10.0, INTEGER)
-        y = p.add_variable(0.0, 1.0)
-        p.add_constraint(LinearExpr({x: 2.0}), LE, 3.0)
-        p.set_objective(LinearExpr({x: 1.0, y: 1.0}))
-        sol = solve_milp(p.seal())
-        assert sol.values[x] == 1.0
+        p = build([1.0, 1.0], [[2.0, 0.0]], [LE], [3.0], [(0.5, 10.0), (0.0, 1.0)],
+                  kinds=[INTEGER, "continuous"])
+        sol = solve_milp(p)
+        assert sol.values[0] == 1.0
         assert sol.objective == pytest.approx(1.0)

@@ -150,7 +150,7 @@ class TestMrpValidate:
         assert result.mean_gap == pytest.approx(0.0, abs=1e-6)
         assert result.sample_variance == pytest.approx(0.0, abs=1e-9)
         assert result.half_width == 0.0
-        assert result.ci == (0.0, pytest.approx(0.0, abs=1e-6))
+        assert result.ci_upper == pytest.approx(0.0, abs=1e-6)
 
     def test_gap_statistics_arithmetic(self):
         # two replications with gaps {0, 2}: mean 1, sample variance 2

@@ -95,16 +95,21 @@ class TestLoadNetwork:
         with pytest.raises(NetworkValidationError, match="finite"):
             load_network(json.dumps(doc))
 
-    @pytest.mark.parametrize("where", [("lines", 0, "p_max"), ("buses", 1, "demand_p", "a", 1)],
-                             ids=["p_max", "demand"])
-    def test_non_numeric_value_rejected(self, where):
+    @pytest.mark.parametrize("where, value, message", [
+        (("lines", 0, "p_max"), "abc", "number"),
+        (("buses", 1, "demand_p", "a", 1), "abc", "number"),
+        (("buses", 1, "demand_p"), [1, 2], "map phases"),
+        (("lines", 0, "phases"), 5, "phases must be"),
+    ], ids=["p_max", "demand", "demand-list", "phases-int"])
+    def test_non_numeric_value_rejected(self, where, value, message):
+        # a value of the wrong type is a parse error, never a bare TypeError
         doc = json.loads(json.dumps(minimal_doc()))
         *parents, last = where
         target = doc
         for key in parents:
             target = target[key]
-        target[last] = "abc"
-        with pytest.raises(NetworkParseError, match="number"):
+        target[last] = value
+        with pytest.raises(NetworkParseError, match=message):
             load_network(json.dumps(doc))
 
     def test_phase_must_exist_at_both_endpoints(self):

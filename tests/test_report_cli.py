@@ -249,6 +249,20 @@ class TestCli:
         bad.write_text(json.dumps(doc))
         assert self.run("check-network", "--network", str(bad)) == 2
 
+    @pytest.mark.parametrize("where, value", [(("buses", 0, "demand_p"), [1, 2]),
+                                              (("lines", 0, "phases"), 5)],
+                             ids=["demand-list", "phases-int"])
+    def test_wrongly_typed_network_structure_is_input_error(self, paths, tmp_path, where, value):
+        doc = json.loads(Path(paths["network"]).read_text())
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(doc))
+        assert self.run("check-network", "--network", str(bad)) == 2
+
     @pytest.mark.parametrize("speed", ["nan", "-3", "abc"])
     def test_bad_wind_speed_is_input_error(self, paths, tmp_path, speed):
         rows = Path(paths["wind"]).read_text().splitlines()
