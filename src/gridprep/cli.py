@@ -361,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve_ph)
 
     p = sub.add_parser("validate-mrp", help="confidence interval on a plan's optimality gap")
-    p.add_argument("--network", required=True)
-    p.add_argument("--config")
+    common(p, scenarios=False)
     p.add_argument("--candidate", required=True, help="candidate plan file")
     p.add_argument("--wind", required=True)
     p.add_argument("--fragility")
@@ -374,13 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threads solving one replication's sample problem and the "
                         "candidate's pricing at once (default: one per usable core, at "
                         "most n + 1); results do not depend on it")
-    p.add_argument("--out", default="out")
     p.set_defaults(fn=cmd_validate_mrp)
 
     p = sub.add_parser("base-plan", help="heuristic comparison plan")
-    p.add_argument("--network", required=True)
-    p.add_argument("--config")
-    p.add_argument("--out", default="out")
+    common(p, scenarios=False)
     p.set_defaults(fn=cmd_base_plan)
 
     p = sub.add_parser("evaluate", help="score a plan against scenarios")

@@ -6,6 +6,12 @@ subproblems, and hedging-priced copies of a compiled subproblem with an
 exactly linearized proximal term.  Owns big-M derivation,
 inverter-capacity polygonization, and first-stage plan handling.
 
+:class:`FirstStageVars` is the one map between first-stage columns and plan
+entries: it holds the hedging vector's column ids and turns a plan into a
+vector (anchors and pins) and a vector into votes.  :data:`KIND_FIELD_MAP`
+is the one table from a column's kind to the plan or schedule field that
+:func:`plan_from_solution` and :func:`extract_schedule` fill.
+
 Compilation is array-native: each variable family is one block of columns
 over an (entity, period) grid, and each constraint family one block of rows
 over a grid of the same kind, with its terms given as index arrays.  Rows
@@ -22,7 +28,7 @@ discharge minus charge on the injection side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -74,6 +80,9 @@ class FormulationConfig:
     n_mu_by_bus: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        numbers = [getattr(self, f.name) for f in fields(self) if f.name != "n_mu_by_bus"]
+        if not all(math.isfinite(v) for v in [*numbers, *self.n_mu_by_bus.values()]):
+            raise FormulationError("config numbers must be finite")
         if min(self.fuel_cost, self.switch_cost, self.fuel_rate, self.n_fuel) < 0:
             raise FormulationError("costs, fuel rate, and fuel budget must be nonnegative")
         if not 0.0 < self.crew_epsilon < 1.0:
@@ -177,7 +186,8 @@ def plan_from_document(doc: Mapping, quantum: float) -> FirstStagePlan:
 
 # -- variable indexing ------------------------------------------------------
 
-#: variable kind -> (owning dataclass, field name) used by the symbol audit
+#: variable kind -> (owning dataclass, field name): the field of the plan or
+#: schedule that holds each kind's column values (see :func:`_by_field`)
 KIND_FIELD_MAP = {
     "meg": ("FirstStagePlan", "meg_at"),
     "mes": ("FirstStagePlan", "mes_at"),
@@ -203,20 +213,18 @@ KIND_FIELD_MAP = {
     "vsrc": ("SecondStageSchedule", "virtual_source"),
     "vflow": ("SecondStageSchedule", "virtual_flow"),
     "fuel": ("SecondStageSchedule", "fuel_used"),
-    "prox": ("PhAugmentation", "prox_terms"),
 }
+
+#: the first-stage kinds, in the order the hedging vector takes them
+FIRST_STAGE_KINDS = tuple(kind for kind, (owner, _) in KIND_FIELD_MAP.items()
+                          if owner == "FirstStagePlan")
 
 
 class VariableIndex:
-    """Bijection between (kind, entity, phase, period, scenario) and var ids."""
+    """Map from (kind, entity, phase, period, scenario) to column id."""
 
     def __init__(self):
         self._by_key: dict[tuple, int] = {}
-        self._by_id: dict[int, tuple] | None = None  # built when first asked
-
-    @staticmethod
-    def key(kind: str, entity=None, phase: str | None = None, t: int | None = None, s: int | None = None):
-        return (kind, entity, phase, t, s)
 
     def register_block(self, keys: Sequence[tuple], var_ids: Sequence[int]) -> None:
         """Index fresh columns (ids no key holds yet) under ``keys``."""
@@ -224,20 +232,6 @@ class VariableIndex:
         self._by_key.update(zip(keys, var_ids))
         if len(self._by_key) != before + len(keys):
             raise KeyError("duplicate variable key in block")
-        self._by_id = None
-
-    def _ids(self) -> dict[int, tuple]:
-        if self._by_id is None:
-            self._by_id = {vid: key for key, vid in self._by_key.items()}
-        return self._by_id
-
-    def key_of(self, var_id: int) -> tuple:
-        return self._ids()[var_id]
-
-    def copy(self) -> "VariableIndex":
-        clone = VariableIndex()
-        clone._by_key = dict(self._by_key)
-        return clone
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -393,10 +387,46 @@ def polygonize_capacity(s_kva: float, segments: int) -> list[tuple[float, float,
 
 @dataclass
 class FirstStageVars:
+    """The first-stage columns of a compiled problem, and the hedging vector.
+
+    ``meg``, ``mes``, ``lots`` and ``crew`` map each entity to its column,
+    in build order.  The hedging vector, which progressive hedging averages,
+    prices and pins, takes the same columns by kind, then by ``str(entity)``:
+    ``keys[j]`` is the (kind, entity) at position ``j`` and ``ids[j]`` its
+    column.  That is not the build order: fuel lots are built in the
+    network's fuel-site order but hedged in sorted order, and the tie-break
+    cost of :func:`price_subproblem` depends on the position.
+    """
+
     meg: dict[str, int]
     mes: dict[str, int]
     lots: dict[str, int]
     crew: dict[str, int]
+    keys: list[tuple[str, str]] = field(init=False)
+    ids: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        order = sorted(self.columns(), key=lambda c: (FIRST_STAGE_KINDS.index(c[0]), str(c[1])))
+        self.keys = [(kind, entity) for kind, entity, _ in order]
+        self.ids = np.array([vid for *_, vid in order], dtype=np.int64)
+
+    def columns(self) -> list[tuple[str, str, int]]:
+        """(kind, entity, column) of every first-stage column, kind by kind
+        and each kind in build order."""
+        return [(kind, entity, vid) for kind in FIRST_STAGE_KINDS
+                for entity, vid in getattr(self, kind).items()]
+
+    def vector(self, plan: FirstStagePlan) -> list[float]:
+        """The plan as a hedging vector; an entity the plan leaves out is 0."""
+        chosen = {kind: getattr(plan, KIND_FIELD_MAP[kind][1]) for kind in FIRST_STAGE_KINDS}
+        return [float(chosen[kind].get(entity, 0)) for kind, entity in self.keys]
+
+    def votes(self, vector: Sequence[float]) -> dict[str, dict[str, float]]:
+        """A hedging vector's values by kind, then entity."""
+        out: dict[str, dict[str, float]] = {kind: {} for kind in FIRST_STAGE_KINDS}
+        for (kind, entity), value in zip(self.keys, vector):
+            out[kind][entity] = value
+        return out
 
 
 def check_first_stage_config(model: NetworkModel, config: FormulationConfig) -> None:
@@ -975,12 +1005,8 @@ def build_subproblem(
 
 def pin_plan(problem: MilpProblem, first: FirstStageVars, plan: FirstStagePlan) -> None:
     """Fix every first-stage column of ``problem`` at the plan's value."""
-    pins = [(vid, values.get(entity, 0))
-            for group, values in ((first.meg, plan.meg_at), (first.mes, plan.mes_at),
-                                  (first.lots, plan.fuel_lots), (first.crew, plan.crews))
-            for entity, vid in group.items()]
-    values = [float(v) for _, v in pins]
-    problem.set_bounds([vid for vid, _ in pins], values, values)
+    values = first.vector(plan)
+    problem.set_bounds(first.ids, values, values)
 
 
 def build_ph_subproblem(
@@ -1011,14 +1037,15 @@ def price_subproblem(
     """A copy of a compiled scenario subproblem with the hedging price,
     proximal term and tie-break added; ``plain`` stays as it was.
 
-    ``multipliers`` and ``anchor`` are keyed by position in the first-stage
-    vector (see :func:`first_stage_vector_ids`).  Binary deviations expand
-    exactly; integer lots/crews get a secant chain that is exact at integers.
+    ``multipliers`` and ``anchor`` are keyed by position in the hedging
+    vector (see :class:`FirstStageVars`).  Binary deviations expand exactly;
+    integer lots/crews get a secant chain that is exact at integers, whose
+    columns come after every column of ``plain`` and stay out of its index.
     After those terms, position ``j`` of ``n`` costs ``tie_break * (1 + j / n)``
     more, so exact ties resolve the same way in every scenario.
     """
-    index = plain.index.copy()
-    ids = np.array(first_stage_vector_ids(plain.index), dtype=np.int64)
+    first = plain.first
+    ids = first.ids
     eta = np.array(_as_vector(multipliers, len(ids), "multipliers"))
     xbar = np.array(_as_vector(anchor, len(ids), "anchor"))
     augmented = plain.problem.copy()
@@ -1033,16 +1060,9 @@ def price_subproblem(
             np.concatenate([[augmented.objective_constant], 0.5 * rho * xbar[binary] * xbar[binary]]))[-1])
         general = np.flatnonzero(~binary)
         s = plain.scenario_ids[0]
-        # the (kind, entity) of each position, read from the first-stage maps
-        # rather than plain.index, whose reverse map a first lookup would build
-        # (and keep) on whatever thread prices the copy
-        entity = {vid: (kind, e) for kind, group in (("meg", plain.first.meg), ("mes", plain.first.mes),
-                                                     ("lots", plain.first.lots), ("crew", plain.first.crew))
-                  for e, vid in group.items()}
-        keys = [("prox", entity[int(ids[p])], None, None, s) for p in general]
-        start = augmented.add_columns(np.zeros(len(general)), np.full(len(general), math.inf),
-                                      CONTINUOUS, lambda: [_vname(k) for k in keys])
-        index.register_block(keys, range(start, start + len(general)))
+        start = augmented.add_columns(
+            np.zeros(len(general)), np.full(len(general), math.inf), CONTINUOUS,
+            lambda: [_vname(("prox", first.keys[p], None, None, s)) for p in general])
         cols, coefs, rhs, names = [], [], [], []
         for wid, p in enumerate(general, start):
             vid, xb = int(ids[p]), float(xbar[p])
@@ -1067,8 +1087,8 @@ def price_subproblem(
     augmented.seal()
     return CompiledProblem(
         problem=augmented,
-        index=index,
-        first=plain.first,
+        index=plain.index,
+        first=first,
         scenario_ids=plain.scenario_ids,
     )
 
@@ -1080,31 +1100,23 @@ def _as_vector(raw: Sequence[float], n: int, what: str) -> list[float]:
     return vec
 
 
-def first_stage_vector_ids(index: VariableIndex) -> list[int]:
-    """First-stage variable ids in a stable order (the hedging vector)."""
-    order = {"meg": 0, "mes": 1, "lots": 2, "crew": 3}
-    keyed = [
-        (order[key[0]], str(key[1]), vid)
-        for key, vid in index.items()
-        if key[0] in order
-    ]
-    keyed.sort()
-    return [vid for _, _, vid in keyed]
+def _by_field(index: VariableIndex, values, owner: str, s: int | None) -> dict[str, dict]:
+    """Column values of scenario ``s`` (``None``: the first stage) for each
+    field of ``owner`` in :data:`KIND_FIELD_MAP`, keyed by entity,
+    (entity, t) or (entity, phase, t) as the column's key has them."""
+    out: dict[str, dict] = {name: {} for cls, name in KIND_FIELD_MAP.values() if cls == owner}
+    for (kind, entity, phase, t, scen), vid in index.items():
+        cls, name = KIND_FIELD_MAP[kind]
+        if cls == owner and scen == s:
+            entry = (entity, phase, t) if phase is not None else entity if t is None else (entity, t)
+            out[name][entry] = values[vid]
+    return out
 
 
 def plan_from_solution(index: VariableIndex, solution: MilpSolution) -> FirstStagePlan:
-    meg, mes, lots, crew = {}, {}, {}, {}
-    for key, vid in index.items():
-        kind, entity = key[0], key[1]
-        if kind == "meg":
-            meg[entity] = int(round(solution.values[vid]))
-        elif kind == "mes":
-            mes[entity] = int(round(solution.values[vid]))
-        elif kind == "lots":
-            lots[entity] = int(round(solution.values[vid]))
-        elif kind == "crew":
-            crew[entity] = int(round(solution.values[vid]))
-    return FirstStagePlan(meg_at=meg, mes_at=mes, fuel_lots=lots, crews=crew)
+    found = _by_field(index, solution.values, "FirstStagePlan", None)
+    return FirstStagePlan(**{name: {entity: int(round(v)) for entity, v in got.items()}
+                             for name, got in found.items()})
 
 
 # -- schedule extraction and objective recomputation -------------------------
@@ -1144,23 +1156,10 @@ def extract_schedule(
     solution: MilpSolution,
     s: int,
 ) -> SecondStageSchedule:
-    vals = solution.values
-    T = model.horizon
-    by_kind: dict[str, dict] = {}
-    for (kind, entity, phase, t, scen), vid in index.items():
-        if scen == s:
-            if phase is not None:
-                entry = (entity, phase, t)
-            else:
-                entry = (entity, t) if t is not None else entity
-            by_kind.setdefault(kind, {})[entry] = vals[vid]
-
-    def grab(kind):
-        return by_kind.get(kind, {})
-
-    line_closed = grab("u")
+    found = _by_field(index, solution.values, "SecondStageSchedule", s)
+    line_closed = found["line_closed"]
     for line in model.lines:
-        for t in range(T):
+        for t in range(model.horizon):
             if (line.id, t) not in line_closed:
                 if line.id in scenario.damaged_lines:
                     line_closed[(line.id, t)] = 0.0
@@ -1168,29 +1167,7 @@ def extract_schedule(
                     line_closed[(line.id, t)] = 0.0 if line.normally_open else 1.0
                 else:
                     line_closed[(line.id, t)] = 1.0
-    return SecondStageSchedule(
-        scenario=s,
-        pickup=grab("y"),
-        energized=grab("chi"),
-        line_closed=line_closed,
-        repairing=grab("z"),
-        switch_ops=grab("gamma"),
-        charging=grab("h"),
-        flow_p=grab("pk"),
-        flow_q=grab("qk"),
-        gen_p=grab("pg"),
-        gen_q=grab("qg"),
-        pv_p=grab("ppv"),
-        pv_q=grab("qpv"),
-        charge_p=grab("pch"),
-        discharge_p=grab("pdis"),
-        storage_q=grab("qess"),
-        soc=grab("soc"),
-        voltage_sq=grab("volt"),
-        virtual_source=grab("vsrc"),
-        virtual_flow=grab("vflow"),
-        fuel_used=grab("fuel"),
-    )
+    return SecondStageSchedule(scenario=s, **found)
 
 
 def scenario_cost(

@@ -17,10 +17,14 @@ pinned.
 
 Each scenario's subproblem is compiled once; every iteration solves a
 copy of it with that iteration's prices, and the consensus is priced on
-copies of it with the plan's columns pinned.  Subproblems of one iteration are
-independent and solve on a thread pool (HiGHS releases the GIL), by default
-one worker per usable core and no more than one per scenario.  Results merge in scenario order and HiGHS is
-deterministic, so the worker count never changes the outcome.
+copies of it with the plan's columns pinned.  The compiles'
+:class:`~gridprep.formulation.FirstStageVars` name the hedging vector's
+columns and turn a prior plan into the first anchor and the final mean
+into the consensus votes.  Subproblems of one iteration are independent
+and solve on a thread pool (HiGHS releases the GIL), by default one worker
+per usable core and no more than one per scenario.  Results merge in
+scenario order and HiGHS is deterministic, so the worker count never
+changes the outcome.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .formulation import (
     build_first_stage,
     build_ph_subproblem,  # noqa: F401  (the benchmark's tracer wraps this binding)
     build_subproblem,
-    first_stage_vector_ids,
     pin_plan,
     plan_from_solution,
     price_subproblem,
@@ -155,16 +158,6 @@ def convergence_metric(
     return total
 
 
-def _plan_vector(index: VariableIndex, ids: Sequence[int], plan: FirstStagePlan) -> list[float]:
-    """The plan as a first-stage vector in the order of ``ids``."""
-    groups = {"meg": plan.meg_at, "mes": plan.mes_at, "lots": plan.fuel_lots, "crew": plan.crews}
-    out = []
-    for vid in ids:
-        kind, entity = index.key_of(vid)[:2]
-        out.append(float(groups[kind].get(entity, 0)))
-    return out
-
-
 def repair_consensus(
     model: NetworkModel,
     config: FormulationConfig,
@@ -177,10 +170,7 @@ def repair_consensus(
     """
     problem = MilpProblem("consensus_repair")
     index = VariableIndex()
-    first = build_first_stage(model, config, problem, index)
-    cells = [(kind, entity, vid) for kind, group in (("meg", first.meg), ("mes", first.mes),
-                                                     ("lots", first.lots), ("crew", first.crew))
-             for entity, vid in group.items()]
+    cells = build_first_stage(model, config, problem, index).columns()
     vids = np.array([vid for _, _, vid in cells], dtype=np.int64)
     vote = np.array([float(votes.get(kind, {}).get(entity, 0.0)) for kind, entity, _ in cells])
     binary = problem.kind_mask(BINARY)[vids]
@@ -202,14 +192,6 @@ def repair_consensus(
     if not sol.ok:
         raise PhError("consensus repair found no feasible first-stage plan")
     return plan_from_solution(index, sol)
-
-
-def _votes_from_vector(index: VariableIndex, ids: Sequence[int], x_bar: Sequence[float]) -> dict:
-    votes: dict[str, dict] = {"meg": {}, "mes": {}, "lots": {}, "crew": {}}
-    for vid, val in zip(ids, x_bar):
-        kind, entity = index.key_of(vid)[0], index.key_of(vid)[1]
-        votes[kind][entity] = val
-    return votes
 
 
 def evaluate_plan_cost(
@@ -258,9 +240,11 @@ def ph_solve(
             raise PhError(f"prior plan is infeasible: {bad[0]}")
     if loops is None:
         loops = enumerate_loops(model)
-    index = VariableIndex()
-    build_first_stage(model, config, MilpProblem(), index)
-    ids = first_stage_vector_ids(index)
+    t_start = time.perf_counter()
+    plain = [build_subproblem(model, scen, config, loops=loops) for scen in scen_set.scenarios]
+    # every compile lays its first stage out alike
+    first = plain[0].first
+    ids = first.ids.tolist()
     probs = [s.probability for s in scen_set.scenarios]
     workers = default_workers(ph_config.workers, len(scen_set))
     # a single scenario has no ties to break; keep its optimum untouched
@@ -274,12 +258,10 @@ def ph_solve(
     if prior is None:
         anchor, prox_rho = [0.0] * len(ids), 0.0
     else:
-        anchor, prox_rho = _plan_vector(index, ids, prior), rho
+        anchor, prox_rho = first.vector(prior), rho
     history: list[float] = []
     log_rows: list[tuple[int, float, float, float]] = []
     stagnant = 0
-    t_start = time.perf_counter()
-    plain = [build_subproblem(model, scen, config, loops=loops) for scen in scen_set.scenarios]
 
     for tau in itertools.count():
         def solve_scenario(si_scen):
@@ -322,8 +304,7 @@ def ph_solve(
         anchor, prox_rho = x_bar, rho
 
     state = PhState(iteration=tau, x_s=x_s, x_bar=x_bar, eta_s=eta_s, metric_history=history)
-    votes = _votes_from_vector(index, ids, x_bar)
-    plan = repair_consensus(model, config, votes)
+    plan = repair_consensus(model, config, first.votes(x_bar))
     bad = plan.violations(model, config)
     if bad:
         raise PhError(f"consensus plan violates first-stage constraints: {bad}")

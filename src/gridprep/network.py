@@ -242,10 +242,13 @@ def _profile(raw, phases: Sequence[str], horizon: int, ctx: str) -> dict[str, tu
     for ph, prof in raw.items():
         if ph not in phases:
             raise NetworkValidationError(f"{ctx}: demand declared on absent phase '{ph}'")
+        not_a_list = NetworkParseError(f"{ctx}: demand on phase '{ph}' must be a list of numbers")
+        if isinstance(prof, str):  # iterating it would read each character as a number
+            raise not_a_list
         try:
             vals = tuple(float(v) for v in prof)
         except (TypeError, ValueError) as exc:
-            raise NetworkParseError(f"{ctx}: demand on phase '{ph}' must be a list of numbers") from exc
+            raise not_a_list from exc
         if len(vals) != horizon:
             raise NetworkValidationError(
                 f"{ctx}: demand profile on phase '{ph}' has length {len(vals)}, horizon is {horizon}"

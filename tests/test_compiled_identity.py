@@ -15,7 +15,6 @@ from gridprep.formulation import (
     build_extensive_form,
     build_ph_subproblem,
     build_subproblem,
-    first_stage_vector_ids,
 )
 from gridprep.milp import write_lp
 from gridprep.report import build_base_plan
@@ -59,7 +58,7 @@ def test_pinned_evaluation_subproblem(feeder13, config13, heldout_scenarios, loo
 def test_priced_hedging_subproblem(feeder13, config13, training_scenarios, loops13):
     storm = training_scenarios.scenarios[0]
     plain = build_subproblem(feeder13, storm, config13, loops=loops13)
-    ids = first_stage_vector_ids(plain.index)
+    ids = plain.first.ids
     spec = plain.problem.variables
     multipliers = [0.75 * ((-1) ** j) * (1 + j % 4) for j in range(len(ids))]
     anchor = [spec[v].lower + (spec[v].upper - spec[v].lower) * ((j % 5) / 4.0)

@@ -23,7 +23,6 @@ from gridprep.formulation import (
     big_m_virtual,
     big_m_voltage,
     extract_schedule,
-    first_stage_vector_ids,
     fuel_site_bounds,
     gen_units,
     plan_from_document,
@@ -142,6 +141,22 @@ class TestFirstStage:
         assert sol.ok
         assert all(sol.values[v] == 0.0 for v in first.meg.values())
         assert all(sol.values[v] == 0.0 for v in first.mes.values())
+
+    def test_hedging_vector_orders_by_kind_then_entity(self, feeder13, config13):
+        first = build_first_stage(feeder13, config13, MilpProblem(), VariableIndex())
+        built = [entity for kind, entity, _ in first.columns() if kind == "lots"]
+        assert built == list(feeder13.fuel_site_buses) and built != sorted(built)
+        kinds = ["meg", "mes", "lots", "crew"]
+        assert first.keys == sorted(first.keys, key=lambda k: (kinds.index(k[0]), k[1]))
+        column = {(kind, entity): vid for kind, entity, vid in first.columns()}
+        assert first.ids.tolist() == [column[key] for key in first.keys]
+        plan = FirstStagePlan(meg_at={"f4": 1, "l8": 1}, mes_at={}, fuel_lots={"f1": 3, "f0": 2},
+                              crews={"r1": 4, "r2": 1, "r3": 1})
+        votes = first.votes(first.vector(plan))
+        assert votes["lots"] == {entity: float(plan.fuel_lots.get(entity, 0)) for entity in sorted(built)}
+        assert votes["meg"] == {b: float(plan.meg_at.get(b, 0)) for b in sorted(first.meg)}
+        assert votes["mes"] == {b: 0.0 for b in sorted(first.mes)}
+        assert votes["crew"] == {r: float(c) for r, c in plan.crews.items()}
 
     def test_single_candidate_cannot_host_two_units(self):
         doc = small_network_doc()
@@ -511,7 +526,7 @@ class TestPhSubproblem:
     def test_zero_rho_zero_multipliers_is_plain(self, chain3, chain3_config):
         scen = damage({"l23": 2}, 3)
         plain = build_subproblem(chain3, scen, chain3_config)
-        dim = len(first_stage_vector_ids(plain.index))
+        dim = len(plain.first.ids)
         aug = build_ph_subproblem(chain3, scen, chain3_config,
                                   multipliers=[0.0] * dim, anchor=[0.0] * dim, rho=0.0)
         plain_sol = solve_milp(plain.problem, gap_tol=0.0)
@@ -522,14 +537,14 @@ class TestPhSubproblem:
     def test_binary_proximal_expansion(self, chain3, chain3_config):
         scen = no_damage(3)
         plain = build_subproblem(chain3, scen, chain3_config)
-        ids = first_stage_vector_ids(plain.index)
+        ids = plain.first.ids
         dim = len(ids)
         anchor = [0.0] * dim
         anchor[0] = 1.0  # a binary placement coordinate
         rho = 2.0
         aug = build_ph_subproblem(chain3, scen, chain3_config,
                                   multipliers=[0.0] * dim, anchor=anchor, rho=rho)
-        vid = first_stage_vector_ids(aug.index)[0]
+        vid = aug.first.ids[0]
         plain_coef = plain.problem.objective_vector()[vid]
         aug_coef = aug.problem.objective_vector()[vid]
         # (rho/2)(1 - 2*xbar) = -rho/2 on the variable, +rho/2 constant
@@ -539,14 +554,13 @@ class TestPhSubproblem:
     def test_integer_secants_exact_at_integers(self, chain3, chain3_config):
         scen = no_damage(3)
         plain = build_subproblem(chain3, scen, chain3_config)
-        ids = first_stage_vector_ids(plain.index)
-        keys = [plain.index.key_of(v) for v in ids]
-        pos = next(i for i, k in enumerate(keys) if k[0] == "lots" and k[1] == "b2")
+        ids = plain.first.ids
+        pos = plain.first.keys.index(("lots", "b2"))
         anchor = [0.0] * len(ids)
         anchor[pos] = 1.5
         aug = build_ph_subproblem(chain3, scen, chain3_config,
                                   multipliers=[0.0] * len(ids), anchor=anchor, rho=2.0)
-        lots_vid = first_stage_vector_ids(aug.index)[pos]
+        lots_vid = aug.first.ids[pos]
         _, a_mat, senses, b, lower, upper = aug.problem.matrices()
         secants = [i for i, name in enumerate(aug.problem.row_names())
                    if name.startswith(f"prox_secant[{lots_vid},")]
@@ -574,7 +588,7 @@ class TestPhSubproblem:
         config = FormulationConfig(n_meg=1, n_mes=1, n_fuel=500.0, n_crew=2)
         scen = damage({"l23": 2}, 3)
         plain = build_subproblem(model, scen, config)
-        ids = first_stage_vector_ids(plain.index)
+        ids = plain.first.ids
         lower, upper = plain.problem.column_bounds()
         bounds = [(lower[v], upper[v]) for v in ids]
         eta = np.array(data.draw(st.lists(st.floats(-50.0, 50.0),
@@ -582,7 +596,7 @@ class TestPhSubproblem:
         anchor = np.array([data.draw(st.floats(lo, hi)) for lo, hi in bounds])
         aug = build_ph_subproblem(model, scen, config, multipliers=list(eta),
                                   anchor=list(anchor), rho=rho, tie_break=tie)
-        assert first_stage_vector_ids(aug.index) == ids
+        assert np.array_equal(aug.first.ids, ids)
         ties = tie * (1.0 + np.arange(len(ids)) / len(ids))
         c_plain, a_plain, *_ = plain.problem.matrices()
         c_aug, a_aug, *_ = aug.problem.matrices()
@@ -593,7 +607,8 @@ class TestPhSubproblem:
         # every integer first-stage point, each prox variable at its least feasible value
         x = np.array(list(itertools.product(
             *(range(int(lo), int(hi) + 1) for lo, hi in bounds))), dtype=float)
-        prox = [vid for key, vid in aug.index.items() if key[0] == "prox"]
+        # the prox columns are the ones past the plain compile's last column
+        prox = list(range(plain.problem.num_variables, aug.problem.num_variables))
         _, _, senses, b, aug_lower, _ = aug.problem.matrices()
         by_column = a_aug.tocsc()
         w = np.zeros((len(x), len(prox)))

@@ -15,20 +15,22 @@ def test_cli_import_leaves_scipy_stats_out():
     assert out.stdout.strip() == "False"
 
 
-def names_used(path: Path) -> set[str]:
-    """Identifiers the file refers to; a package ``__init__`` re-exporting a name is no use."""
+def names_used(path: Path) -> tuple[set[str], set[str]]:
+    """(identifiers, members) the file refers to.  Members are the names it
+    reads as attributes or spells as strings; identifiers add its bare names
+    and imports.  A package ``__init__`` re-exporting a name is no use."""
     reexports = path.name == "__init__.py"
-    used = set()
+    names, members = set(), set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            members.add(node.attr)
         elif not reexports and isinstance(node, ast.alias):
-            used.add(node.name)
+            names.add(node.name)
         elif not reexports and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used.add(node.value)  # perfbench/spans.py looks functions up by name
-    return used
+            members.add(node.value)  # perfbench/spans.py looks functions up by name
+    return names | members, members
 
 
 def public_definitions(body, prefix=""):
@@ -44,15 +46,19 @@ def public_definitions(body, prefix=""):
 def test_every_public_definition_is_used():
     """Each public function or class in the package, and each public method
     or property of its classes, is named somewhere in the package, the
-    scripts or the benchmark; tests do not count."""
-    used = set()
+    scripts or the benchmark; tests do not count.  A method or property
+    counts as named only as an attribute or a string: a local variable of
+    the same name is no use of it."""
+    used, members = set(), set()
     for folder in ("src", "scripts", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
-            used |= names_used(path)
+            file_used, file_members = names_used(path)
+            used |= file_used
+            members |= file_members
     unused = [
         f"{path.relative_to(SRC)}:{qualname}"
         for path in sorted((SRC / "gridprep").rglob("*.py"))
         for qualname, node in public_definitions(ast.parse(path.read_text()).body)
-        if node.name not in used
+        if node.name not in (members if "." in qualname else used)
     ]
     assert not unused, "named by no command, script or benchmark: " + ", ".join(unused)

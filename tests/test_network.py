@@ -100,7 +100,8 @@ class TestLoadNetwork:
         (("buses", 1, "demand_p", "a", 1), "abc", "number"),
         (("buses", 1, "demand_p"), [1, 2], "map phases"),
         (("lines", 0, "phases"), 5, "phases must be"),
-    ], ids=["p_max", "demand", "demand-list", "phases-int"])
+        (("buses", 1, "demand_p", "a"), "11", "list of numbers"),
+    ], ids=["p_max", "demand", "demand-list", "phases-int", "demand-str"])
     def test_non_numeric_value_rejected(self, where, value, message):
         # a value of the wrong type is a parse error, never a bare TypeError
         doc = json.loads(json.dumps(minimal_doc()))
@@ -259,14 +260,15 @@ class TestValidateRegions:
 
 
 def test_symbol_audit_every_index_kind_maps_to_a_field(chain3, chain3_config):
-    """Every variable kind used by the compiler resolves to a declared field."""
+    """Every variable kind used by the compiler resolves to a declared field,
+    and the kind table names every field of the plan and the schedule."""
     import gridprep.formulation as formulation
     from gridprep.scenarios import DamageScenario
 
     scen = DamageScenario(id=0, probability=1.0, damaged_lines=frozenset({"l23"}),
                           repair_periods={"l23": 2}, irradiance=(500.0, 500.0, 500.0))
     plain = formulation.build_subproblem(chain3, scen, chain3_config)
-    dim = len(formulation.first_stage_vector_ids(plain.index))
+    dim = len(plain.first.ids)
     compiled = formulation.build_ph_subproblem(
         chain3, scen, chain3_config,
         multipliers=[0.0] * dim, anchor=[0.5] * dim, rho=1.0,
@@ -275,8 +277,14 @@ def test_symbol_audit_every_index_kind_maps_to_a_field(chain3, chain3_config):
     for kind in kinds:
         assert kind in formulation.KIND_FIELD_MAP, f"kind '{kind}' not in the audit map"
         cls_name, field = formulation.KIND_FIELD_MAP[kind]
-        cls = getattr(formulation, cls_name, None)
-        if cls is not None and hasattr(cls, "__dataclass_fields__"):
-            assert field in cls.__dataclass_fields__
-    # the index is a bijection over the variables it covers
+        assert field in getattr(formulation, cls_name).__dataclass_fields__
+    fields = {(cls, field) for cls, field in formulation.KIND_FIELD_MAP.values()}
+    assert {("FirstStagePlan", f) for f in formulation.FirstStagePlan.__dataclass_fields__} <= fields
+    assert {("SecondStageSchedule", f) for f in formulation.SecondStageSchedule.__dataclass_fields__
+            if f != "scenario"} <= fields
+    assert set(formulation.FIRST_STAGE_KINDS) == {"meg", "mes", "lots", "crew"}
+    # the index is a bijection over the variables it covers: every column of
+    # the plain compile, and none of the prox columns the pricing appends
     assert len({vid for _, vid in compiled.index.items()}) == len(compiled.index)
+    assert {vid for _, vid in compiled.index.items()} == set(range(plain.problem.num_variables))
+    assert compiled.problem.num_variables > plain.problem.num_variables

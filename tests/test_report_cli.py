@@ -250,8 +250,9 @@ class TestCli:
         assert self.run("check-network", "--network", str(bad)) == 2
 
     @pytest.mark.parametrize("where, value", [(("buses", 0, "demand_p"), [1, 2]),
-                                              (("lines", 0, "phases"), 5)],
-                             ids=["demand-list", "phases-int"])
+                                              (("lines", 0, "phases"), 5),
+                                              (("buses", 0, "demand_p", "a"), "111111")],
+                             ids=["demand-list", "phases-int", "demand-str"])
     def test_wrongly_typed_network_structure_is_input_error(self, paths, tmp_path, where, value):
         doc = json.loads(Path(paths["network"]).read_text())
         *parents, last = where
@@ -290,6 +291,22 @@ class TestCli:
                         "--scenarios", str(scen / "scenarios.json"),
                         "--out", str(tmp_path / "ef"))
         assert code == 3
+
+    @pytest.mark.parametrize("key, value", [("fuel_cost", math.nan), ("switch_cost", math.inf),
+                                            ("n_fuel", math.nan), ("fuel_quantum", math.nan)],
+                             ids=["fuel_cost-nan", "switch_cost-inf", "n_fuel-nan", "fuel_quantum-nan"])
+    def test_non_finite_config_number_is_input_error(self, paths, tmp_path, key, value):
+        doc = json.loads(Path(paths["config"]).read_text())
+        doc[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))  # written as NaN or Infinity, which json reads back
+        scen = tmp_path / "s"
+        assert self.run("generate-scenarios", "--network", paths["network"],
+                        "--wind", paths["wind"], "--fragility", paths["fragility"],
+                        "--count", "2", "--seed", "11", "--out", str(scen)) == 0
+        code = self.run("solve-ef", "--network", paths["network"], "--config", str(cfg),
+                        "--scenarios", str(scen / "scenarios.json"), "--out", str(tmp_path / "ef"))
+        assert code == 2
 
     def test_not_converged_exit_code(self, paths, tmp_path):
         scen = tmp_path / "s"
