@@ -24,15 +24,10 @@ from .formulation import (
 from .hedging import PhConfig, PhError, iteration_log_csv, ph_solve
 from .milp import NumericalInstabilityError, solve_milp, write_lp
 from .mrp import MrpConfig, MrpError, mrp_validate, result_to_json
-from .network import (
-    NetworkParseError,
-    NetworkValidationError,
-    enumerate_loops,
-    load_network,
-    validate_regions,
-)
+from .network import enumerate_loops, load_network, validate_regions
 from .parallel import default_workers, map_in_order
 from .report import (
+    PV_SWEEP_COUNTS,
     EvaluationError,
     InsufficientResourcesError,
     build_base_plan,
@@ -43,7 +38,6 @@ from .report import (
 )
 from .scenarios import (
     FragilityParams,
-    WindProfile,
     fragility_from_document,
     dump_scenarios,
     generate_scenario_set,
@@ -63,65 +57,57 @@ class CliError(Exception):
         self.code = code
 
 
-def _read(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"file not found: {path}")
-    return p.read_text()
-
-
-def _load_model(args):
+def _parse(path: str, what: str, parse):
+    """``parse`` of the file's text.  A missing, unreadable or malformed file
+    is an input error, reported as ``what``: the reason."""
     try:
-        return load_network(_read(args.network))
-    except (NetworkParseError, NetworkValidationError) as exc:
-        raise CliError(f"network document: {exc}") from exc
+        return parse(Path(path).read_text())
+    except FileNotFoundError:
+        raise CliError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise CliError(f"{what}: cannot read {path} ({exc.strerror})") from exc
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CliError(f"{what}: {exc}") from exc
 
 
-def _load_config(args) -> FormulationConfig:
-    if getattr(args, "config", None):
-        try:
-            return config_from_document(json.loads(_read(args.config)))
-        except (json.JSONDecodeError, FormulationError, TypeError) as exc:
-            raise CliError(f"config file: {exc}") from exc
-    return FormulationConfig()
+def _model(args):
+    return _parse(args.network, "network document", load_network)
 
 
-def _load_fragility(args) -> FragilityParams:
-    if getattr(args, "fragility", None):
-        try:
-            return fragility_from_document(json.loads(_read(args.fragility)))
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
-            raise CliError(f"fragility file: {exc}") from exc
-    return FragilityParams()
+def _config(args) -> FormulationConfig:
+    if not args.config:
+        return FormulationConfig()
+    return _parse(args.config, "config file", lambda text: config_from_document(json.loads(text)))
 
 
-def _load_wind(args) -> WindProfile:
-    try:
-        return load_wind_csv(_read(args.wind))
-    except ValueError as exc:
-        raise CliError(f"wind file: {exc}") from exc
+def _plan(path: str, config: FormulationConfig):
+    return _parse(path, "plan file",
+                  lambda text: plan_from_document(json.loads(text), config.fuel_quantum))
 
 
-def _load_scenario_set(args, model):
-    if getattr(args, "scenarios", None):
-        try:
-            return load_scenarios(_read(args.scenarios))
-        except (json.JSONDecodeError, ValueError, KeyError) as exc:
-            raise CliError(f"scenario file: {exc}") from exc
-    if getattr(args, "count", None):
-        if not getattr(args, "wind", None):
+def _sampler(args, model):
+    """Draws (count, seed) -> storms under ``--wind`` and ``--fragility``."""
+    wind = _parse(args.wind, "wind file", load_wind_csv)
+    params = (_parse(args.fragility, "fragility file",
+                     lambda text: fragility_from_document(json.loads(text)))
+              if args.fragility else FragilityParams())
+    return lambda count, seed: generate_scenario_set(model, wind, params, count=count, seed=seed)
+
+
+def _sample(args, model):
+    if args.count < 1:
+        raise CliError("--count must be >= 1")
+    return _sampler(args, model)(args.count, args.seed)
+
+
+def _scenario_set(args, model):
+    if args.scenarios:
+        return _parse(args.scenarios, "scenario file", lambda text: load_scenarios(text, model))
+    if args.count is not None:
+        if not args.wind:
             raise CliError("generating scenarios inline needs --wind")
-        wind = _load_wind(args)
-        params = _load_fragility(args)
-        return generate_scenario_set(model, wind, params, count=args.count, seed=args.seed)
+        return _sample(args, model)
     raise CliError("provide --scenarios FILE or --count N --seed K --wind FILE")
-
-
-def _load_plan(path: str, config: FormulationConfig):
-    try:
-        return plan_from_document(json.loads(_read(path)), config.fuel_quantum)
-    except (json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise CliError(f"plan file: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -136,12 +122,7 @@ def _write(path: Path, text: str):
 
 
 def cmd_generate(args) -> int:
-    model = _load_model(args)
-    if args.count < 1:
-        raise CliError("--count must be >= 1")
-    wind = _load_wind(args)
-    params = _load_fragility(args)
-    scen_set = generate_scenario_set(model, wind, params, count=args.count, seed=args.seed)
+    scen_set = _sample(args, _model(args))
     out = _out_dir(args)
     _write(out / "scenarios.json", dump_scenarios(scen_set))
     return EXIT_OK
@@ -150,13 +131,10 @@ def cmd_generate(args) -> int:
 def cmd_solve_ef(args) -> int:
     if not 0.0 <= args.gap < 1.0:
         raise CliError(f"--gap must be in [0, 1), got {args.gap}")
-    model = _load_model(args)
-    config = _load_config(args)
-    scen_set = _load_scenario_set(args, model)
-    try:
-        compiled = build_extensive_form(model, scen_set, config)
-    except FormulationError as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE) from exc
+    model = _model(args)
+    config = _config(args)
+    scen_set = _scenario_set(args, model)
+    compiled = build_extensive_form(model, scen_set, config)
     if args.dump_lp:
         _write(_out_dir(args) / "extensive_form.lp", write_lp(compiled.problem))
     sol = solve_milp(compiled.problem, gap_tol=args.gap)
@@ -175,10 +153,10 @@ def cmd_solve_ef(args) -> int:
 
 
 def cmd_solve_ph(args) -> int:
-    model = _load_model(args)
-    config = _load_config(args)
-    scen_set = _load_scenario_set(args, model)
-    prior = _load_plan(args.soft_start, config) if args.soft_start else None
+    model = _model(args)
+    config = _config(args)
+    scen_set = _scenario_set(args, model)
+    prior = _plan(args.soft_start, config) if args.soft_start else None
     try:
         ph_config = PhConfig(
             rho=args.rho,
@@ -189,10 +167,7 @@ def cmd_solve_ph(args) -> int:
         )
     except ValueError as exc:
         raise CliError(f"hedging settings: {exc}") from exc
-    try:
-        result = ph_solve(model, scen_set, config, ph_config)
-    except (FormulationError, PhError) as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE) from exc
+    result = ph_solve(model, scen_set, config, ph_config)
     out = _out_dir(args)
     _write(out / "ph_plan.json", json.dumps(plan_to_document(result.plan, config.fuel_quantum),
                                             indent=2, sort_keys=True))
@@ -214,24 +189,16 @@ def cmd_solve_ph(args) -> int:
 
 
 def cmd_validate_mrp(args) -> int:
-    model = _load_model(args)
-    config = _load_config(args)
-    candidate = _load_plan(args.candidate, config)
-    wind = _load_wind(args)
-    params = _load_fragility(args)
-
-    def sampler(n, seed):
-        return generate_scenario_set(model, wind, params, count=n, seed=seed)
-
+    model = _model(args)
+    config = _config(args)
+    candidate = _plan(args.candidate, config)
+    sampler = _sampler(args, model)
     try:
         mrp_config = MrpConfig(alpha=args.alpha, n=args.n, n_g=args.ng,
                                base_seed=args.seed, workers=args.workers)
     except ValueError as exc:
         raise CliError(f"validation settings: {exc}") from exc
-    try:
-        result = mrp_validate(candidate, model, config, sampler, mrp_config)
-    except MrpError as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE) from exc
+    result = mrp_validate(candidate, model, config, sampler, mrp_config)
     out = _out_dir(args)
     _write(out / "mrp.json", result_to_json(result))
     print(f"one-sided CI on the optimality gap: [0, {result.ci_upper:.6g}] "
@@ -240,12 +207,9 @@ def cmd_validate_mrp(args) -> int:
 
 
 def cmd_base_plan(args) -> int:
-    model = _load_model(args)
-    config = _load_config(args)
-    try:
-        plan = build_base_plan(model, config)
-    except InsufficientResourcesError as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE) from exc
+    model = _model(args)
+    config = _config(args)
+    plan = build_base_plan(model, config)
     out = _out_dir(args)
     _write(out / "base_plan.json", json.dumps(plan_to_document(plan, config.fuel_quantum),
                                               indent=2, sort_keys=True))
@@ -253,21 +217,17 @@ def cmd_base_plan(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = _load_model(args)
-    config = _load_config(args)
-    scen_set = _load_scenario_set(args, model)
-    plan = _load_plan(args.plan, config)
+    model = _model(args)
+    config = _config(args)
+    scen_set = _scenario_set(args, model)
+    plan = _plan(args.plan, config)
     label = args.label or Path(args.plan).stem
     loops = enumerate_loops(model)
 
     def evaluate(scen):
         return evaluate_plan(plan, model, scen, config, loops=loops, plan_label=label)
 
-    try:
-        reports = map_in_order(evaluate, scen_set.scenarios,
-                               default_workers(None, len(scen_set)))
-    except EvaluationError as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE) from exc
+    reports = map_in_order(evaluate, scen_set.scenarios, default_workers(None, len(scen_set)))
     out = _out_dir(args)
     _write(out / "evaluation.json", reports_to_json(reports))
     _write(out / "served_fraction.csv", served_fraction_csv(reports))
@@ -281,19 +241,18 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep_pv(args) -> int:
-    model = _load_model(args)
-    config = _load_config(args)
-    scen_set = _load_scenario_set(args, model)
     try:
         levels = [int(x) for x in args.levels.split(",") if x != ""]
     except ValueError as exc:
         raise CliError(f"--levels must be comma-separated integers: {exc}") from exc
-    try:
-        results = sweep_pv(model, levels, scen_set, config)
-    except EvaluationError as exc:
-        raise CliError(str(exc), EXIT_NOT_CONVERGED) from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    unknown = [x for x in levels if x not in PV_SWEEP_COUNTS]
+    if unknown:
+        raise CliError(f"--levels: unknown penetration levels {unknown}; "
+                       f"known: {sorted(PV_SWEEP_COUNTS)}")
+    model = _model(args)
+    config = _config(args)
+    scen_set = _scenario_set(args, model)
+    results = sweep_pv(model, levels, scen_set, config)
     out = _out_dir(args)
     _write(out / "pv_sweep.json", json.dumps([r.to_document() for r in results],
                                              indent=2, sort_keys=True))
@@ -306,7 +265,7 @@ def cmd_sweep_pv(args) -> int:
 
 
 def cmd_check_network(args) -> int:
-    model = _load_model(args)
+    model = _model(args)
     report = validate_regions(model, crew_total=args.crew_total)
     for v in report.violations:
         print(f"violation: {v}")
@@ -399,19 +358,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Input errors are raised as :class:`CliError` where
+    files are read and flags checked; this is the one table from every other
+    failure to its exit code."""
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except NumericalInstabilityError as exc:
-        return _fail(CliError(f"solver failed: {exc}", EXIT_NOT_CONVERGED))
     except CliError as exc:
-        return _fail(exc)
+        return _fail(str(exc), exc.code)
+    except (FormulationError, PhError, MrpError, EvaluationError,
+            InsufficientResourcesError) as exc:
+        return _fail(str(exc), EXIT_INFEASIBLE)
+    except NumericalInstabilityError as exc:
+        return _fail(f"solver failed: {exc}", EXIT_NOT_CONVERGED)
 
 
-def _fail(exc: CliError) -> int:
-    print(json.dumps({"error": str(exc), "exit_code": exc.code}), file=sys.stderr)
-    return exc.code
+def _fail(message: str, code: int) -> int:
+    print(json.dumps({"error": message, "exit_code": code}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

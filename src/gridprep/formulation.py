@@ -62,6 +62,10 @@ class FormulationError(ValueError):
     """Configuration that cannot produce a feasible first stage."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FormulationConfig:
     """Cost, resource, and modeling knobs for the two-stage program."""
@@ -80,6 +84,13 @@ class FormulationConfig:
     n_mu_by_bus: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise FormulationError(f"{f.name} must be an integer, got {value!r}")
+        if not (isinstance(self.n_mu_by_bus, Mapping)
+                and all(isinstance(b, str) and _is_int(n) for b, n in self.n_mu_by_bus.items())):
+            raise FormulationError("n_mu_by_bus must map bus ids to integers")
         numbers = [getattr(self, f.name) for f in fields(self) if f.name != "n_mu_by_bus"]
         if not all(math.isfinite(v) for v in [*numbers, *self.n_mu_by_bus.values()]):
             raise FormulationError("config numbers must be finite")
@@ -99,9 +110,10 @@ class FormulationConfig:
 
 
 def config_from_document(doc: Mapping) -> FormulationConfig:
-    known = {f for f in FormulationConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in doc.items() if k in known}
-    return FormulationConfig(**kwargs)
+    unknown = sorted(set(doc) - set(FormulationConfig.__dataclass_fields__))
+    if unknown:
+        raise FormulationError(f"unknown config keys {unknown}")
+    return FormulationConfig(**doc)
 
 
 @dataclass(frozen=True)
@@ -176,11 +188,25 @@ def plan_to_document(plan: FirstStagePlan, quantum: float) -> dict:
 
 
 def plan_from_document(doc: Mapping, quantum: float) -> FirstStagePlan:
+    """The plan that :func:`plan_to_document` wrote; a field of the wrong type
+    raises ``TypeError``."""
+    if not isinstance(doc, Mapping):
+        raise TypeError("a plan document must be a JSON object")
+    meg, mes = doc.get("meg", []), doc.get("mes", [])
+    fuel, crews = doc.get("fuel", {}), doc.get("crews", {})
+    if not (isinstance(meg, list) and isinstance(mes, list)):
+        raise TypeError("plan meg and mes must be lists of bus ids")
+    if not (isinstance(fuel, Mapping) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in fuel.values())):
+        raise TypeError("plan fuel must map bus ids to finite liters")
+    if not (isinstance(crews, Mapping) and all(_is_int(c) for c in crews.values())):
+        raise TypeError("plan crews must map region ids to integers")
     return FirstStagePlan(
-        meg_at={str(b): 1 for b in doc.get("meg", [])},
-        mes_at={str(b): 1 for b in doc.get("mes", [])},
-        fuel_lots={str(b): int(round(float(v) / quantum)) for b, v in doc.get("fuel", {}).items()},
-        crews={str(r): int(c) for r, c in doc.get("crews", {}).items()},
+        meg_at={str(b): 1 for b in meg},
+        mes_at={str(b): 1 for b in mes},
+        fuel_lots={str(b): int(round(v / quantum)) for b, v in fuel.items()},
+        crews={str(r): c for r, c in crews.items()},
     )
 
 

@@ -72,7 +72,6 @@ STAGNATION_REL_TOL = 1e-4
 RHO_BUMP = 1.5
 RHO_CAP_FACTOR = 10.0
 GAP_TOL = 1e-6
-NODE_LIMIT = 200_000
 # tiny common first-stage cost so exact ties resolve the same way in
 # every scenario; without it, equal-cost placements swap forever
 TIE_BREAK_WEIGHT = 0.02
@@ -87,10 +86,10 @@ class PhConfig:
     prior_plan: FirstStagePlan | None = None
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.workers is not None and self.workers < 1:
@@ -198,7 +197,6 @@ def evaluate_plan_cost(
     scen_set: ScenarioSet,
     plain: Sequence[CompiledProblem],
     plan: FirstStagePlan,
-    gap_tol: float = 1e-4,
     workers: int = 1,
 ) -> tuple[float, list[float]]:
     """True expected cost of a plan: each compiled scenario re-solved with it pinned.
@@ -213,7 +211,7 @@ def evaluate_plan_cost(
     def solve_one(comp: CompiledProblem) -> float:
         pinned = comp.problem.copy()
         pin_plan(pinned, comp.first, plan)
-        sol = solve_milp(pinned.seal(), gap_tol=gap_tol)
+        sol = solve_milp(pinned.seal(), gap_tol=GAP_TOL)
         if not sol.ok:
             raise SubproblemInfeasibleError(comp.scenario_ids[0])
         return sol.objective
@@ -268,7 +266,7 @@ def ph_solve(
             si, scen = si_scen
             comp = price_subproblem(plain[si], multipliers=eta_s[si], anchor=anchor,
                                     rho=prox_rho, tie_break=tie_break)
-            sol = solve_milp(comp.problem, gap_tol=GAP_TOL, node_limit=NODE_LIMIT)
+            sol = solve_milp(comp.problem, gap_tol=GAP_TOL)
             if not sol.ok:
                 raise SubproblemInfeasibleError(scen.id)
             return [sol.values[v] for v in ids], sol.objective
@@ -308,7 +306,7 @@ def ph_solve(
     bad = plan.violations(model, config)
     if bad:
         raise PhError(f"consensus plan violates first-stage constraints: {bad}")
-    ef_cost, scen_objs = evaluate_plan_cost(scen_set, plain, plan, gap_tol=GAP_TOL, workers=workers)
+    ef_cost, scen_objs = evaluate_plan_cost(scen_set, plain, plan, workers=workers)
     return PhResult(
         plan=plan,
         converged=g <= ph_config.epsilon,

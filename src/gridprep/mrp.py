@@ -33,6 +33,9 @@ from .scenarios import ScenarioSet
 #: draws a fresh equiprobable scenario set: (sample_size, seed) -> ScenarioSet
 ScenarioSampler = Callable[[int, int], ScenarioSet]
 
+#: replication solves prove optimality
+GAP_TOL = 0.0
+
 
 class MrpError(RuntimeError):
     pass
@@ -44,7 +47,6 @@ class MrpConfig:
     n: int = 2  # scenarios per replication
     n_g: int = 2  # replication count
     base_seed: int = 0
-    gap_tol: float = 0.0  # replication solves prove optimality by default
     workers: int | None = None  # None: one per usable core, at most n + 1
 
     def __post_init__(self):
@@ -102,7 +104,6 @@ def replicate_gap(
     sampler: ScenarioSampler,
     n: int,
     seed: int,
-    gap_tol: float = 0.0,
     loops: LoopSet | None = None,
     workers: int | None = None,
 ) -> tuple[float, float, bool]:
@@ -124,12 +125,12 @@ def replicate_gap(
 
     def price(scen):
         sub = build_subproblem(model, scen, config, loops=loops, fixed_plan=candidate)
-        return solve_milp(sub.problem, gap_tol=gap_tol)
+        return solve_milp(sub.problem, gap_tol=GAP_TOL)
 
     with in_order(price, scen_set.scenarios, workers - 1) as priced:
         # the largest solve stays on the calling thread, which keeps peak memory down
         compiled = build_extensive_form(model, scen_set, config, loops=loops)
-        opt = solve_milp(compiled.problem, gap_tol=gap_tol)
+        opt = solve_milp(compiled.problem, gap_tol=GAP_TOL)
         if opt.status != "optimal":
             return math.nan, math.nan, True
 
@@ -156,7 +157,7 @@ def mrp_validate(
         replicate_gap(
             candidate, model, config, sampler,
             n=mrp_config.n, seed=mrp_config.base_seed + k,
-            gap_tol=mrp_config.gap_tol, loops=loops, workers=mrp_config.workers,
+            loops=loops, workers=mrp_config.workers,
         )
         for k in range(mrp_config.n_g)
     ]

@@ -120,7 +120,6 @@ def evaluate_plan(
     config: FormulationConfig,
     loops: LoopSet | None = None,
     plan_label: str = "plan",
-    gap_tol: float = 1e-6,
 ) -> EvaluationReport:
     """Pin the plan, solve the scenario's operations, and score the outcome."""
     bad = plan.violations(model, config, strict_totals=False)
@@ -129,7 +128,7 @@ def evaluate_plan(
     if loops is None:
         loops = enumerate_loops(model)
     compiled = build_subproblem(model, scenario, config, loops=loops, fixed_plan=plan)
-    sol = solve_milp(compiled.problem, gap_tol=gap_tol)
+    sol = solve_milp(compiled.problem, gap_tol=1e-6)
     if not sol.ok:
         raise EvaluationError(
             f"scenario {scenario.id} operations infeasible under the pinned plan ({sol.status})"
@@ -277,7 +276,6 @@ def sweep_pv(
     levels: Sequence[int],
     scen_set: ScenarioSet,
     config: FormulationConfig,
-    gap_tol: float = 1e-4,
 ) -> list[SweepLevelResult]:
     """Re-solve the stochastic program per penetration level and score it."""
     from .formulation import build_extensive_form
@@ -288,7 +286,7 @@ def sweep_pv(
         level_model = replace(model, pv_units=model.pv_units + fleet)
         loops = enumerate_loops(level_model)
         compiled = build_extensive_form(level_model, scen_set, config, loops=loops)
-        sol = solve_milp(compiled.problem, gap_tol=gap_tol)
+        sol = solve_milp(compiled.problem, gap_tol=1e-4)
         if not sol.ok:
             raise EvaluationError(f"sweep level {percent}%: stochastic solve failed ({sol.status})")
         served = 0.0

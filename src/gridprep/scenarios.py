@@ -111,8 +111,10 @@ class ScenarioSet:
 
 
 def fragility_from_document(doc: Mapping) -> FragilityParams:
-    known = set(FragilityParams.__dataclass_fields__)
-    return FragilityParams(**{k: v for k, v in doc.items() if k in known})
+    unknown = sorted(set(doc) - set(FragilityParams.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown fragility keys {unknown}")
+    return FragilityParams(**doc)
 
 
 def _lognormal_cdf(w: float, median: float, log_std: float) -> float:
@@ -255,11 +257,19 @@ def dump_scenarios(scen_set: ScenarioSet) -> str:
     return json.dumps(scenario_set_to_document(scen_set), indent=2, sort_keys=True)
 
 
-def load_scenarios(source: Union[str, bytes, IO]) -> ScenarioSet:
-    raw = source.read() if hasattr(source, "read") else source
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    return scenario_set_from_document(json.loads(raw))
+def load_scenarios(text: str, model: NetworkModel) -> ScenarioSet:
+    """Read a scenario file written for ``model``: every damaged line must be
+    one of its lines and every irradiance profile must span its horizon."""
+    scen_set = scenario_set_from_document(json.loads(text))
+    lines = {line.id for line in model.lines}
+    for s in scen_set.scenarios:
+        unknown = sorted(s.damaged_lines - lines)
+        if unknown:
+            raise ValueError(f"scenario {s.id} damages lines {unknown} that the feeder lacks")
+        if len(s.irradiance) != model.horizon:
+            raise ValueError(f"scenario {s.id} has {len(s.irradiance)} irradiance values "
+                             f"for a {model.horizon}-period horizon")
+    return scen_set
 
 
 def load_wind_csv(source: Union[str, IO]) -> WindProfile:

@@ -229,6 +229,11 @@ class TestCli:
                         "--out", str(tmp_path))
         assert code == 2
 
+    def test_unreadable_file_is_input_error(self, tmp_path, capsys):
+        assert self.run("check-network", "--network", str(tmp_path)) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["exit_code"] == 2 and error["error"].startswith("network document: ")
+
     def test_malformed_network_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
@@ -277,7 +282,8 @@ class TestCli:
         assert code == 2
         assert not (tmp_path / "s" / "scenarios.json").exists()
 
-    def test_infeasible_config_exit_code(self, paths, tmp_path):
+    @pytest.mark.parametrize("command", ["solve-ef", "evaluate", "validate-mrp", "sweep-pv"])
+    def test_infeasible_config_exit_code(self, paths, tmp_path, capsys, command):
         cfg = tmp_path / "cfg.json"
         doc = json.loads(Path(paths["config"]).read_text())
         doc["n_crew"] = 99  # above the regional maxima
@@ -286,11 +292,61 @@ class TestCli:
         assert self.run("generate-scenarios", "--network", paths["network"],
                         "--wind", paths["wind"], "--fragility", paths["fragility"],
                         "--count", "1", "--seed", "1", "--out", str(scen)) == 0
-        code = self.run("solve-ef", "--network", paths["network"],
-                        "--config", str(cfg),
-                        "--scenarios", str(scen / "scenarios.json"),
-                        "--out", str(tmp_path / "ef"))
+        assert self.run("base-plan", "--network", paths["network"], "--config", paths["config"],
+                        "--out", str(tmp_path / "base")) == 0
+        plan = str(tmp_path / "base" / "base_plan.json")
+        scenarios = ["--scenarios", str(scen / "scenarios.json")]
+        flags = {"solve-ef": scenarios,
+                 "evaluate": [*scenarios, "--plan", plan],
+                 "validate-mrp": ["--candidate", plan, "--wind", paths["wind"]],
+                 "sweep-pv": [*scenarios, "--levels", "0,9"]}[command]
+        code = self.run(command, "--network", paths["network"], "--config", str(cfg),
+                        *flags, "--out", str(tmp_path / "out"))
         assert code == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["exit_code"] == 3 and "crew total 99" in error["error"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("what, edit, command", [
+        ("config", {"n_mu_by_bus": [1]}, "base-plan"),
+        ("config", {"n_meg": 1.5}, "base-plan"),
+        ("config", {"n_crews": 99}, "base-plan"),
+        ("fragility", {"pole_medain": 1.0}, "generate-scenarios"),
+        ("scenarios", {"damaged": [{"line": "nope", "repair_periods": 2}]}, "solve-ef"),
+        ("scenarios", {"damaged": [{"line": "nope", "repair_periods": 2}]}, "evaluate"),
+        ("scenarios", {"irradiance": [500.0, 500.0]}, "solve-ef"),
+        ("plan", {"fuel": []}, "evaluate"),
+        ("plan", {"meg": "f0"}, "evaluate"),
+    ], ids=["config-mu-list", "config-meg-float", "config-unknown-key", "fragility-unknown-key",
+            "scenario-unknown-line-ef", "scenario-unknown-line-evaluate",
+            "scenario-short-irradiance", "plan-fuel-list", "plan-meg-string"])
+    def test_malformed_input_file_is_input_error(self, paths, tmp_path, capsys, what, edit,
+                                                 command):
+        assert self.run("generate-scenarios", "--network", paths["network"],
+                        "--wind", paths["wind"], "--fragility", paths["fragility"],
+                        "--count", "1", "--seed", "1", "--out", str(tmp_path / "s")) == 0
+        assert self.run("base-plan", "--network", paths["network"], "--config", paths["config"],
+                        "--out", str(tmp_path / "base")) == 0
+        files = dict(paths, scenarios=str(tmp_path / "s" / "scenarios.json"),
+                     plan=str(tmp_path / "base" / "base_plan.json"))
+        doc = json.loads(Path(files[what]).read_text())
+        (doc["scenarios"][0] if what == "scenarios" else doc).update(edit)
+        files[what] = str(tmp_path / f"bad_{what}.json")
+        Path(files[what]).write_text(json.dumps(doc))
+        flags = {"base-plan": ["--config", files["config"]],
+                 "generate-scenarios": ["--wind", files["wind"], "--fragility", files["fragility"],
+                                        "--count", "1"],
+                 "solve-ef": ["--config", files["config"], "--scenarios", files["scenarios"]],
+                 "evaluate": ["--config", files["config"], "--scenarios", files["scenarios"],
+                              "--plan", files["plan"]]}[command]
+        code = self.run(command, "--network", paths["network"], *flags,
+                        "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        prefix = {"config": "config file: ", "fragility": "fragility file: ",
+                  "scenarios": "scenario file: ", "plan": "plan file: "}[what]
+        assert error["exit_code"] == 2 and error["error"].startswith(prefix)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("fuel_cost", math.nan), ("switch_cost", math.inf),
                                             ("n_fuel", math.nan), ("fuel_quantum", math.nan)],
@@ -338,12 +394,14 @@ class TestCli:
 
     @pytest.mark.parametrize("command, flags", [
         ("solve-ph", ["--rho", "0"]),
+        ("solve-ph", ["--rho", "nan"]),
+        ("solve-ph", ["--epsilon", "inf"]),
         ("solve-ph", ["--workers", "0"]),
         ("validate-mrp", ["--n", "1"]),
         ("validate-mrp", ["--workers", "0"]),
         ("solve-ef", ["--gap", "-1"]),
         ("solve-ef", ["--gap", "nan"]),
-    ], ids=["ph-rho-0", "ph-workers-0", "mrp-n-1", "mrp-workers-0", "ef-gap-negative",
+    ], ids=["ph-rho-0", "ph-rho-nan", "ph-epsilon-inf", "ph-workers-0", "mrp-n-1", "mrp-workers-0", "ef-gap-negative",
             "ef-gap-nan"])
     def test_bad_settings_are_input_errors(self, paths, tmp_path, capsys, command, flags):
         if command in ("solve-ph", "solve-ef"):

@@ -228,7 +228,7 @@ class TestSampling:
 class TestSerialization:
     def test_scenario_set_round_trip(self, feeder13, wind13, fragility13):
         ss = generate_scenario_set(feeder13, wind13, fragility13, count=4, seed=11)
-        again = load_scenarios(dump_scenarios(ss))
+        again = load_scenarios(dump_scenarios(ss), feeder13)
         assert again == ss
 
     def test_dump_is_deterministic(self, feeder13, wind13, fragility13):
