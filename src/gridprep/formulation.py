@@ -1,10 +1,11 @@
 """Compilation of feeder models and damage scenarios into MILP instances.
 
 Produces the stochastic extensive form (shared first stage, one
-probability-weighted operations block per scenario), single-scenario
-subproblems, and hedging-priced copies of a compiled subproblem with an
-exactly linearized proximal term.  Owns big-M derivation,
-inverter-capacity polygonization, and first-stage plan handling.
+probability-weighted operations block per scenario) and single-scenario
+subproblems, the one compiled form of a scenario: its copies are priced for
+hedging with an exactly linearized proximal term, or pinned to a plan.
+Owns big-M derivation, inverter-capacity polygonization, and first-stage
+plan handling.
 
 :class:`FirstStageVars` is the one map between first-stage columns and plan
 entries: it holds the hedging vector's column ids and turns a plan into a
@@ -28,7 +29,7 @@ discharge minus charge on the injection side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -53,6 +54,7 @@ from .network import (
     PV_GRID_FOLLOWING,
     PV_GRID_FORMING,
     PV_HYBRID,
+    _is_int,
     enumerate_loops,
 )
 from .scenarios import DamageScenario, ScenarioSet
@@ -60,10 +62,6 @@ from .scenarios import DamageScenario, ScenarioSet
 
 class FormulationError(ValueError):
     """Configuration that cannot produce a feasible first stage."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -421,13 +419,16 @@ class FirstStageVars:
     ``keys[j]`` is the (kind, entity) at position ``j`` and ``ids[j]`` its
     column.  That is not the build order: fuel lots are built in the
     network's fuel-site order but hedged in sorted order, and the tie-break
-    cost of :func:`price_subproblem` depends on the position.
+    cost of :func:`price_subproblem` depends on the position.  ``rows``
+    counts the problem's leading rows, up to the first stage's last one,
+    which :func:`pin_plan` leaves out.
     """
 
     meg: dict[str, int]
     mes: dict[str, int]
     lots: dict[str, int]
     crew: dict[str, int]
+    rows: int
     keys: list[tuple[str, str]] = field(init=False)
     ids: np.ndarray = field(init=False)
 
@@ -576,16 +577,9 @@ def build_first_stage(
     config: FormulationConfig,
     problem: MilpProblem,
     index: VariableIndex,
-    totals_equality: bool = True,
 ) -> FirstStageVars:
-    """Mobile-unit, fuel-lot, and crew variables with their coupling rows.
-
-    ``totals_equality=False`` turns the placement/crew totals into upper
-    bounds; plan evaluation uses this so a deliberately thrifty plan
-    (fewer mobile units than budgeted) still pins cleanly.
-    """
+    """Mobile-unit, fuel-lot, and crew variables with their coupling rows."""
     check_first_stage_config(model, config)
-    totals_sense = EQ if totals_equality else LE
     cands = sorted(model.candidate_buses)
     kinds = [kind for kind, template in (("meg", model.meg_template), ("mes", model.mes_template))
              if template is not None]
@@ -595,7 +589,7 @@ def build_first_stage(
     meg, mes = units.get("meg", {}), units.get("mes", {})
     for group, total, name in ((meg, config.n_meg, "meg_total"), (mes, config.n_mes, "mes_total")):
         if group:
-            problem.add_rows([list(group.values())], 1.0, totals_sense, float(total), [name])
+            problem.add_rows([list(group.values())], 1.0, EQ, float(total), [name])
     if placed:
         problem.add_rows(np.stack(placed, axis=1), 1.0, LE, [float(config.n_mu(b)) for b in cands],
                          [f"mobile_cap[{b}]" for b in cands])
@@ -614,8 +608,8 @@ def build_first_stage(
                          [[float(r.crew_max) for r in model.regions]], INTEGER)
     crew = dict(zip((r.id for r in model.regions), crew_ids.tolist()))
     if crew:
-        problem.add_rows([crew_ids], 1.0, totals_sense, float(config.n_crew), ["crew_total"])
-    return FirstStageVars(meg=meg, mes=mes, lots=lots, crew=crew)
+        problem.add_rows([crew_ids], 1.0, EQ, float(config.n_crew), ["crew_total"])
+    return FirstStageVars(meg=meg, mes=mes, lots=lots, crew=crew, rows=problem.num_constraints)
 
 
 def build_second_stage(
@@ -995,13 +989,7 @@ def build_extensive_form(
     first = build_first_stage(model, config, problem, index)
     for si, scen in enumerate(scen_set.scenarios):
         build_second_stage(model, scen, config, problem, index, first, loops, si, scen.probability)
-    problem.seal()
-    return CompiledProblem(
-        problem=problem,
-        index=index,
-        first=first,
-        scenario_ids=tuple(sc.id for sc in scen_set.scenarios),
-    )
+    return CompiledProblem(problem.seal(), index, first, tuple(sc.id for sc in scen_set.scenarios))
 
 
 def build_subproblem(
@@ -1009,30 +997,29 @@ def build_subproblem(
     scenario: DamageScenario,
     config: FormulationConfig,
     loops: LoopSet | None = None,
-    fixed_plan: FirstStagePlan | None = None,
 ) -> CompiledProblem:
     """Deterministic single-scenario problem (full weight on the scenario)."""
     if loops is None:
         loops = enumerate_loops(model)
     problem = MilpProblem(f"scenario_{scenario.id}")
     index = VariableIndex()
-    first = build_first_stage(model, config, problem, index, totals_equality=fixed_plan is None)
-    if fixed_plan is not None:
-        pin_plan(problem, first, fixed_plan)
+    first = build_first_stage(model, config, problem, index)
     build_second_stage(model, scenario, config, problem, index, first, loops, scenario.id, 1.0)
-    problem.seal()
-    return CompiledProblem(
-        problem=problem,
-        index=index,
-        first=first,
-        scenario_ids=(scenario.id,),
-    )
+    return CompiledProblem(problem.seal(), index, first, (scenario.id,))
 
 
-def pin_plan(problem: MilpProblem, first: FirstStageVars, plan: FirstStagePlan) -> None:
-    """Fix every first-stage column of ``problem`` at the plan's value."""
+def pin_plan(compiled: CompiledProblem, plan: FirstStagePlan) -> MilpProblem:
+    """A sealed copy of a compiled scenario with every first-stage column
+    fixed at the plan's value and the first-stage rows, which
+    :meth:`FirstStagePlan.violations` checks, left out; so a thrifty plan
+    (fewer units or crews than budgeted) meets no totals equality.  The
+    columns keep their ids, so ``compiled.index`` reads the copy.
+    """
+    first = compiled.first
     values = first.vector(plan)
-    problem.set_bounds(first.ids, values, values)
+    pinned = compiled.problem.copy(drop_rows=first.rows)
+    pinned.set_bounds(first.ids, values, values)
+    return pinned.seal()
 
 
 def build_ph_subproblem(
@@ -1110,13 +1097,7 @@ def price_subproblem(
         augmented.add_objective(np.arange(start, start + len(general)), 0.5 * rho)
     if tie_break:
         augmented.add_objective(ids, tie_break * (1.0 + np.arange(len(ids)) / len(ids)))
-    augmented.seal()
-    return CompiledProblem(
-        problem=augmented,
-        index=plain.index,
-        first=first,
-        scenario_ids=plain.scenario_ids,
-    )
+    return replace(plain, problem=augmented.seal())
 
 
 def _as_vector(raw: Sequence[float], n: int, what: str) -> list[float]:

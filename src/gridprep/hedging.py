@@ -201,17 +201,13 @@ def evaluate_plan_cost(
 ) -> tuple[float, list[float]]:
     """True expected cost of a plan: each compiled scenario re-solved with it pinned.
 
-    ``plain`` holds the scenarios' compiles in ``scen_set`` order, with the
-    totals rows as equalities.  The plan must pass the strict first-stage
-    rules: it then meets those rows exactly, every first-stage row is empty
-    once presolve substitutes the pinned columns, and the solver receives
-    what it would from a compile with the plan pinned.
+    ``plain`` holds the scenarios' compiles in ``scen_set`` order; each is
+    solved as :func:`~gridprep.formulation.pin_plan` copies it, so any plan
+    that passes ``violations(strict_totals=False)`` can be priced.
     """
 
     def solve_one(comp: CompiledProblem) -> float:
-        pinned = comp.problem.copy()
-        pin_plan(pinned, comp.first, plan)
-        sol = solve_milp(pinned.seal(), gap_tol=GAP_TOL)
+        sol = solve_milp(pin_plan(comp, plan), gap_tol=GAP_TOL)
         if not sol.ok:
             raise SubproblemInfeasibleError(comp.scenario_ids[0])
         return sol.objective

@@ -14,8 +14,9 @@ binary bounds.  Readers take arrays: :meth:`MilpProblem.matrices`,
 ask for them.
 
 A problem is built and then sealed; a sealed problem is immutable and safe
-to share across solves.  Every optimization in the toolkit goes through
-this representation.
+to share across solves, and its copies (which can leave out leading rows)
+share its blocks.  Every optimization in the toolkit goes through this
+representation.
 """
 
 from __future__ import annotations
@@ -214,16 +215,24 @@ class MilpProblem:
             raise ProblemError(f"unknown constraint sense '{sense[np.argmax(codes < 0)]}'")
         return codes
 
-    def copy(self) -> "MilpProblem":
-        """A mutable copy; the stored blocks are shared, since no method writes into one."""
+    def copy(self, drop_rows: int = 0) -> "MilpProblem":
+        """A mutable copy without the first ``drop_rows`` rows, which must be
+        whole blocks; the stored blocks are shared (the kept rows as views),
+        since no method writes into one."""
+        if drop_rows not in {start for start, _, _ in self._row_names} | {self._m}:
+            raise ProblemError(f"cannot drop {drop_rows} leading rows: not a block boundary")
         clone = MilpProblem(self.name)
         clone.objective_constant = self.objective_constant
-        clone._n, clone._m = self._n, self._m
-        clone._cols = list(self._cols)
-        clone._col_names = list(self._col_names)
+        clone._n, clone._m = self._n, self._m - drop_rows
+        clone._cols, clone._col_names, clone._obj = list(self._cols), list(self._col_names), list(self._obj)
         clone._rows = list(self._rows)
-        clone._row_names = list(self._row_names)
-        clone._obj = list(self._obj)
+        clone._row_names = [(start - drop_rows, count, names)
+                            for start, count, names in self._row_names if start >= drop_rows]
+        if drop_rows:
+            rows, cols, coefs, b, codes = (_concat(self._rows, k) for k in range(5))
+            cut = int(np.searchsorted(rows, drop_rows))  # row ids ascend within and across blocks
+            clone._rows = [(rows[cut:] - drop_rows, cols[cut:], coefs[cut:],
+                            b[drop_rows:], codes[drop_rows:])]
         return clone
 
     # -- introspection ----------------------------------------------------

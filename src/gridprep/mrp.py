@@ -24,7 +24,7 @@ from typing import Callable
 
 from scipy.special import stdtrit
 
-from .formulation import FirstStagePlan, FormulationConfig, build_extensive_form, build_subproblem
+from .formulation import FirstStagePlan, FormulationConfig, build_extensive_form, build_subproblem, pin_plan
 from .milp import solve_milp
 from .network import LoopSet, NetworkModel, enumerate_loops
 from .parallel import default_workers, in_order
@@ -124,8 +124,8 @@ def replicate_gap(
     scen_set = sampler(n, seed)
 
     def price(scen):
-        sub = build_subproblem(model, scen, config, loops=loops, fixed_plan=candidate)
-        return solve_milp(sub.problem, gap_tol=GAP_TOL)
+        sub = build_subproblem(model, scen, config, loops=loops)
+        return solve_milp(pin_plan(sub, candidate), gap_tol=GAP_TOL)
 
     with in_order(price, scen_set.scenarios, workers - 1) as priced:
         # the largest solve stays on the calling thread, which keeps peak memory down

@@ -209,6 +209,10 @@ def _number(doc: Mapping, key: str, ctx: str, default: float | None = None) -> f
     return value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer(doc: Mapping, key: str, ctx: str, default: int | None = None) -> int:
     """As :func:`_number`, truncated to an int."""
     return int(_number(doc, key, ctx, default))

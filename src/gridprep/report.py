@@ -20,10 +20,11 @@ from .formulation import (
     build_subproblem,
     extract_schedule,
     fuel_site_bounds,
+    pin_plan,
     scenario_cost,
 )
 from .milp import solve_milp
-from .network import LoopSet, NetworkModel, PvSpec, enumerate_loops
+from .network import LoopSet, NetworkModel, PvSpec
 from .scenarios import DamageScenario, ScenarioSet
 
 PV_SWEEP_RATINGS = {
@@ -125,10 +126,8 @@ def evaluate_plan(
     bad = plan.violations(model, config, strict_totals=False)
     if bad:
         raise EvaluationError(f"plan violates first-stage rules: {bad[0]}")
-    if loops is None:
-        loops = enumerate_loops(model)
-    compiled = build_subproblem(model, scenario, config, loops=loops, fixed_plan=plan)
-    sol = solve_milp(compiled.problem, gap_tol=1e-6)
+    compiled = build_subproblem(model, scenario, config, loops=loops)
+    sol = solve_milp(pin_plan(compiled, plan), gap_tol=1e-6)
     if not sol.ok:
         raise EvaluationError(
             f"scenario {scenario.id} operations infeasible under the pinned plan ({sol.status})"
@@ -233,7 +232,7 @@ def pv_fleet_for_level(model: NetworkModel, percent: int) -> list[PvSpec]:
     loads = [b for b in model.buses
              if any(b.total_demand(t) > 0 for t in range(model.horizon))]
     if not loads:
-        raise ValueError("model has no load buses to host PV")
+        raise InsufficientResourcesError("model has no load buses to host PV")
     by_id = sorted(b.id for b in loads)
     # grid-forming units go where shedding hurts most: they can restore an
     # island on their own, so costly isolated loads benefit first
@@ -284,8 +283,7 @@ def sweep_pv(
     for percent in levels:
         fleet = tuple(pv_fleet_for_level(model, percent))
         level_model = replace(model, pv_units=model.pv_units + fleet)
-        loops = enumerate_loops(level_model)
-        compiled = build_extensive_form(level_model, scen_set, config, loops=loops)
+        compiled = build_extensive_form(level_model, scen_set, config)
         sol = solve_milp(compiled.problem, gap_tol=1e-4)
         if not sol.ok:
             raise EvaluationError(f"sweep level {percent}%: stochastic solve failed ({sol.status})")

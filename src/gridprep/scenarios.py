@@ -18,7 +18,7 @@ from typing import IO, Mapping, Union
 
 import numpy as np
 
-from .network import Line, NetworkModel
+from .network import Line, NetworkModel, _is_int
 
 MAX_IRRADIANCE = 1367.0  # W/m^2, solar constant
 
@@ -236,20 +236,31 @@ def scenario_set_to_document(scen_set: ScenarioSet) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    if not _is_int(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def scenario_set_from_document(doc: Mapping) -> ScenarioSet:
+    """A scenario set; non-integer ids, seeds and repair times and repeated lines are refused."""
     scenarios = []
     for raw in doc["scenarios"]:
-        damaged = {str(d["line"]): int(d["repair_periods"]) for d in raw["damaged"]}
+        sid = _integer(raw["id"], "scenario id")
+        damaged = {str(d["line"]): _integer(d["repair_periods"], f"scenario {sid} repair_periods")
+                   for d in raw["damaged"]}
+        if len(damaged) != len(raw["damaged"]):
+            raise ValueError(f"scenario {sid} damages a line twice")
         scenarios.append(
             DamageScenario(
-                id=int(raw["id"]),
+                id=sid,
                 probability=float(raw["prob"]),
                 damaged_lines=frozenset(damaged),
                 repair_periods=damaged,
                 irradiance=tuple(float(v) for v in raw["irradiance"]),
             )
         )
-    return ScenarioSet(scenarios=tuple(scenarios), seed=int(doc["seed"]))
+    return ScenarioSet(scenarios=tuple(scenarios), seed=_integer(doc["seed"], "seed"))
 
 
 def dump_scenarios(scen_set: ScenarioSet) -> str:

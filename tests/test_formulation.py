@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from gridprep.formulation import (
     extract_schedule,
     fuel_site_bounds,
     gen_units,
+    pin_plan,
     plan_from_document,
     plan_to_document,
     polygonize_capacity,
@@ -32,7 +34,7 @@ from gridprep.formulation import (
     storage_units,
     VariableIndex,
 )
-from gridprep.milp import MilpProblem, solve_milp
+from gridprep.milp import MilpProblem, ProblemError, solve_milp
 from gridprep.network import enumerate_loops, network_from_document
 from gridprep.scenarios import DamageScenario, ScenarioSet
 
@@ -310,7 +312,8 @@ class TestSecondStage:
         scen = damage({"l12": 9}, horizon=3)
         plan = FirstStagePlan(meg_at={"b2": 0, "b3": 1}, mes_at={"b2": 1, "b3": 0},
                               fuel_lots={"b1": 3, "b2": 0, "b3": 2}, crews={"r1": 2})
-        compiled = build_subproblem(chain3, scen, chain3_config, fixed_plan=plan)
+        plain_compile = build_subproblem(chain3, scen, chain3_config)
+        compiled = replace(plain_compile, problem=pin_plan(plain_compile, plan))
         plain = solve_milp(compiled.problem, gap_tol=0.0)
         sol = solve_preferring_energization(compiled, gap_tol=0.0)
         sched = extract_schedule(chain3, scen, compiled.index, sol, 0)
@@ -687,6 +690,26 @@ class TestObjectiveEvaluation:
 
 
 class TestPlanHandling:
+    def test_pin_plan_copies_without_first_stage_rows(self, chain3, chain3_config):
+        compiled = build_subproblem(chain3, damage({"l12": 2}, horizon=3), chain3_config)
+        first = compiled.first
+        rows, bounds = compiled.problem.row_names(), compiled.problem.column_bounds()
+        assert rows[:first.rows] == ["meg_total", "mes_total", "mobile_cap[b2]", "mobile_cap[b3]",
+                                     "fuel_budget", "crew_total"]
+        # one MEG and one crew held back: the totals rows, equalities, would refuse it
+        thrifty = FirstStagePlan(meg_at={}, mes_at={"b3": 1}, fuel_lots={"b1": 2}, crews={"r1": 1})
+        assert thrifty.violations(chain3, chain3_config, strict_totals=False) == []
+        assert thrifty.violations(chain3, chain3_config) != []
+        pinned = pin_plan(compiled, thrifty)
+        assert compiled.problem.row_names() == rows
+        assert all((new == old).all() for new, old in zip(compiled.problem.column_bounds(), bounds))
+        assert pinned.row_names() == rows[first.rows:]
+        lower, upper = pinned.column_bounds()
+        assert lower[first.ids].tolist() == upper[first.ids].tolist() == first.vector(thrifty)
+        assert solve_milp(pinned, gap_tol=0.0).ok
+        with pytest.raises(ProblemError, match="binary"):
+            pin_plan(compiled, FirstStagePlan(meg_at={"b2": 2}, mes_at={}, fuel_lots={}, crews={}))
+
     def test_plan_document_round_trip(self, feeder13, config13):
         plan = FirstStagePlan(
             meg_at={"f4": 1, "l8": 1, "f0": 0, "f2": 0},

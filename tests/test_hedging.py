@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
-from gridprep.formulation import build_subproblem
+from gridprep.formulation import FirstStagePlan, build_subproblem
 from gridprep.hedging import (
     PhConfig,
     aggregate,
     convergence_metric,
+    evaluate_plan_cost,
     iteration_log_csv,
     ph_solve,
     repair_consensus,
@@ -139,6 +142,23 @@ class TestPhSolve:
                           PhConfig(workers=1))
         assert result.iterations >= 1
         assert builds == [0, 1]
+
+    def test_thrifty_plan_is_priced(self, chain3, chain3_config):
+        """A plan that holds back units and crews costs what it does under a
+        budget it meets exactly."""
+        scens = (damage({"l23": 2}, 3, sid=0, prob=0.5), damage({"l12": 1}, 3, sid=1, prob=0.5))
+        thrifty = FirstStagePlan(meg_at={}, mes_at={"b3": 1}, fuel_lots={"b1": 2}, crews={"r1": 1})
+        plain = [build_subproblem(chain3, scen, chain3_config) for scen in scens]
+        cost, objs = evaluate_plan_cost(ScenarioSet(scenarios=scens, seed=0), plain, thrifty)
+        exact = replace(chain3_config, n_meg=0, n_crew=1)
+        assert thrifty.violations(chain3, exact) == []
+        for scen, obj in zip(scens, objs):
+            ref = build_subproblem(chain3, scen, exact)
+            pinned = ref.problem.copy()
+            values = ref.first.vector(thrifty)
+            pinned.set_bounds(ref.first.ids, values, values)
+            assert obj == pytest.approx(solve_milp(pinned.seal(), gap_tol=1e-6).objective, abs=1e-6)
+        assert cost == pytest.approx(0.5 * sum(objs))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

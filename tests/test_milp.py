@@ -128,6 +128,22 @@ class TestProblemRepresentation:
         q.set_bounds([0], 1.0, 1.0)
         assert p.column_bounds()[0][0] == 0.0 and q.column_bounds()[0][0] == 1.0
 
+    def test_copy_can_leave_out_leading_row_blocks(self):
+        p = MilpProblem()
+        p.add_columns([0.0, 0.0], [1.0, 1.0], names=["x", "y"])
+        p.add_rows([[0, 1]], 1.0, LE, 1.0, ["head"])
+        p.add_rows([[0], [1]], [[2.0], [3.0]], [GE, EQ], [0.5, 0.25], ["a", "b"])
+        p.seal()
+        q = p.copy(drop_rows=1)
+        assert q.row_names() == ["a", "b"] and p.row_names() == ["head", "a", "b"]
+        _, a_mat, senses, b, lower, _ = q.matrices()
+        assert a_mat.toarray().tolist() == [[2.0, 0.0], [0.0, 3.0]]
+        assert senses == (GE, EQ) and b.tolist() == [0.5, 0.25]
+        assert lower is p.column_bounds()[0]  # column blocks are shared
+        assert p.matrices()[1].shape == (3, 2)
+        with pytest.raises(ProblemError, match="block boundary"):
+            p.copy(drop_rows=2)
+
     def test_non_finite_coefficients_rejected(self):
         p = MilpProblem()
         p.add_columns([0.0], [1.0])

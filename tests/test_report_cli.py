@@ -307,6 +307,21 @@ class TestCli:
         assert error["exit_code"] == 3 and "crew total 99" in error["error"]
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_without_load_buses_exit_code(self, paths, tmp_path, capsys):
+        doc = json.loads(Path(paths["network"]).read_text())
+        for bus in doc["buses"]:
+            bus["demand_p"], bus["demand_q"] = {}, {}
+        net = tmp_path / "no_loads.json"
+        net.write_text(json.dumps(doc))
+        assert self.run("check-network", "--network", str(net)) == 0
+        code = self.run("sweep-pv", "--network", str(net), "--config", paths["config"],
+                        "--wind", paths["wind"], "--count", "1", "--levels", "0",
+                        "--out", str(tmp_path / "out"))
+        assert code == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error == {"error": "model has no load buses to host PV", "exit_code": 3}
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("what, edit, command", [
         ("config", {"n_mu_by_bus": [1]}, "base-plan"),
         ("config", {"n_meg": 1.5}, "base-plan"),
@@ -315,11 +330,17 @@ class TestCli:
         ("scenarios", {"damaged": [{"line": "nope", "repair_periods": 2}]}, "solve-ef"),
         ("scenarios", {"damaged": [{"line": "nope", "repair_periods": 2}]}, "evaluate"),
         ("scenarios", {"irradiance": [500.0, 500.0]}, "solve-ef"),
+        ("scenarios", {"damaged": [{"line": "t1", "repair_periods": 2.7}]}, "solve-ef"),
+        ("scenarios", {"id": 3.7}, "evaluate"),
+        ("scenarios", {"seed": 1.9}, "solve-ef"),
+        ("scenarios", {"damaged": [{"line": "t1", "repair_periods": 2},
+                                   {"line": "t1", "repair_periods": 3}]}, "solve-ef"),
         ("plan", {"fuel": []}, "evaluate"),
         ("plan", {"meg": "f0"}, "evaluate"),
     ], ids=["config-mu-list", "config-meg-float", "config-unknown-key", "fragility-unknown-key",
             "scenario-unknown-line-ef", "scenario-unknown-line-evaluate",
-            "scenario-short-irradiance", "plan-fuel-list", "plan-meg-string"])
+            "scenario-short-irradiance", "scenario-repair-float", "scenario-id-float",
+            "scenario-seed-float", "scenario-line-twice", "plan-fuel-list", "plan-meg-string"])
     def test_malformed_input_file_is_input_error(self, paths, tmp_path, capsys, what, edit,
                                                  command):
         assert self.run("generate-scenarios", "--network", paths["network"],
@@ -330,7 +351,8 @@ class TestCli:
         files = dict(paths, scenarios=str(tmp_path / "s" / "scenarios.json"),
                      plan=str(tmp_path / "base" / "base_plan.json"))
         doc = json.loads(Path(files[what]).read_text())
-        (doc["scenarios"][0] if what == "scenarios" else doc).update(edit)
+        # a scenario-file edit changes the first storm, except the set's own seed
+        (doc["scenarios"][0] if what == "scenarios" and "seed" not in edit else doc).update(edit)
         files[what] = str(tmp_path / f"bad_{what}.json")
         Path(files[what]).write_text(json.dumps(doc))
         flags = {"base-plan": ["--config", files["config"]],
