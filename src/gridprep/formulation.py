@@ -57,6 +57,7 @@ from .network import (
     _is_int,
     enumerate_loops,
 )
+from .parallel import ordered_sum
 from .scenarios import DamageScenario, ScenarioSet
 
 
@@ -443,15 +444,15 @@ class FirstStageVars:
         return [(kind, entity, vid) for kind in FIRST_STAGE_KINDS
                 for entity, vid in getattr(self, kind).items()]
 
-    def vector(self, plan: FirstStagePlan) -> list[float]:
+    def vector(self, plan: FirstStagePlan) -> np.ndarray:
         """The plan as a hedging vector; an entity the plan leaves out is 0."""
         chosen = {kind: getattr(plan, KIND_FIELD_MAP[kind][1]) for kind in FIRST_STAGE_KINDS}
-        return [float(chosen[kind].get(entity, 0)) for kind, entity in self.keys]
+        return np.array([float(chosen[kind].get(entity, 0)) for kind, entity in self.keys])
 
-    def votes(self, vector: Sequence[float]) -> dict[str, dict[str, float]]:
+    def votes(self, vector: np.ndarray) -> dict[str, dict[str, float]]:
         """A hedging vector's values by kind, then entity."""
         out: dict[str, dict[str, float]] = {kind: {} for kind in FIRST_STAGE_KINDS}
-        for (kind, entity), value in zip(self.keys, vector):
+        for (kind, entity), value in zip(self.keys, vector.tolist()):
             out[kind][entity] = value
         return out
 
@@ -612,6 +613,20 @@ def build_first_stage(
     return FirstStageVars(meg=meg, mes=mes, lots=lots, crew=crew, rows=problem.num_constraints)
 
 
+def _line_status(model: NetworkModel, damaged) -> tuple[np.ndarray, np.ndarray]:
+    """(is_var, const), each (lines, periods): whether a line's status is a
+    column, and its constant value where it is not (0 where it is).  Damaged
+    lines are columns throughout, switches after the first period, where an
+    undamaged switch keeps its declared state; every other line is closed."""
+    lines, periods = model.lines, range(model.horizon)
+    is_var = np.array([[k.id in damaged or (k.switchable and t > 0) for t in periods]
+                       for k in lines], dtype=bool).reshape(len(lines), model.horizon)
+    const = np.array([[0.0 if (k.switchable and k.normally_open and t == 0) else 1.0
+                       for t in periods] for k in lines]).reshape(len(lines), model.horizon)
+    const[is_var] = 0.0
+    return is_var, const
+
+
 def build_second_stage(
     model: NetworkModel,
     scenario: DamageScenario,
@@ -663,14 +678,7 @@ def build_second_stage(
     y, = columns(["y"], [(b.id, None, t) for b in buses for t in periods], [0.0], [1.0], BINARY)
     chi, = columns(["chi"], [(b.id, None, t) for b in buses for t in periods], [0.0], [1.0], BINARY)
 
-    # line status: damaged and switchable lines get variables, the rest are
-    # closed constants; undamaged switches are pinned to their declared
-    # initial state in the first period
-    u_is_var = np.array([[k.id in damaged or (k.switchable and t > 0) for t in periods]
-                         for k in lines], dtype=bool).reshape(len(lines), T)
-    u_const = np.array([[0.0 if (k.switchable and k.normally_open and t == 0) else 1.0
-                         for t in periods] for k in lines]).reshape(len(lines), T)
-    u_const[u_is_var] = 0.0
+    u_is_var, u_const = _line_status(model, damaged)
     u_ids, = _columns(problem, index, ["u"], [(k.id, None, t) for k in lines for t in periods
                                              if u_is_var[line_pos[k.id], t]], [0.0], [1.0], BINARY, s)
     u = np.zeros((len(lines), T), dtype=np.int64)
@@ -964,7 +972,7 @@ def build_second_stage(
     served = demand != 0.0
     problem.add_objective(y_bp[served], (-weight * shed_cost * demand * dt)[served])
     shed = (weight * shed_cost * demand * dt)[served]
-    problem.objective_constant += float(np.add.accumulate(shed)[-1]) if len(shed) else 0.0
+    problem.objective_constant += ordered_sum(shed)
 
 
 @dataclass
@@ -1059,8 +1067,8 @@ def price_subproblem(
     """
     first = plain.first
     ids = first.ids
-    eta = np.array(_as_vector(multipliers, len(ids), "multipliers"))
-    xbar = np.array(_as_vector(anchor, len(ids), "anchor"))
+    eta = _as_vector(multipliers, len(ids), "multipliers")
+    xbar = _as_vector(anchor, len(ids), "anchor")
     augmented = plain.problem.copy()
     priced = eta != 0.0
     augmented.add_objective(ids[priced], eta[priced])
@@ -1069,8 +1077,8 @@ def price_subproblem(
         binary = augmented.kind_mask(BINARY)[ids]
         # (x - xbar)^2 == (1 - 2 xbar) x + xbar^2 for binary x
         augmented.add_objective(ids[binary], 0.5 * rho * (1.0 - 2.0 * xbar[binary]))
-        augmented.objective_constant = float(np.add.accumulate(
-            np.concatenate([[augmented.objective_constant], 0.5 * rho * xbar[binary] * xbar[binary]]))[-1])
+        augmented.objective_constant = ordered_sum(0.5 * rho * xbar[binary] * xbar[binary],
+                                                   start=augmented.objective_constant)
         general = np.flatnonzero(~binary)
         s = plain.scenario_ids[0]
         start = augmented.add_columns(
@@ -1100,17 +1108,19 @@ def price_subproblem(
     return replace(plain, problem=augmented.seal())
 
 
-def _as_vector(raw: Sequence[float], n: int, what: str) -> list[float]:
-    vec = [float(v) for v in raw]
-    if len(vec) != n:
-        raise FormulationError(f"expected {n} {what} entries, got {len(vec)}")
+def _as_vector(raw: Sequence[float], n: int, what: str) -> np.ndarray:
+    vec = np.asarray(raw, dtype=float)
+    if vec.shape != (n,):
+        raise FormulationError(f"expected {n} {what} entries, got shape {vec.shape}")
     return vec
 
 
-def _by_field(index: VariableIndex, values, owner: str, s: int | None) -> dict[str, dict]:
+def _by_field(index: VariableIndex, values: np.ndarray, owner: str, s: int | None) -> dict[str, dict]:
     """Column values of scenario ``s`` (``None``: the first stage) for each
     field of ``owner`` in :data:`KIND_FIELD_MAP`, keyed by entity,
-    (entity, t) or (entity, phase, t) as the column's key has them."""
+    (entity, t) or (entity, phase, t) as the column's key has them, as
+    Python floats."""
+    values = values.tolist()
     out: dict[str, dict] = {name: {} for cls, name in KIND_FIELD_MAP.values() if cls == owner}
     for (kind, entity, phase, t, scen), vid in index.items():
         cls, name = KIND_FIELD_MAP[kind]
@@ -1164,16 +1174,11 @@ def extract_schedule(
     s: int,
 ) -> SecondStageSchedule:
     found = _by_field(index, solution.values, "SecondStageSchedule", s)
-    line_closed = found["line_closed"]
-    for line in model.lines:
-        for t in range(model.horizon):
-            if (line.id, t) not in line_closed:
-                if line.id in scenario.damaged_lines:
-                    line_closed[(line.id, t)] = 0.0
-                elif line.switchable and t == 0:
-                    line_closed[(line.id, t)] = 0.0 if line.normally_open else 1.0
-                else:
-                    line_closed[(line.id, t)] = 1.0
+    # a line status that is no column is the constant the formulation used
+    is_var, const = _line_status(model, scenario.damaged_lines)
+    closed = const.tolist()
+    for i, t in np.argwhere(~is_var).tolist():
+        found["line_closed"][(model.lines[i].id, t)] = closed[i][t]
     return SecondStageSchedule(scenario=s, **found)
 
 

@@ -324,8 +324,11 @@ ITERATION_LIMIT = "iteration_limit"
 
 @dataclass
 class MilpSolution:
+    """A solve's outcome; ``values`` is the checked point, one float per
+    column by column id, and empty when the solve found none."""
+
     status: str
-    values: dict[int, float] = field(default_factory=dict)
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))
     objective: float = math.nan
     best_bound: float = math.nan
     node_count: int = 0

@@ -5,10 +5,11 @@ bounds, integer bounds rounded, fixed variables substituted out), then HiGHS
 through SciPy, ``milp`` while integer variables remain and ``linprog`` once
 none do.  HiGHS is deterministic at fixed inputs, so every solve is too.
 Each returned point is checked against the original rows and bounds, and
-one that breaks them raises :class:`NumericalInstabilityError`.  A HiGHS
-MILP solve that ends in a load, presolve, solve or postsolve error is tried
-once more with HiGHS's own presolve off, and raises the same error only if
-that fails too; a MILP stopped at its node limit returns ``ITERATION_LIMIT``
+one that breaks them raises :class:`NumericalInstabilityError`; the checked
+point, one float64 per column, is the solution's ``values``.  A HiGHS MILP
+solve that ends in a load, presolve, solve or postsolve error is tried once
+more with HiGHS's own presolve off, and raises the same error only if that
+fails too; a MILP stopped at its node limit returns ``ITERATION_LIMIT``
 instead.
 """
 
@@ -180,13 +181,13 @@ def _check_point(problem: MilpProblem, point: np.ndarray) -> None:
             f"and a bound by {worst_bound:.3g} (scaled as the tolerance is)")
 
 
-def _expand_values(red: _Reduced, x: np.ndarray, problem: MilpProblem) -> dict[int, float]:
+def _expand_values(red: _Reduced, x: np.ndarray, problem: MilpProblem) -> np.ndarray:
     """Every original variable's value, once the point passes :func:`_check_point`."""
     point = np.empty(problem.num_variables)
     point[red.keep_vars] = x
     point[red.fixed] = red.fixed_values
     _check_point(problem, point)
-    return dict(enumerate(point.tolist()))
+    return point
 
 
 def _lp_highs(problem: MilpProblem, red: _Reduced) -> MilpSolution:

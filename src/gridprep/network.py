@@ -214,8 +214,12 @@ def _is_int(value) -> bool:
 
 
 def _integer(doc: Mapping, key: str, ctx: str, default: int | None = None) -> int:
-    """As :func:`_number`, truncated to an int."""
-    return int(_number(doc, key, ctx, default))
+    """As :func:`_number`, for a value that must be a JSON integer."""
+    _number(doc, key, ctx, default)
+    value = doc.get(key, default)
+    if not _is_int(value):
+        raise NetworkParseError(f"{ctx}: {key} must be an integer, got {value!r}")
+    return value
 
 
 def _matrix3(raw, ctx: str) -> tuple[tuple[float, ...], ...]:

@@ -10,9 +10,15 @@ copy of the plain compile that leaves out the first-stage rows.  What
 HiGHS receives did not change: ``REDUCED_SHA256`` holds the digests of
 gridprep's presolve output recorded when the plan was pinned inside the
 compile, with the placement and crew totals as upper bounds.
+
+``PH_RUN_SHA256`` pins what a hedging run leaves behind: its final state
+(as ``ph_state.json`` holds it), its history of g and its priced cost.  It
+was recorded while PH still iterated on Python lists, before the hedging
+vector became an array.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -36,6 +42,7 @@ REDUCED_SHA256 = {
     "strict": "05f372e70ed80b38395fb8a0e5df6af5a763eef305480499afaeb67b396f1df3",
 }
 PH_SHA256 = "81ad1afd5dd1e76b4e456e7781923cbc5f083ce71b7eb8a9d5ec5924cc85ee4b"
+PH_RUN_SHA256 = "aaf0d88f9fc71951b73b62054eaeb869b62b810b8cec52ce8f211f279e883b20"
 
 
 def arrays_digest(problem) -> str:
@@ -113,3 +120,11 @@ def test_priced_hedging_subproblem(feeder13, config13, training_scenarios, loops
     compiled = build_ph_subproblem(feeder13, storm, config13, multipliers=multipliers,
                                    anchor=anchor, rho=1.5, tie_break=0.02, loops=loops13)
     assert arrays_digest(compiled.problem) == PH_SHA256
+
+
+def test_hedging_run_bits(ph_cold):
+    h = hashlib.sha256()
+    h.update(json.dumps(ph_cold.state.to_document()).encode())
+    h.update(repr(ph_cold.metric_history).encode())
+    h.update(repr(ph_cold.ef_cost).encode())
+    assert h.hexdigest() == PH_RUN_SHA256

@@ -705,7 +705,7 @@ class TestPlanHandling:
         assert all((new == old).all() for new, old in zip(compiled.problem.column_bounds(), bounds))
         assert pinned.row_names() == rows[first.rows:]
         lower, upper = pinned.column_bounds()
-        assert lower[first.ids].tolist() == upper[first.ids].tolist() == first.vector(thrifty)
+        assert lower[first.ids].tolist() == upper[first.ids].tolist() == first.vector(thrifty).tolist()
         assert solve_milp(pinned, gap_tol=0.0).ok
         with pytest.raises(ProblemError, match="binary"):
             pin_plan(compiled, FirstStagePlan(meg_at={"b2": 2}, mes_at={}, fuel_lots={}, crews={}))

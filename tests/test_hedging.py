@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gridprep.formulation import FirstStagePlan, build_subproblem
@@ -12,7 +13,7 @@ from gridprep.hedging import (
     ph_solve,
     repair_consensus,
 )
-from gridprep.milp import solve_milp
+from gridprep.milp import OPTIMAL, MilpSolution, solve_milp
 from gridprep.scenarios import DamageScenario, ScenarioSet
 
 
@@ -26,13 +27,13 @@ def damage(lines_periods, horizon, sid=0, prob=1.0):
 class TestAggregation:
     def test_identical_vectors_pass_through(self):
         x = [[1.0, 0.0, 2.0]] * 3
-        assert aggregate(x, [0.2, 0.3, 0.5]) == [1.0, 0.0, 2.0]
+        assert aggregate(x, [0.2, 0.3, 0.5]).tolist() == [1.0, 0.0, 2.0]
 
     def test_two_equiprobable_scenarios(self):
-        assert aggregate([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]) == [0.5, 0.5]
+        assert aggregate([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]).tolist() == [0.5, 0.5]
 
     def test_unequal_probabilities(self):
-        assert aggregate([[1.0], [0.0]], [0.9, 0.1]) == [pytest.approx(0.9)]
+        assert aggregate([[1.0], [0.0]], [0.9, 0.1]).tolist() == [pytest.approx(0.9)]
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -142,6 +143,51 @@ class TestPhSolve:
                           PhConfig(workers=1))
         assert result.iterations >= 1
         assert builds == [0, 1]
+
+    def test_stagnant_g_bumps_rho_up_to_its_cap(self, chain3, chain3_config, monkeypatch):
+        """Every iteration solve returns its scenario's fixed point, so g never
+        moves: rho grows by 1.5 after each 5 stagnant iterations and stops at
+        10 times its start.  Each multiplier update adds rho * (x_s - x_bar),
+        so the steps of a scenario's multipliers read rho off."""
+        import gridprep.hedging as hedging
+
+        scens = (damage({"l23": 2}, 3, sid=0, prob=0.5), damage({"l12": 3}, 3, sid=1, prob=0.5))
+        ids = build_subproblem(chain3, scens[0], chain3_config).first.ids
+        real_price, real_solve = hedging.price_subproblem, hedging.solve_milp
+        priced, seen = {}, []
+
+        def price(plain, multipliers, anchor, rho, tie_break=0.0):
+            comp = real_price(plain, multipliers, anchor, rho, tie_break)
+            sid = comp.scenario_ids[0]
+            priced[id(comp.problem)] = (sid, comp.problem)  # held, so no id is reused
+            if sid == 0:
+                seen.append(np.array(multipliers, dtype=float))
+            return comp
+
+        def solve(problem, **kwargs):
+            if id(problem) not in priced:  # the consensus repair and the plan's pricing
+                return real_solve(problem, **kwargs)
+            sid, _ = priced[id(problem)]
+            point = np.zeros(problem.num_variables)
+            point[ids] = 1.0 - sid
+            return MilpSolution(status=OPTIMAL, values=point, objective=0.0)
+
+        monkeypatch.setattr(hedging, "price_subproblem", price)
+        monkeypatch.setattr(hedging, "solve_milp", solve)
+        start = 2.0
+        result = ph_solve(chain3, ScenarioSet(scenarios=scens, seed=0), chain3_config,
+                          PhConfig(rho=start, max_iterations=40, workers=1))
+        assert not result.converged
+        assert len(set(result.metric_history)) == 1
+        state = result.state
+        etas = np.array([*seen, np.asarray(state.eta_s[0], dtype=float)])
+        deviation = np.asarray(state.x_s[0], dtype=float) - np.asarray(state.x_bar, dtype=float)
+        assert np.all(deviation == 0.5)
+        steps = np.diff(etas, axis=0) / deviation
+        assert np.all(steps == steps[:, :1])
+        grown = [start * 1.5 ** k for k in range(6)]
+        expected = [start] * 6 + [r for r in grown[1:] for _ in range(5)] + [10 * start] * 10
+        assert steps[:, 0].tolist() == pytest.approx(expected, rel=1e-12)
 
     def test_thrifty_plan_is_priced(self, chain3, chain3_config):
         """A plan that holds back units and crews costs what it does under a

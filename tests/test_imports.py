@@ -62,3 +62,33 @@ def test_every_public_definition_is_used():
         if node.name not in (members if "." in qualname else used)
     ]
     assert not unused, "named by no command, script or benchmark: " + ", ".join(unused)
+
+
+def accumulations(tree) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of each ``<module>.add.accumulate`` in ``tree``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "accumulate"
+                    and isinstance(child.value, ast.Attribute) and child.value.attr == "add"):
+                found.append((func, child.lineno))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_ordered_sums_have_one_home():
+    """Sums whose bits must not move add term by term through
+    ``parallel.ordered_sum``; a running sum anywhere else is a second way."""
+    sites = [(path.name, func, line)
+             for path in sorted((SRC / "gridprep").rglob("*.py"))
+             for func, line in accumulations(ast.parse(path.read_text()))]
+    assert any(site[:2] == ("parallel.py", "ordered_sum") for site in sites)
+    stray = [f"{name}:{line}" for name, func, line in sites
+             if (name, func) != ("parallel.py", "ordered_sum")]
+    assert not stray, "np.add.accumulate outside parallel.ordered_sum: " + ", ".join(stray)

@@ -334,7 +334,7 @@ class TestSolveMilp:
         b = np.floor(a.sum(axis=1) / 2)
         split = build(rng.normal(size=12), a, [EQ, EQ], b, [(0, 1)] * 12, kinds=[BINARY] * 12)
         stopped = solve_milp(split, gap_tol=0.0, node_limit=1)
-        assert stopped.status == ITERATION_LIMIT and not stopped.values
+        assert stopped.status == ITERATION_LIMIT and stopped.values.size == 0
 
     def test_solver_error_retries_without_presolve(self, monkeypatch):
         import gridprep.milp.solve as milp_solve
@@ -377,7 +377,7 @@ class TestSolveMilp:
         p = build(c, a, senses, b, bounds, kinds)
         sols = [solve_milp(p, gap_tol=0.0) for _ in range(2)]
         assert sols[0].objective == sols[1].objective
-        assert sols[0].values == sols[1].values
+        assert sols[0].values.tolist() == sols[1].values.tolist()
         assert sols[0].node_count == sols[1].node_count
 
 

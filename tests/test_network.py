@@ -101,7 +101,13 @@ class TestLoadNetwork:
         (("buses", 1, "demand_p"), [1, 2], "map phases"),
         (("lines", 0, "phases"), 5, "phases must be"),
         (("buses", 1, "demand_p", "a"), "11", "list of numbers"),
-    ], ids=["p_max", "demand", "demand-list", "phases-int", "demand-str"])
+        (("horizon",), 6.0, "integer"),
+        (("lines", 0, "poles"), 2.9, "integer"),
+        (("lines", 0, "spans"), "3", "integer"),
+        (("regions",), [{"id": "r1", "depot_bus": "a", "lines": ["ab"],
+                         "crew_min": 0, "crew_max": 4.7}], "integer"),
+    ], ids=["p_max", "demand", "demand-list", "phases-int", "demand-str",
+            "horizon-float", "poles-fraction", "spans-str", "crew_max-fraction"])
     def test_non_numeric_value_rejected(self, where, value, message):
         # a value of the wrong type is a parse error, never a bare TypeError
         doc = json.loads(json.dumps(minimal_doc()))

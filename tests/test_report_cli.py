@@ -256,8 +256,9 @@ class TestCli:
 
     @pytest.mark.parametrize("where, value", [(("buses", 0, "demand_p"), [1, 2]),
                                               (("lines", 0, "phases"), 5),
-                                              (("buses", 0, "demand_p", "a"), "111111")],
-                             ids=["demand-list", "phases-int", "demand-str"])
+                                              (("buses", 0, "demand_p", "a"), "111111"),
+                                              (("regions", 0, "crew_max"), 4.7)],
+                             ids=["demand-list", "phases-int", "demand-str", "crew_max-fraction"])
     def test_wrongly_typed_network_structure_is_input_error(self, paths, tmp_path, where, value):
         doc = json.loads(Path(paths["network"]).read_text())
         *parents, last = where
