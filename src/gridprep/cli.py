@@ -66,7 +66,7 @@ def _parse(path: str, what: str, parse):
         raise CliError(f"file not found: {path}") from None
     except OSError as exc:
         raise CliError(f"{what}: cannot read {path} ({exc.strerror})") from exc
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise CliError(f"{what}: {exc}") from exc
 
 
@@ -315,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--soft-start",
                    help="prior plan file; hedging iteration 0 is pulled toward it")
     p.add_argument("--workers", type=int, default=None,
-                   help="threads solving scenario subproblems (default: one per usable "
-                        "core, at most one per scenario); results do not depend on it")
+                   help="threads solving scenario subproblems, the calling one included "
+                        "(default: one per usable core, at most one per scenario); "
+                        "results do not depend on it")
     p.set_defaults(fn=cmd_solve_ph)
 
     p = sub.add_parser("validate-mrp", help="confidence interval on a plan's optimality gap")
@@ -330,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
                    help="threads solving one replication's sample problem and the "
-                        "candidate's pricing at once (default: one per usable core, at "
-                        "most n + 1); results do not depend on it")
+                        "candidate's pricing at once, the calling one included (default: "
+                        "one per usable core, at most n + 1); results do not depend on it")
     p.set_defaults(fn=cmd_validate_mrp)
 
     p = sub.add_parser("base-plan", help="heuristic comparison plan")

@@ -21,10 +21,11 @@ copies of it with the plan's columns pinned.  The compiles'
 :class:`~gridprep.formulation.FirstStageVars` name the hedging vector's
 columns and turn a prior plan into the first anchor and the final mean
 into the consensus votes.  Subproblems of one iteration are independent
-and solve on a thread pool (HiGHS releases the GIL), by default one worker
-per usable core and no more than one per scenario.  Results merge in
-scenario order and HiGHS is deterministic, so the worker count never
-changes the outcome.
+and solve through :func:`~gridprep.parallel.map_in_order` (HiGHS releases
+the GIL) on one worker per usable core by default, the calling thread
+included, and no more than one per scenario.  Results merge in scenario
+order and HiGHS is deterministic, so the worker count never changes the
+outcome.
 
 The hedging vector stays an array from each solve's checked point to the
 artifacts: decisions and prices are (scenarios, n) arrays and the mean an
@@ -273,9 +274,9 @@ def ph_solve(
         sols = map_in_order(solve_scenario, list(enumerate(scen_set.scenarios)), workers)
         x_s = np.stack([sol.values[first.ids] for sol in sols])
         objs = [sol.objective for sol in sols]
-        # the points were made on the pool threads: held into the next
-        # iteration, they left more freed memory resident in those threads'
-        # malloc arenas (about 3 MB more peak RSS on ph-s8)
+        # each point sits in the malloc arena of the thread that solved it,
+        # above the memory HiGHS freed there, which glibc keeps resident;
+        # held into the next iteration, they raised ph-s8 peak RSS by ~3 MB
         del sols
         x_bar = aggregate(x_s, probs)
         eta_s = eta_s + rho * (x_s - x_bar)

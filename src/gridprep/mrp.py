@@ -6,13 +6,13 @@ estimates feed a one-sided Student-t interval.  Replications that fail to
 prove optimality are tainted and excluded rather than silently included;
 with fewer than two untainted replications no interval is reported.
 
-Given its sample, a replication's n + 1 solves are independent: the
-candidate is priced on each sampled scenario on a thread pool while the
-calling thread solves the sample problem, by default one thread per usable
-core in all and no more than n + 1.  Replications run one at a time in
-seed order, each finishing before the sampler is called for the next, so
-a sampler need not be thread-safe.  Results are read in scenario order and
-HiGHS is deterministic, so the worker count never changes the outcome.
+Given its sample, a replication's n + 1 solves are independent and go
+through one ``map_in_order``, by default on one worker per usable core,
+the calling thread included, and no more than n + 1.  Replications run one
+at a time in seed order, each finishing before the sampler is called for
+the next, so a sampler need not be thread-safe.  Results are read in
+scenario order and HiGHS is deterministic, so the worker count never
+changes the outcome.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from scipy.special import stdtrit
 from .formulation import FirstStagePlan, FormulationConfig, build_extensive_form, build_subproblem, pin_plan
 from .milp import solve_milp
 from .network import LoopSet, NetworkModel, enumerate_loops
-from .parallel import default_workers, in_order
+from .parallel import default_workers, map_in_order, ordered_sum
 from .scenarios import ScenarioSet
 
 #: draws a fresh equiprobable scenario set: (sample_size, seed) -> ScenarioSet
@@ -111,9 +111,10 @@ def replicate_gap(
 
     Solves the sampled problem for its own optimum and prices the candidate
     on the identical sample; the gap is the mean cost difference.  The
-    pricing solves run on ``workers - 1`` pool threads while the calling
-    thread solves the sample problem; with one worker they follow it on
-    the calling thread.  Every solve has ended when this returns.
+    sample problem, the largest solve, is item 0 of one ``map_in_order``,
+    so it runs on the calling thread, which keeps peak memory down.  All
+    n + 1 solves run even when the sample problem is not optimal (the
+    replication is tainted all the same), and all have ended on return.
     """
     bad = candidate.violations(model, config, strict_totals=False)
     if bad:
@@ -123,22 +124,16 @@ def replicate_gap(
     workers = default_workers(workers, n + 1)
     scen_set = sampler(n, seed)
 
-    def price(scen):
-        sub = build_subproblem(model, scen, config, loops=loops)
-        return solve_milp(pin_plan(sub, candidate), gap_tol=GAP_TOL)
+    def solve(scen):  # None stands for the sample problem
+        problem = (build_extensive_form(model, scen_set, config, loops=loops).problem if scen is None
+                   else pin_plan(build_subproblem(model, scen, config, loops=loops), candidate))
+        return solve_milp(problem, gap_tol=GAP_TOL)
 
-    with in_order(price, scen_set.scenarios, workers - 1) as priced:
-        # the largest solve stays on the calling thread, which keeps peak memory down
-        compiled = build_extensive_form(model, scen_set, config, loops=loops)
-        opt = solve_milp(compiled.problem, gap_tol=GAP_TOL)
-        if opt.status != "optimal":
-            return math.nan, math.nan, True
-
-        cand_total = 0.0
-        for scen, sol in zip(scen_set.scenarios, priced):
-            if sol.status != "optimal":
-                return math.nan, math.nan, True
-            cand_total += scen.probability * sol.objective
+    opt, *priced = map_in_order(solve, [None, *scen_set.scenarios], workers)
+    if any(sol.status != "optimal" for sol in (opt, *priced)):
+        return math.nan, math.nan, True
+    cand_total = ordered_sum([scen.probability * sol.objective
+                              for scen, sol in zip(scen_set.scenarios, priced)])
     return cand_total - opt.objective, cand_total, False
 
 

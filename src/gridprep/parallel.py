@@ -2,8 +2,11 @@
 sums in item order.
 
 HiGHS releases the interpreter lock while it solves, so independent MILPs
-overlap on threads.  Results always come back in the order of the items,
-so the thread count never changes an outcome.
+overlap on threads.  ``workers`` counts the calling thread, which runs items
+beside a pool of ``workers - 1`` threads.  glibc keeps the memory HiGHS
+frees resident in the malloc arena of the thread that used it, so each
+thread at work adds an arena's high-water mark to the peak RSS.  Results
+come back in item order, so the worker count never changes an outcome.
 
 A floating-point sum's last bits depend on the order of its additions.
 NumPy's ``sum`` and ``@`` add in blocks whose shape follows the length and
@@ -14,8 +17,7 @@ artifact goes through :func:`ordered_sum`, which adds one term at a time.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,33 +36,33 @@ def default_workers(workers: int | None, tasks: int) -> int:
     return max(1, min(_usable_cores(), tasks))
 
 
-@contextmanager
-def in_order(fn, items, threads: int):
-    """Yield an iterator over ``fn(item)`` for each item, in item order.
-
-    With ``threads`` >= 1 every item goes at once to a pool of that many
-    threads, and the calling thread is free for other work until it reads a
-    result.  With 0 each call runs on the calling thread when its result is
-    read, so a reader that stops early leaves the rest uncalled.  Leaving
-    the block cancels the calls not yet started and waits for the running
-    ones: no call outlives it, and results left unread are dropped.
-    """
-    if threads < 1:
-        yield (fn(item) for item in items)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        try:
-            yield (future.result() for future in futures)
-        finally:
-            for future in futures:
-                future.cancel()
-
-
 def map_in_order(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]``, on ``workers`` threads when above 1."""
-    with in_order(fn, items, workers if workers > 1 else 0) as results:
-        return list(results)
+    """``[fn(item) for item in items]``, up to ``workers`` calls at once: the
+    calling thread runs ``items[0]``, then each later item not yet started by
+    the pool of ``workers - 1`` threads.  The first error in item order is
+    raised, the calls not started are cancelled, and none outlives the return."""
+    items = list(items)
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    pool = ThreadPoolExecutor(max_workers=workers - 1)
+    try:
+        pooled = [pool.submit(fn, item) for item in items[1:]]
+        outcomes = []
+        for item, future in zip(items, [None, *pooled]):
+            if future is None or future.cancel():
+                future = Future()  # run here; an error is raised in item order below
+                try:
+                    future.set_result(fn(item))
+                except BaseException as exc:
+                    future.set_exception(exc)
+            outcomes.append(future)
+            if future.done() and future.exception() is not None:
+                # no later item can hold the first error: start none of them
+                pool.shutdown(wait=False, cancel_futures=True)
+                break
+        return [future.result() for future in outcomes]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def ordered_sum(terms, start: float = 0.0, axis: int = 0):

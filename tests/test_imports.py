@@ -92,3 +92,24 @@ def test_ordered_sums_have_one_home():
     stray = [f"{name}:{line}" for name, func, line in sites
              if (name, func) != ("parallel.py", "ordered_sum")]
     assert not stray, "np.add.accumulate outside parallel.ordered_sum: " + ", ".join(stray)
+
+
+def thread_constructions(tree) -> list[int]:
+    """Lines where ``tree`` calls ``ThreadPoolExecutor`` or ``Thread``, bare or
+    as a module attribute (``threading.Thread``)."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("ThreadPoolExecutor", "Thread")]
+
+
+def test_threads_have_one_home():
+    """Threads start only in ``gridprep.parallel``, where the calling thread
+    is one of the workers; a pool anywhere else adds a malloc arena and a
+    second way to order results."""
+    sites = [(path.relative_to(SRC / "gridprep").as_posix(), line)
+             for path in sorted((SRC / "gridprep").rglob("*.py"))
+             for line in thread_constructions(ast.parse(path.read_text()))]
+    assert any(name == "parallel.py" for name, _ in sites)
+    stray = [f"{name}:{line}" for name, line in sites if name != "parallel.py"]
+    assert not stray, "threads started outside gridprep.parallel: " + ", ".join(stray)

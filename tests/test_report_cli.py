@@ -257,8 +257,10 @@ class TestCli:
     @pytest.mark.parametrize("where, value", [(("buses", 0, "demand_p"), [1, 2]),
                                               (("lines", 0, "phases"), 5),
                                               (("buses", 0, "demand_p", "a"), "111111"),
-                                              (("regions", 0, "crew_max"), 4.7)],
-                             ids=["demand-list", "phases-int", "demand-str", "crew_max-fraction"])
+                                              (("regions", 0, "crew_max"), 4.7),
+                                              (("lines", 0, "poles"), 10**400)],
+                             ids=["demand-list", "phases-int", "demand-str", "crew_max-fraction",
+                                  "poles-too-large-for-a-float"])
     def test_wrongly_typed_network_structure_is_input_error(self, paths, tmp_path, where, value):
         doc = json.loads(Path(paths["network"]).read_text())
         *parents, last = where
@@ -327,6 +329,7 @@ class TestCli:
         ("config", {"n_mu_by_bus": [1]}, "base-plan"),
         ("config", {"n_meg": 1.5}, "base-plan"),
         ("config", {"n_crews": 99}, "base-plan"),
+        ("config", {"n_fuel": 10**400}, "base-plan"),
         ("fragility", {"pole_medain": 1.0}, "generate-scenarios"),
         ("scenarios", {"damaged": [{"line": "nope", "repair_periods": 2}]}, "solve-ef"),
         ("scenarios", {"damaged": [{"line": "nope", "repair_periods": 2}]}, "evaluate"),
@@ -338,7 +341,8 @@ class TestCli:
                                    {"line": "t1", "repair_periods": 3}]}, "solve-ef"),
         ("plan", {"fuel": []}, "evaluate"),
         ("plan", {"meg": "f0"}, "evaluate"),
-    ], ids=["config-mu-list", "config-meg-float", "config-unknown-key", "fragility-unknown-key",
+    ], ids=["config-mu-list", "config-meg-float", "config-unknown-key", "config-fuel-too-large",
+            "fragility-unknown-key",
             "scenario-unknown-line-ef", "scenario-unknown-line-evaluate",
             "scenario-short-irradiance", "scenario-repair-float", "scenario-id-float",
             "scenario-seed-float", "scenario-line-twice", "plan-fuel-list", "plan-meg-string"])
