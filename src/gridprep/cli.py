@@ -25,7 +25,7 @@ from .hedging import PhConfig, PhError, iteration_log_csv, ph_solve
 from .milp import NumericalInstabilityError, solve_milp, write_lp
 from .mrp import MrpConfig, MrpError, mrp_validate, result_to_json
 from .network import enumerate_loops, load_network, validate_regions
-from .parallel import default_workers, map_in_order
+from .parallel import default_workers, map_in_order, ordered_sum
 from .report import (
     PV_SWEEP_COUNTS,
     EvaluationError,
@@ -231,10 +231,10 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     _write(out / "evaluation.json", reports_to_json(reports))
     _write(out / "served_fraction.csv", served_fraction_csv(reports))
-    mean_energy = sum(r.restored_energy_kwh * s.probability
-                      for r, s in zip(reports, scen_set.scenarios))
-    mean_outage = sum(r.avg_outage_hours * s.probability
-                      for r, s in zip(reports, scen_set.scenarios))
+    mean_energy = ordered_sum([r.restored_energy_kwh * s.probability
+                               for r, s in zip(reports, scen_set.scenarios)])
+    mean_outage = ordered_sum([r.avg_outage_hours * s.probability
+                               for r, s in zip(reports, scen_set.scenarios)])
     print(f"expected restored energy: {mean_energy:.2f} kWh; "
           f"expected average outage: {mean_outage:.2f} h")
     return EXIT_OK

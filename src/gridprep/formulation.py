@@ -152,7 +152,7 @@ class FirstStagePlan:
             if self.meg_at.get(b, 0) + self.mes_at.get(b, 0) > config.n_mu(b):
                 out.append(f"bus '{b}' exceeds its mobile-unit cap {config.n_mu(b)}")
         q = config.fuel_quantum
-        total_fuel = sum(lots * q for lots in self.fuel_lots.values())
+        total_fuel = ordered_sum([lots * q for lots in self.fuel_lots.values()])
         if total_fuel > config.n_fuel + 1e-9:
             out.append(f"total fuel {total_fuel} L exceeds budget {config.n_fuel} L")
         sites = fuel_site_bounds(model, config)
@@ -371,14 +371,9 @@ def big_m_voltage(line: Line, model: NetworkModel) -> float:
     flow term adds twice the worst per-phase impedance-weighted capacity.
     """
     u_span = max(model.u_max(line.from_bus), model.u_max(line.to_bus))
-    worst_row = 0.0
-    for pa in line.phases:
-        i = "abc".index(pa)
-        row = 0.0
-        for pb in line.phases:
-            j = "abc".index(pb)
-            row += abs(line.r_matrix[i][j]) * line.p_max + abs(line.x_matrix[i][j]) * line.q_max
-        worst_row = max(worst_row, row)
+    on = ["abc".index(ph) for ph in line.phases]
+    weighted = np.abs(line.r_matrix) * line.p_max + np.abs(line.x_matrix) * line.q_max
+    worst_row = max(0.0, *ordered_sum(weighted[np.ix_(on, on)], axis=1).tolist())
     return u_span + 2.0 * worst_row / model.base_kva
 
 
@@ -1190,15 +1185,11 @@ def scenario_cost(
 ) -> dict[str, float]:
     """Fuel, switching, and shed cost of one scenario's schedule, in $."""
     dt = model.dt_hours
-    fuel_l = sum(v for v in schedule.gen_p.values()) * config.fuel_rate * dt
-    switch_ops = sum(schedule.switch_ops.values())
-    shed = 0.0
-    for b in model.buses:
-        for ph in b.phases:
-            for t in range(model.horizon):
-                d = b.demand_at(ph, t)
-                if d:
-                    shed += b.shed_cost * (1.0 - schedule.pickup[(b.id, t)]) * d * dt
+    fuel_l = ordered_sum(list(schedule.gen_p.values())) * config.fuel_rate * dt
+    switch_ops = ordered_sum(list(schedule.switch_ops.values()))
+    shed = ordered_sum([b.shed_cost * (1.0 - schedule.pickup[(b.id, t)]) * d * dt
+                        for b in model.buses for ph in b.phases for t in range(model.horizon)
+                        if (d := b.demand_at(ph, t))])
     return {
         "fuel": config.fuel_cost * fuel_l,
         "switching": config.switch_cost * switch_ops,

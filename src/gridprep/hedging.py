@@ -148,9 +148,10 @@ def aggregate(x_s, probabilities: Sequence[float]) -> np.ndarray:
     """Probability-weighted mean of the per-scenario first-stage vectors,
     added scenario by scenario."""
     rows = _by_scenario(x_s)
-    if abs(sum(probabilities) - 1.0) > 1e-9:
+    probs = np.asarray(probabilities, dtype=float)
+    if abs(ordered_sum(probs) - 1.0) > 1e-9:
         raise ValueError("probabilities must sum to 1")
-    return ordered_sum(np.asarray(probabilities, dtype=float)[:, None] * rows)
+    return ordered_sum(probs[:, None] * rows)
 
 
 def convergence_metric(x_s, x_bar, probabilities: Sequence[float]) -> float:
@@ -282,7 +283,7 @@ def ph_solve(
         eta_s = eta_s + rho * (x_s - x_bar)
         g = convergence_metric(x_s, x_bar, probs)
         history.append(g)
-        log_rows.append((tau, g, time.perf_counter() - t_start, float(np.mean(objs))))
+        log_rows.append((tau, g, time.perf_counter() - t_start, ordered_sum(objs) / len(objs)))
 
         # multiplier drift guard: the weighted multipliers must stay centered
         # (a check, not a result, so any order of addition will do)

@@ -159,14 +159,14 @@ def mrp_validate(
 
     gaps = [g for g, _, tainted in raw if not tainted]
     costs = [c for _, c, tainted in raw if not tainted]
-    tainted = sum(1 for _, _, t in raw if t)
     used = len(gaps)
+    tainted = len(raw) - used
     if used < 2:
         # one gap has no sample variance, so it bounds nothing
         raise MrpError(f"{tainted} of {mrp_config.n_g} replications tainted (no provably "
                        "optimal solve); the interval needs two untainted replications")
-    mean_gap = sum(gaps) / used
-    var = sum((g - mean_gap) ** 2 for g in gaps) / (used - 1)
+    mean_gap = ordered_sum(gaps) / used
+    var = ordered_sum([(g - mean_gap) ** 2 for g in gaps]) / (used - 1)
     half_width = 0.0
     if var > 0.0:
         # Student-t quantile; scipy.stats.t.ppf computes the same, at ~20 MB of import
@@ -182,7 +182,7 @@ def mrp_validate(
         sample_variance=var,
         half_width=half_width,
         ci_upper=mean_gap + half_width,
-        candidate_mean_cost=sum(costs) / used,
+        candidate_mean_cost=ordered_sum(costs) / used,
     )
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Sequence, Union
+from typing import Mapping, Sequence
+
+from .parallel import ordered_sum
 
 PHASES = ("a", "b", "c")
 
@@ -49,7 +51,7 @@ class Bus:
         return prof[t] if prof is not None else 0.0
 
     def total_demand(self, t: int) -> float:
-        return sum(self.demand_at(ph, t) for ph in self.phases)
+        return ordered_sum([self.demand_at(ph, t) for ph in self.phases])
 
 
 @dataclass(frozen=True)
@@ -307,16 +309,10 @@ def _parse_ess(raw: Mapping, ctx: str, bus: str | None = None) -> EssSpec:
     return spec
 
 
-def load_network(source: Union[str, bytes, IO]) -> NetworkModel:
-    """Parse and validate a network document; raises on the first violation."""
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        raw = source
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+def load_network(text: str) -> NetworkModel:
+    """Parse and validate a network document's JSON text; raises on the first violation."""
     try:
-        doc = json.loads(raw)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkParseError(f"network document is not valid JSON: {exc}") from exc
     return network_from_document(doc)

@@ -10,7 +10,8 @@ come back in item order, so the worker count never changes an outcome.
 
 A floating-point sum's last bits depend on the order of its additions.
 NumPy's ``sum`` and ``@`` add in blocks whose shape follows the length and
-layout of the operands, so every sum whose bits reach a result or an
+layout of the operands, and builtin ``sum`` of floats is compensated from
+CPython 3.12 on, so every float total whose bits reach a result or an
 artifact goes through :func:`ordered_sum`, which adds one term at a time.
 """
 

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .formulation import (
     FirstStagePlan,
     FormulationConfig,
@@ -25,6 +27,7 @@ from .formulation import (
 )
 from .milp import solve_milp
 from .network import LoopSet, NetworkModel, PvSpec
+from .parallel import ordered_sum
 from .scenarios import DamageScenario, ScenarioSet
 
 PV_SWEEP_RATINGS = {
@@ -93,24 +96,18 @@ def schedule_metrics(model: NetworkModel, schedule: SecondStageSchedule) -> tupl
     there; the average divides by the number of demand-bearing buses.
     """
     dt = model.dt_hours
-    restored = 0.0
-    served_fraction = []
-    for t in range(model.horizon):
-        total_d = 0.0
-        served_d = 0.0
-        for b in model.buses:
-            d = b.total_demand(t)
-            total_d += d
-            served_d += d * schedule.pickup[(b.id, t)]
-        restored += served_d * dt
-        served_fraction.append(served_d / total_d if total_d > 0 else 1.0)
-    load_buses = [b for b in model.buses if any(b.total_demand(t) > 0 for t in range(model.horizon))]
-    outage_sum = 0.0
-    for b in load_buses:
-        for t in range(model.horizon):
-            if b.total_demand(t) > 0 and schedule.pickup[(b.id, t)] < 0.5:
-                outage_sum += dt
-    avg_outage = outage_sum / len(load_buses) if load_buses else 0.0
+    periods = range(model.horizon)
+    # (bus, period) grids, so each period's totals add bus by bus
+    grid = (len(model.buses), model.horizon)
+    demand = np.array([[b.total_demand(t) for t in periods] for b in model.buses]).reshape(grid)
+    pickup = np.array([[schedule.pickup[(b.id, t)] for t in periods] for b in model.buses]).reshape(grid)
+    total_d = ordered_sum(demand)
+    served_d = ordered_sum(demand * pickup)
+    restored = ordered_sum(served_d * dt)
+    served_fraction = [s / d if d > 0 else 1.0 for s, d in zip(served_d.tolist(), total_d.tolist())]
+    load_buses = int(np.count_nonzero((demand > 0).any(axis=1)))
+    outage_sum = ordered_sum(np.full(np.count_nonzero((demand > 0) & (pickup < 0.5)), dt))
+    avg_outage = outage_sum / load_buses if load_buses else 0.0
     return restored, avg_outage, served_fraction
 
 
@@ -287,18 +284,17 @@ def sweep_pv(
         sol = solve_milp(compiled.problem, gap_tol=1e-4)
         if not sol.ok:
             raise EvaluationError(f"sweep level {percent}%: stochastic solve failed ({sol.status})")
-        served = 0.0
-        outage = 0.0
-        for si, scen in enumerate(scen_set.scenarios):
-            sched = extract_schedule(level_model, scen, compiled.index, sol, si)
-            restored, avg_outage, _ = schedule_metrics(level_model, sched)
-            served += scen.probability * restored
-            outage += scen.probability * avg_outage
+        metrics = [
+            schedule_metrics(level_model, extract_schedule(level_model, scen, compiled.index, sol, si))
+            for si, scen in enumerate(scen_set.scenarios)
+        ]
         out.append(SweepLevelResult(
             percent=percent,
             objective=sol.objective,
-            expected_served_kwh=served,
-            expected_outage_hours=outage,
+            expected_served_kwh=ordered_sum([s.probability * restored
+                                             for s, (restored, _, _) in zip(scen_set, metrics)]),
+            expected_outage_hours=ordered_sum([s.probability * outage
+                                               for s, (_, outage, _) in zip(scen_set, metrics)]),
             pv_units=len(level_model.pv_units),
         ))
     return out

@@ -14,11 +14,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
 from .network import Line, NetworkModel, _is_int
+from .parallel import ordered_sum
 
 MAX_IRRADIANCE = 1367.0  # W/m^2, solar constant
 
@@ -99,7 +100,7 @@ class ScenarioSet:
     seed: int
 
     def __post_init__(self):
-        total = sum(s.probability for s in self.scenarios)
+        total = ordered_sum([s.probability for s in self.scenarios])
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"scenario probabilities sum to {total}, expected 1")
 
@@ -242,8 +243,16 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _number(value, what: str) -> float:
+    # float() also reads a numeric string or a boolean, which a scenario file must not hold
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def scenario_set_from_document(doc: Mapping) -> ScenarioSet:
-    """A scenario set; non-integer ids, seeds and repair times and repeated lines are refused."""
+    """A scenario set; non-integer ids, seeds and repair times, a probability or
+    irradiance that is not a number or list of numbers, and repeated lines are refused."""
     scenarios = []
     for raw in doc["scenarios"]:
         sid = _integer(raw["id"], "scenario id")
@@ -251,13 +260,15 @@ def scenario_set_from_document(doc: Mapping) -> ScenarioSet:
                    for d in raw["damaged"]}
         if len(damaged) != len(raw["damaged"]):
             raise ValueError(f"scenario {sid} damages a line twice")
+        if not isinstance(raw["irradiance"], list):  # a string would load digit by digit
+            raise ValueError(f"scenario {sid} irradiance must be a list of numbers")
         scenarios.append(
             DamageScenario(
                 id=sid,
-                probability=float(raw["prob"]),
+                probability=_number(raw["prob"], f"scenario {sid} prob"),
                 damaged_lines=frozenset(damaged),
                 repair_periods=damaged,
-                irradiance=tuple(float(v) for v in raw["irradiance"]),
+                irradiance=tuple(_number(v, f"scenario {sid} irradiance") for v in raw["irradiance"]),
             )
         )
     return ScenarioSet(scenarios=tuple(scenarios), seed=_integer(doc["seed"], "seed"))
@@ -283,10 +294,9 @@ def load_scenarios(text: str, model: NetworkModel) -> ScenarioSet:
     return scen_set
 
 
-def load_wind_csv(source: Union[str, IO]) -> WindProfile:
-    """Wind profile CSV with header ``t,wind_mps``."""
-    raw = source.read() if hasattr(source, "read") else source
-    rows = list(csv.DictReader(io.StringIO(raw)))
+def load_wind_csv(text: str) -> WindProfile:
+    """Wind profile CSV text with header ``t,wind_mps``."""
+    rows = list(csv.DictReader(io.StringIO(text)))
     if not rows or "wind_mps" not in rows[0]:
         raise ValueError("wind CSV must have columns t,wind_mps")
     try:

@@ -64,22 +64,30 @@ def test_every_public_definition_is_used():
     assert not unused, "named by no command, script or benchmark: " + ", ".join(unused)
 
 
-def accumulations(tree) -> list[tuple[str | None, int]]:
-    """(enclosing function, line) of each ``<module>.add.accumulate`` in ``tree``."""
+def sites(tree, match) -> list[tuple[str | None, ast.AST]]:
+    """(enclosing definition, node) of each node in ``tree`` that ``match``
+    accepts.  Definitions are named within their enclosing ones, as
+    ``Class.method``; module-level code has ``None``."""
     found = []
 
-    def visit(node, func):
+    def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if (isinstance(child, ast.Attribute) and child.attr == "accumulate"
-                    and isinstance(child.value, ast.Attribute) and child.value.attr == "add"):
-                found.append((func, child.lineno))
-            visit(child, func)
+            if match(child):
+                found.append((scope, child))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
 
     visit(tree, None)
     return found
+
+
+def accumulations(tree) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of each ``<module>.add.accumulate`` in ``tree``."""
+    return [(func, node.lineno) for func, node in sites(
+        tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "accumulate"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "add")]
 
 
 def test_ordered_sums_have_one_home():
@@ -92,6 +100,35 @@ def test_ordered_sums_have_one_home():
     stray = [f"{name}:{line}" for name, func, line in sites
              if (name, func) != ("parallel.py", "ordered_sum")]
     assert not stray, "np.add.accumulate outside parallel.ordered_sum: " + ", ".join(stray)
+
+
+#: the functions whose builtin ``sum`` adds integer counts, which every
+#: order of addition adds exactly
+INTEGER_SUMS = {
+    ("formulation.py", "FirstStagePlan.violations"),
+    ("formulation.py", "check_first_stage_config"),
+    ("network.py", "validate_regions"),
+    ("report.py", "build_base_plan"),
+}
+
+
+def test_float_totals_have_one_home():
+    """A float total adds term by term through ``parallel.ordered_sum``.
+    From CPython 3.12 on, builtin ``sum`` of floats is compensated, so it
+    writes other bits than 3.11 does.  ``sum`` stays only where it adds
+    integer counts, and each function allowed to do so must still exist."""
+    defined, stray = set(), []
+    for path in sorted((SRC / "gridprep").rglob("*.py")):
+        name = path.relative_to(SRC / "gridprep").as_posix()
+        tree = ast.parse(path.read_text())
+        defined |= {(name, f"{scope}.{node.name}" if scope else node.name) for scope, node in sites(
+            tree, lambda node: isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))}
+        stray += [f"{name}:{node.lineno} in {func}" for func, node in sites(
+            tree, lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum")
+            if (name, func) not in INTEGER_SUMS]
+    assert not stray, "builtin sum outside the integer counts: " + ", ".join(stray)
+    gone = sorted(INTEGER_SUMS - defined)
+    assert not gone, f"integer sums allowed in functions that no longer exist: {gone}"
 
 
 def thread_constructions(tree) -> list[int]:

@@ -166,6 +166,21 @@ class TestMrpValidate:
         assert result.ci_upper == pytest.approx(1.0 + half)
         assert result.ci_upper_pct == pytest.approx(100.0 * (1.0 + half) / 50.0)
 
+    def test_mean_gap_adds_in_replication_order(self, chain3, chain3_config, monkeypatch):
+        # left to right, 1e16 absorbs the 1.0; a compensated sum (builtin sum
+        # from CPython 3.12 on) would keep it and report a mean of 1/3
+        import gridprep.mrp as mrp_mod
+
+        gaps = iter([1e16, 1.0, -1e16])
+        monkeypatch.setattr(mrp_mod, "replicate_gap", lambda *a, **kw: (next(gaps), 50.0, False))
+        candidate = FirstStagePlan(meg_at={"b2": 1}, mes_at={"b3": 1},
+                                   fuel_lots={"b1": 2}, crews={"r1": 2})
+        result = mrp_validate(candidate, chain3, chain3_config,
+                              fixed_sampler(chain_scenario()), MrpConfig(n=2, n_g=3))
+        assert result.gaps == [1e16, 1.0, -1e16]
+        assert result.mean_gap == 0.0
+        assert result.candidate_mean_cost == 50.0
+
     def test_t_quantile_shrinks_with_more_replications(self):
         q = [float(tdist.ppf(0.95, df)) for df in range(1, 12)]
         assert all(b < a for a, b in zip(q, q[1:]))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gridprep.data import feeder13_path
 from gridprep.network import (
+    Bus,
     NetworkParseError,
     NetworkValidationError,
     enumerate_loops,
@@ -55,7 +56,7 @@ class TestLoadNetwork:
 
     def test_malformed_json_is_a_parse_error(self):
         with pytest.raises(NetworkParseError):
-            load_network(b"{not json")
+            load_network("{not json")
 
     def test_bundled_fixture_counts_and_region_cover(self, feeder13):
         assert len(feeder13.buses) == 13
@@ -154,6 +155,14 @@ class TestLoadNetwork:
         doc["switches"] = ["nope"]
         with pytest.raises(NetworkValidationError, match="unknown line 'nope'"):
             network_from_document(doc)
+
+
+def test_bus_total_demand_adds_phases_in_order():
+    # left to right, 1.0 absorbs each 1e-16; a compensated sum (builtin sum
+    # from CPython 3.12 on) would return 1.0000000000000002
+    bus = Bus(id="x", phases=("a", "b", "c"), demand_p={"a": (1.0,), "b": (1e-16,), "c": (1e-16,)},
+              demand_q={}, shed_cost=1.0)
+    assert bus.total_demand(0) == 1.0
 
 
 class TestEnumerateLoops:

@@ -1,7 +1,9 @@
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridprep.cli import main as cli_main
@@ -28,7 +30,37 @@ def no_damage(horizon, sid=0, prob=1.0):
                           repair_periods={}, irradiance=(500.0,) * horizon)
 
 
+def metrics_by_loop(model, pickup):
+    """schedule_metrics as a loop over periods and buses, for reference."""
+    dt = model.dt_hours
+    restored, served_fraction = 0.0, []
+    for t in range(model.horizon):
+        total_d = served_d = 0.0
+        for b in model.buses:
+            d = b.total_demand(t)
+            total_d += d
+            served_d += d * pickup[(b.id, t)]
+        restored += served_d * dt
+        served_fraction.append(served_d / total_d if total_d > 0 else 1.0)
+    load_buses = [b for b in model.buses if any(b.total_demand(t) > 0 for t in range(model.horizon))]
+    outage = 0.0
+    for b in load_buses:
+        for t in range(model.horizon):
+            if b.total_demand(t) > 0 and pickup[(b.id, t)] < 0.5:
+                outage += dt
+    return restored, outage / len(load_buses) if load_buses else 0.0, served_fraction
+
+
 class TestMetrics:
+    def test_metrics_add_as_the_loop_does(self, feeder13):
+        rng = np.random.default_rng(3)
+        blank = {f.name: {} for f in fields(SecondStageSchedule) if f.name not in ("scenario", "pickup")}
+        for _ in range(20):
+            pickup = {(b.id, t): float(rng.choice([0.0, 1.0, rng.random()]))
+                      for b in feeder13.buses for t in range(feeder13.horizon)}
+            sched = SecondStageSchedule(scenario=0, pickup=pickup, **blank)
+            assert schedule_metrics(feeder13, sched) == metrics_by_loop(feeder13, pickup)
+
     def test_average_outage_arithmetic(self):
         """Two loads out for 4 h and 2 h average to 3 h."""
         doc = small_network_doc(horizon=6)
@@ -334,6 +366,11 @@ class TestCli:
         ("scenarios", {"damaged": [{"line": "nope", "repair_periods": 2}]}, "solve-ef"),
         ("scenarios", {"damaged": [{"line": "nope", "repair_periods": 2}]}, "evaluate"),
         ("scenarios", {"irradiance": [500.0, 500.0]}, "solve-ef"),
+        ("scenarios", {"irradiance": "123456"}, "solve-ef"),
+        ("scenarios", {"irradiance": [500.0] * 5 + ["500"]}, "solve-ef"),
+        ("scenarios", {"irradiance": [500.0] * 5 + [True]}, "evaluate"),
+        ("scenarios", {"prob": "1"}, "solve-ef"),
+        ("scenarios", {"prob": True}, "evaluate"),
         ("scenarios", {"damaged": [{"line": "t1", "repair_periods": 2.7}]}, "solve-ef"),
         ("scenarios", {"id": 3.7}, "evaluate"),
         ("scenarios", {"seed": 1.9}, "solve-ef"),
@@ -344,7 +381,9 @@ class TestCli:
     ], ids=["config-mu-list", "config-meg-float", "config-unknown-key", "config-fuel-too-large",
             "fragility-unknown-key",
             "scenario-unknown-line-ef", "scenario-unknown-line-evaluate",
-            "scenario-short-irradiance", "scenario-repair-float", "scenario-id-float",
+            "scenario-short-irradiance", "scenario-irradiance-string",
+            "scenario-irradiance-entry-string", "scenario-irradiance-entry-bool",
+            "scenario-prob-string", "scenario-prob-bool", "scenario-repair-float", "scenario-id-float",
             "scenario-seed-float", "scenario-line-twice", "plan-fuel-list", "plan-meg-string"])
     def test_malformed_input_file_is_input_error(self, paths, tmp_path, capsys, what, edit,
                                                  command):
