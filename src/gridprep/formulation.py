@@ -29,11 +29,12 @@ discharge minus charge on the injection side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .document import Reader
 from .milp import (
     BINARY,
     CONTINUOUS,
@@ -47,14 +48,13 @@ from .milp import (
 from .network import (
     EssSpec,
     GeneratorSpec,
-    Line,
     LoopSet,
     NetworkModel,
     PvSpec,
     PV_GRID_FOLLOWING,
     PV_GRID_FORMING,
     PV_HYBRID,
-    _is_int,
+    PHASES,
     enumerate_loops,
 )
 from .parallel import ordered_sum
@@ -67,7 +67,10 @@ class FormulationError(ValueError):
 
 @dataclass(frozen=True)
 class FormulationConfig:
-    """Cost, resource, and modeling knobs for the two-stage program."""
+    """Cost, resource, and modeling knobs for the two-stage program.
+
+    :func:`config_from_document` checks each field's type; the ranges are
+    checked here."""
 
     n_meg: int = 0
     n_mes: int = 0
@@ -83,16 +86,6 @@ class FormulationConfig:
     n_mu_by_bus: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not _is_int(value):
-                raise FormulationError(f"{f.name} must be an integer, got {value!r}")
-        if not (isinstance(self.n_mu_by_bus, Mapping)
-                and all(isinstance(b, str) and _is_int(n) for b, n in self.n_mu_by_bus.items())):
-            raise FormulationError("n_mu_by_bus must map bus ids to integers")
-        numbers = [getattr(self, f.name) for f in fields(self) if f.name != "n_mu_by_bus"]
-        if not all(math.isfinite(v) for v in [*numbers, *self.n_mu_by_bus.values()]):
-            raise FormulationError("config numbers must be finite")
         if min(self.fuel_cost, self.switch_cost, self.fuel_rate, self.n_fuel) < 0:
             raise FormulationError("costs, fuel rate, and fuel budget must be nonnegative")
         if not 0.0 < self.crew_epsilon < 1.0:
@@ -109,10 +102,7 @@ class FormulationConfig:
 
 
 def config_from_document(doc: Mapping) -> FormulationConfig:
-    unknown = sorted(set(doc) - set(FormulationConfig.__dataclass_fields__))
-    if unknown:
-        raise FormulationError(f"unknown config keys {unknown}")
-    return FormulationConfig(**doc)
+    return Reader(FormulationError).record(FormulationConfig, doc, "config", strict=True)
 
 
 @dataclass(frozen=True)
@@ -189,23 +179,13 @@ def plan_to_document(plan: FirstStagePlan, quantum: float) -> dict:
 def plan_from_document(doc: Mapping, quantum: float) -> FirstStagePlan:
     """The plan that :func:`plan_to_document` wrote; a field of the wrong type
     raises ``TypeError``."""
-    if not isinstance(doc, Mapping):
-        raise TypeError("a plan document must be a JSON object")
-    meg, mes = doc.get("meg", []), doc.get("mes", [])
-    fuel, crews = doc.get("fuel", {}), doc.get("crews", {})
-    if not (isinstance(meg, list) and isinstance(mes, list)):
-        raise TypeError("plan meg and mes must be lists of bus ids")
-    if not (isinstance(fuel, Mapping) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in fuel.values())):
-        raise TypeError("plan fuel must map bus ids to finite liters")
-    if not (isinstance(crews, Mapping) and all(_is_int(c) for c in crews.values())):
-        raise TypeError("plan crews must map region ids to integers")
+    read = Reader(TypeError)
+    fuel = read.table(read.get(doc, "fuel", "plan", default={}), float, "plan: fuel")
     return FirstStagePlan(
-        meg_at={str(b): 1 for b in meg},
-        mes_at={str(b): 1 for b in mes},
-        fuel_lots={str(b): int(round(v / quantum)) for b, v in fuel.items()},
-        crews={str(r): c for r, c in crews.items()},
+        meg_at={b: 1 for b in read.items(read.get(doc, "meg", "plan", default=[]), str, "plan: meg")},
+        mes_at={b: 1 for b in read.items(read.get(doc, "mes", "plan", default=[]), str, "plan: mes")},
+        fuel_lots={b: int(round(v / quantum)) for b, v in fuel.items()},
+        crews=read.table(read.get(doc, "crews", "plan", default={}), int, "plan: crews"),
     )
 
 
@@ -363,18 +343,25 @@ def big_m_virtual(model: NetworkModel) -> float:
     return float(len(model.buses))
 
 
-def big_m_voltage(line: Line, model: NetworkModel) -> float:
-    """Interval bound on the voltage-drop expression when the line is open.
+def big_m_voltage(model: NetworkModel) -> np.ndarray:
+    """Interval bound on each line's voltage-drop expression when the line is
+    open, in line order.
 
     One endpoint may sit at its squared-voltage ceiling while the other is
     de-energized at zero, so the endpoint term alone spans max(U^max); the
     flow term adds twice the worst per-phase impedance-weighted capacity.
+    The (line, phase, phase) grid holds 0.0 where a line lacks a phase, which
+    leaves every row total of its present phases unchanged.
     """
-    u_span = max(model.u_max(line.from_bus), model.u_max(line.to_bus))
-    on = ["abc".index(ph) for ph in line.phases]
-    weighted = np.abs(line.r_matrix) * line.p_max + np.abs(line.x_matrix) * line.q_max
-    worst_row = max(0.0, *ordered_sum(weighted[np.ix_(on, on)], axis=1).tolist())
-    return u_span + 2.0 * worst_row / model.base_kva
+    lines = model.lines
+    u_span = np.array([max(model.u_max(k.from_bus), model.u_max(k.to_bus)) for k in lines])
+    on = np.array([[ph in k.phases for ph in PHASES] for k in lines], dtype=bool).reshape(-1, 3)
+    weighted = (np.abs(np.array([k.r_matrix for k in lines]).reshape(-1, 3, 3))
+                * np.array([k.p_max for k in lines])[:, None, None]
+                + np.abs(np.array([k.x_matrix for k in lines]).reshape(-1, 3, 3))
+                * np.array([k.q_max for k in lines])[:, None, None])
+    rows = ordered_sum(np.where(on[:, :, None] & on[:, None, :], weighted, 0.0), axis=2)
+    return u_span + 2.0 * rows.max(axis=1, initial=0.0) / model.base_kva
 
 
 def polygonize_capacity(s_kva: float, segments: int) -> list[tuple[float, float, float]]:
@@ -415,7 +402,7 @@ class FirstStageVars:
     ``keys[j]`` is the (kind, entity) at position ``j`` and ``ids[j]`` its
     column.  That is not the build order: fuel lots are built in the
     network's fuel-site order but hedged in sorted order, and the tie-break
-    cost of :func:`price_subproblem` depends on the position.  ``rows``
+    cost of :func:`build_ph_subproblem` depends on the position.  ``rows``
     counts the problem's leading rows, up to the first stage's last one,
     which :func:`pin_plan` leaves out.
     """
@@ -840,7 +827,7 @@ def build_second_stage(
                    for i in mobile for t in periods for x in "pq"])
 
     # voltage drop along closed lines, relaxed by big-M while open
-    m_line = np.array([big_m_voltage(k, model) for k in lines])[lp_line]
+    m_line = big_m_voltage(model)[lp_line]
     impedance = []
     for k, ph in line_ph:
         i = "abc".index(ph)
@@ -1026,24 +1013,6 @@ def pin_plan(compiled: CompiledProblem, plan: FirstStagePlan) -> MilpProblem:
 
 
 def build_ph_subproblem(
-    model: NetworkModel,
-    scenario: DamageScenario,
-    config: FormulationConfig,
-    multipliers: Sequence[float],
-    anchor: Sequence[float],
-    rho: float,
-    tie_break: float = 0.0,
-    loops: LoopSet | None = None,
-) -> CompiledProblem:
-    """Scenario subproblem augmented with the hedging price, proximal term and tie-break.
-
-    The same as :func:`price_subproblem` of :func:`build_subproblem`.
-    """
-    plain = build_subproblem(model, scenario, config, loops=loops)
-    return price_subproblem(plain, multipliers, anchor, rho, tie_break)
-
-
-def price_subproblem(
     plain: CompiledProblem,
     multipliers: Sequence[float],
     anchor: Sequence[float],

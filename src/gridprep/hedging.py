@@ -48,11 +48,10 @@ from .formulation import (
     FirstStagePlan,
     FormulationConfig,
     build_first_stage,
-    build_ph_subproblem,  # noqa: F401  (the benchmark's tracer wraps this binding)
+    build_ph_subproblem,
     build_subproblem,
     pin_plan,
     plan_from_solution,
-    price_subproblem,
     VariableIndex,
 )
 from .milp import BINARY, GE, MilpProblem, solve_milp
@@ -265,8 +264,8 @@ def ph_solve(
     for tau in itertools.count():
         def solve_scenario(si_scen):
             si, scen = si_scen
-            comp = price_subproblem(plain[si], multipliers=eta_s[si], anchor=anchor,
-                                    rho=prox_rho, tie_break=tie_break)
+            comp = build_ph_subproblem(plain[si], multipliers=eta_s[si], anchor=anchor,
+                                       rho=prox_rho, tie_break=tie_break)
             sol = solve_milp(comp.problem, gap_tol=GAP_TOL)
             if not sol.ok:
                 raise SubproblemInfeasibleError(scen.id)

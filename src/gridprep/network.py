@@ -10,10 +10,10 @@ per-unit on ``base.kva`` (single-phase power base), voltages squared per-unit.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .document import Reader
 from .parallel import ordered_sum
 
 PHASES = ("a", "b", "c")
@@ -80,6 +80,13 @@ class GeneratorSpec:
     fuel_cap: float = 0.0  # L tank capacity
     grid_forming: bool = True
 
+    def __post_init__(self):
+        if self.p_max < 0 or self.q_max < 0:
+            raise NetworkValidationError(f"generator at {self.bus}: caps must be nonnegative")
+        if not 0 <= self.fuel_present <= self.fuel_cap:
+            raise NetworkValidationError(
+                f"generator at {self.bus}: require 0 <= fuel_present <= fuel_cap")
+
 
 @dataclass(frozen=True)
 class PvSpec:
@@ -88,19 +95,34 @@ class PvSpec:
     p_rate: float  # kW panel rating (per phase cap)
     s_inverter: float  # kVA inverter capacity
 
+    def __post_init__(self):
+        if self.pv_type not in PV_TYPES:
+            raise NetworkValidationError(f"pv at {self.bus}: pv_type must be one of {PV_TYPES}")
+        if self.p_rate < 0 or self.s_inverter < 0:
+            raise NetworkValidationError(f"pv at {self.bus}: ratings must be nonnegative")
+
 
 @dataclass(frozen=True)
 class EssSpec:
     bus: str
     e_cap: float  # kWh
-    soc_min: float
-    soc_max: float
     soc_init: float
     p_ch_max: float  # kW per phase
     p_dis_max: float
-    q_max: float  # kVAr per phase
+    soc_min: float = 0.0
+    soc_max: float = 1.0
+    q_max: float = 0.0  # kVAr per phase
     eta_ch: float = 0.95
     eta_dis: float = 0.95
+
+    def __post_init__(self):
+        ctx = f"storage at {self.bus}"
+        if not (0.0 <= self.soc_min <= self.soc_init <= self.soc_max <= 1.0):
+            raise NetworkValidationError(f"{ctx}: require 0 <= soc_min <= soc_init <= soc_max <= 1")
+        if min(self.e_cap, self.p_ch_max, self.p_dis_max, self.q_max) < 0:
+            raise NetworkValidationError(f"{ctx}: storage limits must be nonnegative")
+        if not (0 < self.eta_ch <= 1.0 and 0 < self.eta_dis <= 1.0):
+            raise NetworkValidationError(f"{ctx}: efficiencies must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -193,46 +215,19 @@ class NetworkModel:
     def u_max(self, bus_id: str) -> float:
         return self.u_max_by_bus.get(bus_id, self.u_max_default)
 
-def _require(doc: Mapping, key: str, ctx: str):
-    if key not in doc:
-        raise NetworkParseError(f"{ctx}: missing required key '{key}'")
-    return doc[key]
+
+_read = Reader(NetworkParseError, NetworkValidationError)
 
 
-def _number(doc: Mapping, key: str, ctx: str, default: float | None = None) -> float:
-    """``doc[key]``, or ``default`` when given and the key is absent, as a finite float."""
-    raw = _require(doc, key, ctx) if default is None else doc.get(key, default)
-    try:
-        value = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise NetworkParseError(f"{ctx}: {key} must be a number, got {raw!r}") from exc
-    if not math.isfinite(value):
-        raise NetworkValidationError(f"{ctx}: {key} must be finite, got {value}")
-    return value
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _integer(doc: Mapping, key: str, ctx: str, default: int | None = None) -> int:
-    """As :func:`_number`, for a value that must be a JSON integer."""
-    _number(doc, key, ctx, default)
-    value = doc.get(key, default)
-    if not _is_int(value):
-        raise NetworkParseError(f"{ctx}: {key} must be an integer, got {value!r}")
-    return value
-
-
-def _matrix3(raw, ctx: str) -> tuple[tuple[float, ...], ...]:
-    try:
-        m = tuple(tuple(float(v) for v in row) for row in raw)
-    except (TypeError, ValueError) as exc:
-        raise NetworkParseError(f"{ctx}: impedance matrix must be numeric 3x3") from exc
+def _matrix3(doc: Mapping, key: str, ctx: str) -> tuple[tuple[float, ...], ...]:
+    rows = _read.items(_read.get(doc, key, ctx), list, f"{ctx}: {key}")
+    m = tuple(tuple(_read.items(row, float, f"{ctx}: {key}[{i}]")) for i, row in enumerate(rows))
     if len(m) != 3 or any(len(row) != 3 for row in m):
-        raise NetworkParseError(f"{ctx}: impedance matrix must be 3x3")
-    if not all(math.isfinite(v) for row in m for v in row):
-        raise NetworkValidationError(f"{ctx}: impedance matrix entries must be finite")
+        raise NetworkParseError(f"{ctx}: {key} must be 3x3")
+    for i in range(3):
+        for j in range(3):
+            if abs(m[i][j] - m[j][i]) > 1e-12:
+                raise NetworkValidationError(f"{ctx}: {key} not symmetric")
     return m
 
 
@@ -243,70 +238,23 @@ def _phases(raw, ctx: str) -> tuple[str, ...]:
     return tuple(p for p in PHASES if p in phs)
 
 
-def _profile(raw, phases: Sequence[str], horizon: int, ctx: str) -> dict[str, tuple[float, ...]]:
-    out: dict[str, tuple[float, ...]] = {}
-    if raw is None:
-        raw = {}
+def _profile(doc: Mapping, key: str, phases: Sequence[str], horizon: int, ctx: str) -> dict[str, tuple[float, ...]]:
+    raw = _read.get(doc, key, ctx, default={})
     if not isinstance(raw, Mapping):
-        raise NetworkParseError(f"{ctx}: demand must map phases to lists of numbers")
+        raise NetworkParseError(f"{ctx}: {key} must map phases to lists of numbers")
+    out: dict[str, tuple[float, ...]] = {}
     for ph, prof in raw.items():
         if ph not in phases:
-            raise NetworkValidationError(f"{ctx}: demand declared on absent phase '{ph}'")
-        not_a_list = NetworkParseError(f"{ctx}: demand on phase '{ph}' must be a list of numbers")
-        if isinstance(prof, str):  # iterating it would read each character as a number
-            raise not_a_list
-        try:
-            vals = tuple(float(v) for v in prof)
-        except (TypeError, ValueError) as exc:
-            raise not_a_list from exc
+            raise NetworkValidationError(f"{ctx}: {key} declared on absent phase '{ph}'")
+        vals = tuple(_read.items(prof, float, f"{ctx}: {key} on phase '{ph}'"))
         if len(vals) != horizon:
             raise NetworkValidationError(
-                f"{ctx}: demand profile on phase '{ph}' has length {len(vals)}, horizon is {horizon}"
+                f"{ctx}: {key} on phase '{ph}' has length {len(vals)}, horizon is {horizon}"
             )
-        if not all(math.isfinite(v) for v in vals):
-            raise NetworkValidationError(f"{ctx}: non-finite demand on phase '{ph}'")
         if any(v < 0 for v in vals):
-            raise NetworkValidationError(f"{ctx}: negative demand on phase '{ph}'")
+            raise NetworkValidationError(f"{ctx}: negative {key} on phase '{ph}'")
         out[ph] = vals
     return out
-
-
-def _parse_generator(raw: Mapping, ctx: str, bus: str | None = None) -> GeneratorSpec:
-    spec = GeneratorSpec(
-        bus=bus if bus is not None else str(_require(raw, "bus", ctx)),
-        p_max=_number(raw, "p_max", ctx),
-        q_max=_number(raw, "q_max", ctx),
-        fuel_present=_number(raw, "fuel_present", ctx, 0.0),
-        fuel_cap=_number(raw, "fuel_cap", ctx, 0.0),
-        grid_forming=bool(raw.get("grid_forming", True)),
-    )
-    if spec.p_max < 0 or spec.q_max < 0:
-        raise NetworkValidationError(f"{ctx}: generator caps must be nonnegative")
-    if not 0 <= spec.fuel_present <= spec.fuel_cap:
-        raise NetworkValidationError(f"{ctx}: require 0 <= fuel_present <= fuel_cap")
-    return spec
-
-
-def _parse_ess(raw: Mapping, ctx: str, bus: str | None = None) -> EssSpec:
-    spec = EssSpec(
-        bus=bus if bus is not None else str(_require(raw, "bus", ctx)),
-        e_cap=_number(raw, "e_cap", ctx),
-        soc_min=_number(raw, "soc_min", ctx, 0.0),
-        soc_max=_number(raw, "soc_max", ctx, 1.0),
-        soc_init=_number(raw, "soc_init", ctx),
-        p_ch_max=_number(raw, "p_ch_max", ctx),
-        p_dis_max=_number(raw, "p_dis_max", ctx),
-        q_max=_number(raw, "q_max", ctx, 0.0),
-        eta_ch=_number(raw, "eta_ch", ctx, 0.95),
-        eta_dis=_number(raw, "eta_dis", ctx, 0.95),
-    )
-    if not (0.0 <= spec.soc_min <= spec.soc_init <= spec.soc_max <= 1.0):
-        raise NetworkValidationError(f"{ctx}: require 0 <= soc_min <= soc_init <= soc_max <= 1")
-    if min(spec.e_cap, spec.p_ch_max, spec.p_dis_max, spec.q_max) < 0:
-        raise NetworkValidationError(f"{ctx}: storage limits must be nonnegative")
-    if not (0 < spec.eta_ch <= 1.0 and 0 < spec.eta_dis <= 1.0):
-        raise NetworkValidationError(f"{ctx}: efficiencies must lie in (0, 1]")
-    return spec
 
 
 def load_network(text: str) -> NetworkModel:
@@ -319,11 +267,11 @@ def load_network(text: str) -> NetworkModel:
 
 
 def network_from_document(doc: Mapping) -> NetworkModel:
-    base = _require(doc, "base", "document")
-    base_kva = _number(base, "kva", "base")
-    base_kv = _number(base, "kv", "base")
-    horizon = _integer(doc, "horizon", "document")
-    dt_hours = _number(doc, "dt_hours", "document")
+    base = _read.get(doc, "base", "document")
+    base_kva = _read.get(base, "kva", "base", float)
+    base_kv = _read.get(base, "kv", "base", float)
+    horizon = _read.get(doc, "horizon", "document", int)
+    dt_hours = _read.get(doc, "dt_hours", "document", float)
     if horizon < 1:
         raise NetworkValidationError("horizon must be >= 1")
     if dt_hours <= 0:
@@ -331,31 +279,32 @@ def network_from_document(doc: Mapping) -> NetworkModel:
     if base_kva <= 0 or base_kv <= 0:
         raise NetworkValidationError("base kva/kv must be > 0")
 
-    vl = doc.get("voltage_limits", {})
-    u_min_default = _number(vl, "u_min", "voltage_limits", 0.81)
-    u_max_default = _number(vl, "u_max", "voltage_limits", 1.21)
+    vl = _read.get(doc, "voltage_limits", "document", default={})
+    u_min_default = _read.get(vl, "u_min", "voltage_limits", float, 0.81)
+    u_max_default = _read.get(vl, "u_max", "voltage_limits", float, 1.21)
 
     buses = []
     u_min_by_bus: dict[str, float] = {}
     u_max_by_bus: dict[str, float] = {}
-    for raw_bus in _require(doc, "buses", "document"):
-        bid = str(_require(raw_bus, "id", "bus"))
-        phases = _phases(_require(raw_bus, "phases", f"bus {bid}"), f"bus {bid}")
+    for raw_bus in _read.get(doc, "buses", "document", list):
+        bid = _read.get(raw_bus, "id", "bus", str)
+        ctx = f"bus {bid}"
+        phases = _phases(_read.get(raw_bus, "phases", ctx), ctx)
         bus = Bus(
             id=bid,
             phases=phases,
-            demand_p=_profile(raw_bus.get("demand_p"), phases, horizon, f"bus {bid}"),
-            demand_q=_profile(raw_bus.get("demand_q"), phases, horizon, f"bus {bid}"),
-            shed_cost=_number(raw_bus, "shed_cost", f"bus {bid}", 0.0),
-            priority=bool(raw_bus.get("priority", False)),
-            substation=bool(raw_bus.get("substation", False)),
+            demand_p=_profile(raw_bus, "demand_p", phases, horizon, ctx),
+            demand_q=_profile(raw_bus, "demand_q", phases, horizon, ctx),
+            shed_cost=_read.get(raw_bus, "shed_cost", ctx, float, 0.0),
+            priority=_read.get(raw_bus, "priority", ctx, bool, False),
+            substation=_read.get(raw_bus, "substation", ctx, bool, False),
         )
         if bus.shed_cost < 0:
-            raise NetworkValidationError(f"bus {bid}: shed_cost must be nonnegative")
+            raise NetworkValidationError(f"{ctx}: shed_cost must be nonnegative")
         if "u_min" in raw_bus:
-            u_min_by_bus[bid] = _number(raw_bus, "u_min", f"bus {bid}")
+            u_min_by_bus[bid] = _read.get(raw_bus, "u_min", ctx, float)
         if "u_max" in raw_bus:
-            u_max_by_bus[bid] = _number(raw_bus, "u_max", f"bus {bid}")
+            u_max_by_bus[bid] = _read.get(raw_bus, "u_max", ctx, float)
         buses.append(bus)
     bus_ids = [b.id for b in buses]
     if len(set(bus_ids)) != len(bus_ids):
@@ -368,55 +317,47 @@ def network_from_document(doc: Mapping) -> NetworkModel:
         if not lo < hi:
             raise NetworkValidationError(f"bus {bid}: require u_min < u_max")
 
-    switch_entries = doc.get("switches", [])
     switch_flags: dict[str, bool] = {}
-    for entry in switch_entries:
+    for i, entry in enumerate(_read.get(doc, "switches", "document", list, [])):
         if isinstance(entry, Mapping):
-            switch_flags[str(_require(entry, "line", "switch entry"))] = bool(
-                entry.get("normally_open", False)
-            )
+            ctx = f"switches[{i}]"
+            switch_flags[_read.get(entry, "line", ctx, str)] = _read.get(
+                entry, "normally_open", ctx, bool, False)
         else:
-            switch_flags[str(entry)] = False
+            switch_flags[_read.value(entry, str, f"switches[{i}]")] = False
 
     lines = []
-    for raw_line in _require(doc, "lines", "document"):
-        lid = str(_require(raw_line, "id", "line"))
+    for raw_line in _read.get(doc, "lines", "document", list):
+        lid = _read.get(raw_line, "id", "line", str)
         ctx = f"line {lid}"
-        frm = str(_require(raw_line, "from_bus", ctx))
-        to = str(_require(raw_line, "to_bus", ctx))
+        frm = _read.get(raw_line, "from_bus", ctx, str)
+        to = _read.get(raw_line, "to_bus", ctx, str)
         if frm not in bus_map:
             raise NetworkValidationError(f"{ctx}: references unknown bus '{frm}'")
         if to not in bus_map:
             raise NetworkValidationError(f"{ctx}: references unknown bus '{to}'")
         if frm == to:
             raise NetworkValidationError(f"{ctx}: degenerate self-loop (from == to)")
-        phases = _phases(_require(raw_line, "phases", ctx), ctx)
+        phases = _phases(_read.get(raw_line, "phases", ctx), ctx)
         for ph in phases:
             if ph not in bus_map[frm].phases or ph not in bus_map[to].phases:
                 raise NetworkValidationError(
                     f"{ctx}: phase '{ph}' not present at both endpoints"
                 )
-        r_m = _matrix3(_require(raw_line, "r_matrix", ctx), ctx)
-        x_m = _matrix3(_require(raw_line, "x_matrix", ctx), ctx)
-        for m in (r_m, x_m):
-            for i in range(3):
-                for j in range(3):
-                    if abs(m[i][j] - m[j][i]) > 1e-12:
-                        raise NetworkValidationError(f"{ctx}: impedance matrix not symmetric")
         line = Line(
             id=lid,
             from_bus=frm,
             to_bus=to,
             phases=phases,
-            r_matrix=r_m,
-            x_matrix=x_m,
-            p_max=_number(raw_line, "p_max", ctx),
-            q_max=_number(raw_line, "q_max", ctx),
+            r_matrix=_matrix3(raw_line, "r_matrix", ctx),
+            x_matrix=_matrix3(raw_line, "x_matrix", ctx),
+            p_max=_read.get(raw_line, "p_max", ctx, float),
+            q_max=_read.get(raw_line, "q_max", ctx, float),
             switchable=lid in switch_flags,
             normally_open=switch_flags.get(lid, False),
-            poles=_integer(raw_line, "poles", ctx, 0),
-            spans=_integer(raw_line, "spans", ctx, 0),
-            underground_prob=_number(raw_line, "underground_prob", ctx, 0.0),
+            poles=_read.get(raw_line, "poles", ctx, int, 0),
+            spans=_read.get(raw_line, "spans", ctx, int, 0),
+            underground_prob=_read.get(raw_line, "underground_prob", ctx, float, 0.0),
         )
         if line.p_max < 0 or line.q_max < 0:
             raise NetworkValidationError(f"{ctx}: flow limits must be nonnegative")
@@ -434,61 +375,46 @@ def network_from_document(doc: Mapping) -> NetworkModel:
             raise NetworkValidationError(f"switch entry references unknown line '{sid}'")
 
     regions = []
-    for raw_region in doc.get("regions", []):
-        rid = str(_require(raw_region, "id", "region"))
-        depot = str(_require(raw_region, "depot_bus", f"region {rid}"))
+    for raw_region in _read.get(doc, "regions", "document", list, []):
+        rid = _read.get(raw_region, "id", "region", str)
+        ctx = f"region {rid}"
+        depot = _read.get(raw_region, "depot_bus", ctx, str)
         if depot not in bus_map:
-            raise NetworkValidationError(f"region {rid}: unknown depot bus '{depot}'")
-        members = tuple(str(x) for x in _require(raw_region, "lines", f"region {rid}"))
+            raise NetworkValidationError(f"{ctx}: unknown depot bus '{depot}'")
+        members = tuple(_read.items(_read.get(raw_region, "lines", ctx), str, f"{ctx}: lines"))
         for lid in members:
             if lid not in line_id_set:
-                raise NetworkValidationError(f"region {rid}: unknown line '{lid}'")
-        crew_min = _integer(raw_region, "crew_min", f"region {rid}", 0)
-        crew_max = _integer(raw_region, "crew_max", f"region {rid}", 10**6)
+                raise NetworkValidationError(f"{ctx}: unknown line '{lid}'")
+        crew_min = _read.get(raw_region, "crew_min", ctx, int, 0)
+        crew_max = _read.get(raw_region, "crew_max", ctx, int, 10**6)
         if not 0 <= crew_min <= crew_max:
-            raise NetworkValidationError(f"region {rid}: require 0 <= crew_min <= crew_max")
+            raise NetworkValidationError(f"{ctx}: require 0 <= crew_min <= crew_max")
         regions.append(Region(id=rid, depot_bus=depot, lines=members, crew_min=crew_min, crew_max=crew_max))
 
-    generators = tuple(
-        _parse_generator(raw, f"generator[{i}]") for i, raw in enumerate(doc.get("generators", []))
-    )
-    for g in generators:
-        if g.bus not in bus_map:
-            raise NetworkValidationError(f"generator references unknown bus '{g.bus}'")
+    def units(key: str, cls) -> tuple:
+        return tuple(_read.record(cls, raw, f"{key}[{i}]")
+                     for i, raw in enumerate(_read.get(doc, key, "document", list, [])))
 
-    pv_units = []
-    for i, raw_pv in enumerate(doc.get("pv", [])):
-        ctx = f"pv[{i}]"
-        spec = PvSpec(
-            bus=str(_require(raw_pv, "bus", ctx)),
-            pv_type=str(_require(raw_pv, "pv_type", ctx)),
-            p_rate=_number(raw_pv, "p_rate", ctx),
-            s_inverter=_number(raw_pv, "s_inverter", ctx),
-        )
-        if spec.bus not in bus_map:
-            raise NetworkValidationError(f"{ctx}: unknown bus '{spec.bus}'")
-        if spec.pv_type not in PV_TYPES:
-            raise NetworkValidationError(f"{ctx}: pv_type must be one of {PV_TYPES}")
-        if spec.p_rate < 0 or spec.s_inverter < 0:
-            raise NetworkValidationError(f"{ctx}: ratings must be nonnegative")
-        pv_units.append(spec)
+    generators = units("generators", GeneratorSpec)
+    pv_units = units("pv", PvSpec)
+    ess_units = units("ess", EssSpec)
+    for key, specs in (("generators", generators), ("pv", pv_units), ("ess", ess_units)):
+        for i, spec in enumerate(specs):
+            if spec.bus not in bus_map:
+                raise NetworkValidationError(f"{key}[{i}]: unknown bus '{spec.bus}'")
 
-    ess_units = tuple(_parse_ess(raw, f"ess[{i}]") for i, raw in enumerate(doc.get("ess", [])))
-    for e in ess_units:
-        if e.bus not in bus_map:
-            raise NetworkValidationError(f"ess references unknown bus '{e.bus}'")
-
-    candidates = frozenset(str(x) for x in doc.get("candidate_buses", []))
+    candidates = frozenset(_read.items(_read.get(doc, "candidate_buses", "document", default=[]),
+                                       str, "candidate_buses"))
     for cid in candidates:
         if cid not in bus_map:
             raise NetworkValidationError(f"candidate bus '{cid}' not declared")
 
     meg_template = None
     if doc.get("meg") is not None:
-        meg_template = _parse_generator(doc["meg"], "meg template", bus="<mobile>")
+        meg_template = _read.record(GeneratorSpec, doc["meg"], "meg", bus="<mobile>")
     mes_template = None
     if doc.get("mes") is not None:
-        mes_template = _parse_ess(doc["mes"], "mes template", bus="<mobile>")
+        mes_template = _read.record(EssSpec, doc["mes"], "mes", bus="<mobile>")
     if candidates and meg_template is None and mes_template is None:
         raise NetworkValidationError(
             "candidate_buses declared but no meg/mes template to instantiate"
@@ -503,7 +429,7 @@ def network_from_document(doc: Mapping) -> NetworkModel:
         lines=tuple(lines),
         regions=tuple(regions),
         generators=generators,
-        pv_units=tuple(pv_units),
+        pv_units=pv_units,
         ess_units=ess_units,
         candidate_buses=candidates,
         meg_template=meg_template,

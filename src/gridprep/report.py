@@ -26,7 +26,7 @@ from .formulation import (
     scenario_cost,
 )
 from .milp import solve_milp
-from .network import LoopSet, NetworkModel, PvSpec
+from .network import PHASES, LoopSet, NetworkModel, PvSpec
 from .parallel import ordered_sum
 from .scenarios import DamageScenario, ScenarioSet
 
@@ -97,9 +97,13 @@ def schedule_metrics(model: NetworkModel, schedule: SecondStageSchedule) -> tupl
     """
     dt = model.dt_hours
     periods = range(model.horizon)
-    # (bus, period) grids, so each period's totals add bus by bus
+    # (bus, period) grids, so each period's totals add bus by bus; a bus's
+    # demand adds its phases in order over a (bus, phase, period) grid that
+    # holds 0.0 where it has no profile, as Bus.total_demand does
     grid = (len(model.buses), model.horizon)
-    demand = np.array([[b.total_demand(t) for t in periods] for b in model.buses]).reshape(grid)
+    absent = (0.0,) * model.horizon
+    by_phase = [[b.demand_p.get(ph, absent) for ph in PHASES] for b in model.buses]
+    demand = ordered_sum(np.array(by_phase).reshape(grid[0], len(PHASES), grid[1]), axis=1)
     pickup = np.array([[schedule.pickup[(b.id, t)] for t in periods] for b in model.buses]).reshape(grid)
     total_d = ordered_sum(demand)
     served_d = ordered_sum(demand * pickup)

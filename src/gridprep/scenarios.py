@@ -18,7 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import Line, NetworkModel, _is_int
+from .document import Reader
+from .network import Line, NetworkModel
 from .parallel import ordered_sum
 
 MAX_IRRADIANCE = 1367.0  # W/m^2, solar constant
@@ -111,11 +112,11 @@ class ScenarioSet:
         return iter(self.scenarios)
 
 
+_read = Reader(ValueError)
+
+
 def fragility_from_document(doc: Mapping) -> FragilityParams:
-    unknown = sorted(set(doc) - set(FragilityParams.__dataclass_fields__))
-    if unknown:
-        raise ValueError(f"unknown fragility keys {unknown}")
-    return FragilityParams(**doc)
+    return _read.record(FragilityParams, doc, "fragility", strict=True)
 
 
 def _lognormal_cdf(w: float, median: float, log_std: float) -> float:
@@ -237,41 +238,29 @@ def scenario_set_to_document(scen_set: ScenarioSet) -> dict:
     }
 
 
-def _integer(value, what: str) -> int:
-    if not _is_int(value):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    # float() also reads a numeric string or a boolean, which a scenario file must not hold
-    if isinstance(value, (str, bool)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def scenario_set_from_document(doc: Mapping) -> ScenarioSet:
     """A scenario set; non-integer ids, seeds and repair times, a probability or
     irradiance that is not a number or list of numbers, and repeated lines are refused."""
     scenarios = []
-    for raw in doc["scenarios"]:
-        sid = _integer(raw["id"], "scenario id")
-        damaged = {str(d["line"]): _integer(d["repair_periods"], f"scenario {sid} repair_periods")
-                   for d in raw["damaged"]}
-        if len(damaged) != len(raw["damaged"]):
-            raise ValueError(f"scenario {sid} damages a line twice")
-        if not isinstance(raw["irradiance"], list):  # a string would load digit by digit
-            raise ValueError(f"scenario {sid} irradiance must be a list of numbers")
+    for raw in _read.get(doc, "scenarios", "scenario set", list):
+        sid = _read.get(raw, "id", "scenario", int)
+        ctx = f"scenario {sid}"
+        entries = _read.get(raw, "damaged", ctx, list)
+        damaged = {_read.get(d, "line", f"{ctx} damaged", str):
+                   _read.get(d, "repair_periods", f"{ctx} damaged", int) for d in entries}
+        if len(damaged) != len(entries):
+            raise ValueError(f"{ctx} damages a line twice")
         scenarios.append(
             DamageScenario(
                 id=sid,
-                probability=_number(raw["prob"], f"scenario {sid} prob"),
+                probability=_read.get(raw, "prob", ctx, float),
                 damaged_lines=frozenset(damaged),
                 repair_periods=damaged,
-                irradiance=tuple(_number(v, f"scenario {sid} irradiance") for v in raw["irradiance"]),
+                irradiance=tuple(_read.items(_read.get(raw, "irradiance", ctx), float,
+                                             f"{ctx}: irradiance")),
             )
         )
-    return ScenarioSet(scenarios=tuple(scenarios), seed=_integer(doc["seed"], "seed"))
+    return ScenarioSet(scenarios=tuple(scenarios), seed=_read.get(doc, "seed", "scenario set", int))
 
 
 def dump_scenarios(scen_set: ScenarioSet) -> str:

@@ -117,8 +117,8 @@ def test_priced_hedging_subproblem(feeder13, config13, training_scenarios, loops
     multipliers = [0.75 * ((-1) ** j) * (1 + j % 4) for j in range(len(ids))]
     anchor = [spec[v].lower + (spec[v].upper - spec[v].lower) * ((j % 5) / 4.0)
               for j, v in enumerate(ids)]
-    compiled = build_ph_subproblem(feeder13, storm, config13, multipliers=multipliers,
-                                   anchor=anchor, rho=1.5, tie_break=0.02, loops=loops13)
+    compiled = build_ph_subproblem(plain, multipliers=multipliers, anchor=anchor, rho=1.5,
+                                   tie_break=0.02)
     assert arrays_digest(compiled.problem) == PH_SHA256
 
 

@@ -111,21 +111,20 @@ class TestBigM:
         line = model.lines[0]
         # one endpoint may sit at its ceiling while the other is dark, so the
         # zero-impedance bound is the larger squared-voltage ceiling
-        assert big_m_voltage(line, model) == pytest.approx(
+        assert big_m_voltage(model)[0] == pytest.approx(
             max(model.u_max(line.from_bus), model.u_max(line.to_bus))
         )
 
     def test_voltage_family_matches_interval_oracle(self, feeder13):
-        for line in feeder13.lines:
-            assert big_m_voltage(line, feeder13) == pytest.approx(
+        for line, m_val in zip(feeder13.lines, big_m_voltage(feeder13), strict=True):
+            assert m_val == pytest.approx(
                 interval_voltage_big_m(line, feeder13), abs=1e-12
             )
 
     def test_big_m_actually_relaxes_the_constraint(self, feeder13):
         # with the line open, any feasible endpoint voltages must satisfy the
         # relaxed rows: check the extreme corners of the variable box
-        for line in feeder13.lines:
-            m_val = big_m_voltage(line, feeder13)
+        for line, m_val in zip(feeder13.lines, big_m_voltage(feeder13), strict=True):
             u_hi_i = feeder13.u_max(line.from_bus)
             u_hi_j = feeder13.u_max(line.to_bus)
             for ui, uj in ((0.0, u_hi_j), (u_hi_i, 0.0), (u_hi_i, u_hi_j)):
@@ -530,8 +529,7 @@ class TestPhSubproblem:
         scen = damage({"l23": 2}, 3)
         plain = build_subproblem(chain3, scen, chain3_config)
         dim = len(plain.first.ids)
-        aug = build_ph_subproblem(chain3, scen, chain3_config,
-                                  multipliers=[0.0] * dim, anchor=[0.0] * dim, rho=0.0)
+        aug = build_ph_subproblem(plain, multipliers=[0.0] * dim, anchor=[0.0] * dim, rho=0.0)
         plain_sol = solve_milp(plain.problem, gap_tol=0.0)
         aug_sol = solve_milp(aug.problem, gap_tol=0.0)
         assert aug_sol.objective == pytest.approx(plain_sol.objective, abs=1e-9)
@@ -545,8 +543,7 @@ class TestPhSubproblem:
         anchor = [0.0] * dim
         anchor[0] = 1.0  # a binary placement coordinate
         rho = 2.0
-        aug = build_ph_subproblem(chain3, scen, chain3_config,
-                                  multipliers=[0.0] * dim, anchor=anchor, rho=rho)
+        aug = build_ph_subproblem(plain, multipliers=[0.0] * dim, anchor=anchor, rho=rho)
         vid = aug.first.ids[0]
         plain_coef = plain.problem.objective_vector()[vid]
         aug_coef = aug.problem.objective_vector()[vid]
@@ -561,8 +558,7 @@ class TestPhSubproblem:
         pos = plain.first.keys.index(("lots", "b2"))
         anchor = [0.0] * len(ids)
         anchor[pos] = 1.5
-        aug = build_ph_subproblem(chain3, scen, chain3_config,
-                                  multipliers=[0.0] * len(ids), anchor=anchor, rho=2.0)
+        aug = build_ph_subproblem(plain, multipliers=[0.0] * len(ids), anchor=anchor, rho=2.0)
         lots_vid = aug.first.ids[pos]
         _, a_mat, senses, b, lower, upper = aug.problem.matrices()
         secants = [i for i, name in enumerate(aug.problem.row_names())
@@ -577,10 +573,9 @@ class TestPhSubproblem:
             assert w_min == pytest.approx((v - 1.5) ** 2, abs=1e-9)
 
     def test_dimension_mismatch_rejected(self, chain3, chain3_config):
-        scen = no_damage(3)
+        plain = build_subproblem(chain3, no_damage(3), chain3_config)
         with pytest.raises(FormulationError, match="entries"):
-            build_ph_subproblem(chain3, scen, chain3_config,
-                                multipliers=[0.0], anchor=[0.0], rho=1.0)
+            build_ph_subproblem(plain, multipliers=[0.0], anchor=[0.0], rho=1.0)
 
     @settings(deadline=None, max_examples=25)
     @given(data=st.data(),
@@ -597,8 +592,8 @@ class TestPhSubproblem:
         eta = np.array(data.draw(st.lists(st.floats(-50.0, 50.0),
                                           min_size=len(ids), max_size=len(ids))))
         anchor = np.array([data.draw(st.floats(lo, hi)) for lo, hi in bounds])
-        aug = build_ph_subproblem(model, scen, config, multipliers=list(eta),
-                                  anchor=list(anchor), rho=rho, tie_break=tie)
+        aug = build_ph_subproblem(plain, multipliers=list(eta), anchor=list(anchor), rho=rho,
+                                  tie_break=tie)
         assert np.array_equal(aug.first.ids, ids)
         ties = tie * (1.0 + np.arange(len(ids)) / len(ids))
         c_plain, a_plain, *_ = plain.problem.matrices()
@@ -629,7 +624,7 @@ class TestPhSubproblem:
         np.testing.assert_allclose(aug_obj, expected, rtol=1e-9, atol=1e-9)
 
         if rho == 0.0:
-            flat = build_ph_subproblem(model, scen, config, multipliers=[0.0] * len(ids),
+            flat = build_ph_subproblem(plain, multipliers=[0.0] * len(ids),
                                        anchor=list(anchor), rho=0.0, tie_break=tie)
             c_flat, a_flat, *_ = flat.problem.matrices()
             shifted = c_plain.copy()

@@ -153,7 +153,7 @@ class TestPhSolve:
 
         scens = (damage({"l23": 2}, 3, sid=0, prob=0.5), damage({"l12": 3}, 3, sid=1, prob=0.5))
         ids = build_subproblem(chain3, scens[0], chain3_config).first.ids
-        real_price, real_solve = hedging.price_subproblem, hedging.solve_milp
+        real_price, real_solve = hedging.build_ph_subproblem, hedging.solve_milp
         priced, seen = {}, []
 
         def price(plain, multipliers, anchor, rho, tie_break=0.0):
@@ -172,7 +172,7 @@ class TestPhSolve:
             point[ids] = 1.0 - sid
             return MilpSolution(status=OPTIMAL, values=point, objective=0.0)
 
-        monkeypatch.setattr(hedging, "price_subproblem", price)
+        monkeypatch.setattr(hedging, "build_ph_subproblem", price)
         monkeypatch.setattr(hedging, "solve_milp", solve)
         start = 2.0
         result = ph_solve(chain3, ScenarioSet(scenarios=scens, seed=0), chain3_config,

@@ -150,3 +150,30 @@ def test_threads_have_one_home():
     assert any(name == "parallel.py" for name, _ in sites)
     stray = [f"{name}:{line}" for name, line in sites if name != "parallel.py"]
     assert not stray, "threads started outside gridprep.parallel: " + ", ".join(stray)
+
+
+#: the helpers each module once kept to read a document value its own way
+SCALAR_READERS = {"_number", "_integer", "_is_int", "_require"}
+#: names that hold a raw document, or a part of one, where a module reads it
+DOCUMENT_NAMES = ("raw", "entry", "doc")
+
+
+def test_document_scalars_have_one_home():
+    """Every input document reads its numbers, integers, flags and names
+    through ``gridprep.document``.  A private reader elsewhere is a second
+    set of rules, and ``bool()`` of a document value reads ``"false"`` as
+    true."""
+    stray = []
+    for path in sorted((SRC / "gridprep").rglob("*.py")):
+        name = path.relative_to(SRC / "gridprep").as_posix()
+        if name == "document.py":
+            continue
+        tree = ast.parse(path.read_text())
+        stray += [f"{name}:{node.lineno} defines {node.name}" for _, node in sites(
+            tree, lambda node: isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in SCALAR_READERS)]
+        stray += [f"{name}:{node.lineno} calls bool() on a document value" for _, node in sites(
+            tree, lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bool"
+            and any(isinstance(part, ast.Name) and part.id.startswith(DOCUMENT_NAMES)
+                    for arg in node.args for part in ast.walk(arg)))]
+    assert not stray, "document values read outside gridprep.document: " + ", ".join(stray)

@@ -285,8 +285,7 @@ def test_symbol_audit_every_index_kind_maps_to_a_field(chain3, chain3_config):
     plain = formulation.build_subproblem(chain3, scen, chain3_config)
     dim = len(plain.first.ids)
     compiled = formulation.build_ph_subproblem(
-        chain3, scen, chain3_config,
-        multipliers=[0.0] * dim, anchor=[0.5] * dim, rho=1.0,
+        plain, multipliers=[0.0] * dim, anchor=[0.5] * dim, rho=1.0,
     )
     kinds = {key[0] for key in compiled.index.keys()}
     for kind in kinds:

@@ -430,6 +430,62 @@ class TestCli:
                         "--scenarios", str(scen / "scenarios.json"), "--out", str(tmp_path / "ef"))
         assert code == 2
 
+    @pytest.mark.parametrize("what, where, value, key", [
+        ("network", ("switches", 0, "normally_open"), "false", "normally_open"),
+        ("network", ("generators", 0, "grid_forming"), "false", "grid_forming"),
+        ("network", ("buses", 0, "substation"), "no", "substation"),
+        ("network", ("lines", 0, "p_max"), True, "p_max"),
+        ("network", ("lines", 0, "p_max"), "100", "p_max"),
+        ("network", ("buses", 5, "demand_p", "a", 0), "1", "demand_p"),
+        ("config", ("fuel_cost",), True, "fuel_cost"),
+        ("fragility", ("pole_median",), math.nan, "pole_median"),
+        ("fragility", ("pole_log_std",), math.inf, "pole_log_std"),
+        ("fragility", ("tree_factor",), True, "tree_factor"),
+        ("fragility", ("repair_max_periods",), 6.5, "repair_max_periods"),
+        ("scenarios", ("seed",), 10**400, "seed"),
+        ("plan", ("meg", 0), 5, "meg"),
+    ], ids=["switch-open-string", "grid-forming-string", "substation-string", "p_max-bool",
+            "p_max-string", "demand-entry-string", "config-fuel_cost-bool", "fragility-median-nan",
+            "fragility-log-std-inf", "fragility-tree-bool", "fragility-repair-fraction",
+            "scenario-seed-too-large", "plan-meg-number"])
+    def test_malformed_scalar_is_input_error_naming_its_key(self, paths, tmp_path, capsys, what,
+                                                            where, value, key):
+        # each of these read as some other value, and ran, before one reader checked them all
+        scen, base = tmp_path / "s", tmp_path / "base"
+        assert self.run("generate-scenarios", "--network", paths["network"],
+                        "--wind", paths["wind"], "--fragility", paths["fragility"],
+                        "--count", "1", "--seed", "1", "--out", str(scen)) == 0
+        assert self.run("base-plan", "--network", paths["network"], "--config", paths["config"],
+                        "--out", str(base)) == 0
+        files = dict(paths, scenarios=str(scen / "scenarios.json"),
+                     plan=str(base / "base_plan.json"))
+        doc = json.loads(Path(files[what]).read_text())
+        *parents, last = where
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[last] = value
+        files[what] = str(tmp_path / f"bad_{what}.json")
+        Path(files[what]).write_text(json.dumps(doc))  # NaN and Infinity as json writes them
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        argv = {"network": ["check-network", "--network", files["network"]],
+                "config": ["base-plan", "--network", files["network"], "--config", files["config"],
+                           "--out", out],
+                "fragility": ["generate-scenarios", "--network", files["network"],
+                              "--wind", files["wind"], "--fragility", files["fragility"],
+                              "--count", "1", "--out", out],
+                "scenarios": ["solve-ef", "--network", files["network"], "--config", files["config"],
+                              "--scenarios", files["scenarios"], "--out", out],
+                "plan": ["evaluate", "--network", files["network"], "--config", files["config"],
+                         "--scenarios", files["scenarios"], "--plan", files["plan"], "--out", out]}
+        assert self.run(*argv[what]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["exit_code"] == 2 and key in error["error"]
+        assert not Path(out).exists()
+
     def test_not_converged_exit_code(self, paths, tmp_path):
         scen = tmp_path / "s"
         assert self.run("generate-scenarios", "--network", paths["network"],
