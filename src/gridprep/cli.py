@@ -245,6 +245,8 @@ def cmd_sweep_pv(args) -> int:
         levels = [int(x) for x in args.levels.split(",") if x != ""]
     except ValueError as exc:
         raise CliError(f"--levels must be comma-separated integers: {exc}") from exc
+    if not levels:
+        raise CliError("--levels names no penetration level")
     unknown = [x for x in levels if x not in PV_SWEEP_COUNTS]
     if unknown:
         raise CliError(f"--levels: unknown penetration levels {unknown}; "

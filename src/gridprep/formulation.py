@@ -865,7 +865,7 @@ def build_second_stage(
     members = [sorted(loop.members) for loop in loops]
     loop_at, in_loop = _padded([[(line_pos[lid], 1.0) for lid in m] for m in members])
     var = u_is_var[loop_at] & (in_loop[..., None] > 0)  # (loops, members, T)
-    closed = np.where(var, 0.0, u_const[loop_at] * in_loop[..., None]).sum(axis=1)
+    closed = ordered_sum(np.where(var, 0.0, u_const[loop_at] * in_loop[..., None]), axis=1)
     _rows(problem, [(u[loop_at[:, j]], var[:, j]) for j in range(loop_at.shape[1])],
           LE, _col([len(m) - 1.0 for m in members]) - closed,
           lambda: [f"radiality[{li},{t}]" for li in range(len(members)) for t in periods])

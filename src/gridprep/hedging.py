@@ -29,8 +29,8 @@ outcome.
 
 The hedging vector stays an array from each solve's checked point to the
 artifacts: decisions and prices are (scenarios, n) arrays and the mean an
-(n,) array.  The mean, g and the priced cost add in scenario order through
-:func:`~gridprep.parallel.ordered_sum`.
+(n,) array.  The mean, g, the drift check and the priced cost add in
+scenario order through :func:`~gridprep.parallel.ordered_sum`.
 """
 
 from __future__ import annotations
@@ -285,8 +285,7 @@ def ph_solve(
         log_rows.append((tau, g, time.perf_counter() - t_start, ordered_sum(objs) / len(objs)))
 
         # multiplier drift guard: the weighted multipliers must stay centered
-        # (a check, not a result, so any order of addition will do)
-        drift = np.max(np.abs(probs @ eta_s), initial=0.0)
+        drift = np.max(np.abs(ordered_sum(probs[:, None] * eta_s)), initial=0.0)
         if drift > 1e-6:
             raise PhError(f"multiplier aggregate drifted to {drift}")
         if g <= ph_config.epsilon or tau >= ph_config.max_iterations:

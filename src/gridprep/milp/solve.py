@@ -6,16 +6,16 @@ through SciPy, ``milp`` while integer variables remain and ``linprog`` once
 none do.  HiGHS is deterministic at fixed inputs, so every solve is too.
 Each returned point is checked against the original rows and bounds, and
 one that breaks them raises :class:`NumericalInstabilityError`; the checked
-point, one float64 per column, is the solution's ``values``.  A HiGHS MILP
-solve that ends in a load, presolve, solve or postsolve error is tried once
-more with HiGHS's own presolve off, and raises the same error only if that
-fails too; a MILP stopped at its node limit returns ``ITERATION_LIMIT``
-instead.
+point, one float64 per column, is the solution's ``values``, and its cost,
+added in column order by :func:`~gridprep.parallel.ordered_sum`, is the
+solution's ``objective``.  A HiGHS MILP solve that ends in a load,
+presolve, solve or postsolve error is tried once more with HiGHS's own
+presolve off, and raises the same error only if that fails too; a MILP
+stopped at its node limit returns ``ITERATION_LIMIT`` instead.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -23,6 +23,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp as scipy_milp
 
+from ..parallel import ordered_sum
 from .problem import (
     DEFAULT_GAP_TOL,
     EQ,
@@ -62,7 +63,7 @@ class _Reduced:
     lower: np.ndarray
     upper: np.ndarray
     integer_mask: np.ndarray
-    obj_const: float
+    obj_const: float  # the objective constant plus the fixed columns' cost
     keep_vars: np.ndarray  # original column ids of kept variables
     fixed: np.ndarray  # original column ids of variables presolve fixed
     fixed_values: np.ndarray
@@ -127,11 +128,8 @@ def _presolve(problem: MilpProblem) -> _Reduced:
     fixed_mask = (upper - lower) <= 1e-12
     keep = np.flatnonzero(~fixed_mask)
 
-    obj_const = problem.objective_constant
     if fixed_mask.any():
-        fixed_vals = np.where(fixed_mask, lower, 0.0)
-        b = b - a_csr @ fixed_vals
-        obj_const += float(c @ fixed_vals)
+        b = b - a_csr @ np.where(fixed_mask, lower, 0.0)
 
     keep_rows = np.nonzero(~drop_row)[0]
     a_red = a_csr[keep_rows][:, keep].tocsr()
@@ -155,7 +153,7 @@ def _presolve(problem: MilpProblem) -> _Reduced:
         lower=lower[keep],
         upper=upper[keep],
         integer_mask=integer_mask[keep],
-        obj_const=obj_const,
+        obj_const=ordered_sum(c[fixed_mask] * lower[fixed_mask], start=problem.objective_constant),
         keep_vars=keep,
         fixed=np.flatnonzero(fixed_mask),
         fixed_values=lower[fixed_mask],
@@ -181,21 +179,27 @@ def _check_point(problem: MilpProblem, point: np.ndarray) -> None:
             f"and a bound by {worst_bound:.3g} (scaled as the tolerance is)")
 
 
-def _expand_values(red: _Reduced, x: np.ndarray, problem: MilpProblem) -> np.ndarray:
-    """Every original variable's value, once the point passes :func:`_check_point`."""
+def _finish(problem: MilpProblem, red: _Reduced, x: np.ndarray, dual_bound: float | None = None,
+            node_count: int = 0) -> MilpSolution:
+    """The optimal solution at the reduced point ``x``, once the full point
+    passes :func:`_check_point`.  Its objective is the point's cost over the
+    original columns, added in column order; its bound is HiGHS's dual bound
+    on the reduced problem plus presolve's constant, never above the
+    objective, or the objective itself when ``dual_bound`` is None."""
     point = np.empty(problem.num_variables)
     point[red.keep_vars] = x
     point[red.fixed] = red.fixed_values
     _check_point(problem, point)
-    return point
+    objective = ordered_sum(problem.matrices()[0] * point, start=problem.objective_constant)
+    bound = objective if dual_bound is None else min(float(dual_bound) + red.obj_const, objective)
+    return MilpSolution(status=OPTIMAL, values=point, objective=objective, best_bound=bound,
+                        node_count=node_count)
 
 
 def _lp_highs(problem: MilpProblem, red: _Reduced) -> MilpSolution:
     """Solve a reduced problem that has no integer variable left."""
     if red.a.shape[1] == 0:
-        values = _expand_values(red, np.empty(0), problem)
-        obj = red.obj_const
-        return MilpSolution(status=OPTIMAL, values=values, objective=obj, best_bound=obj)
+        return _finish(problem, red, np.empty(0))
     le_rows = np.flatnonzero(red.senses == LE)
     ge_rows = np.flatnonzero(red.senses == GE)
     eq_rows = np.flatnonzero(red.senses == EQ)
@@ -230,15 +234,7 @@ def _lp_highs(problem: MilpProblem, red: _Reduced) -> MilpSolution:
         return MilpSolution(status=UNBOUNDED)
     if res.status != 0:
         raise NumericalInstabilityError(f"HiGHS LP failed: {res.message}")
-    values = _expand_values(red, np.asarray(res.x), problem)
-    objective = float(res.fun) + red.obj_const
-    return MilpSolution(status=OPTIMAL, values=values, objective=objective, best_bound=objective)
-
-
-def _relative_gap(incumbent: float, bound: float) -> float:
-    if not math.isfinite(incumbent):
-        return math.inf
-    return (incumbent - bound) / max(1.0, abs(incumbent))
+    return _finish(problem, red, np.asarray(res.x))
 
 
 def _milp_highs(problem: MilpProblem, red: _Reduced, gap_tol: float, node_limit: int) -> MilpSolution:
@@ -271,21 +267,13 @@ def _milp_highs(problem: MilpProblem, red: _Reduced, gap_tol: float, node_limit:
         return MilpSolution(status=ITERATION_LIMIT, node_count=node_count)
     x = np.asarray(res.x)
     x[red.integer_mask] = np.round(x[red.integer_mask])
-    values = _expand_values(red, x, problem)
-    objective = float(red.c @ x) + red.obj_const
-    dual = getattr(res, "mip_dual_bound", None)
-    best_bound = (float(dual) + red.obj_const) if dual is not None else objective
-    if res.status == 0:
-        status = OPTIMAL if _relative_gap(objective, best_bound) <= max(gap_tol, 1e-9) else GAP_LIMIT
-    else:
-        status = ITERATION_LIMIT
-    return MilpSolution(
-        status=status,
-        values=values,
-        objective=objective,
-        best_bound=min(best_bound, objective),
-        node_count=node_count,
-    )
+    sol = _finish(problem, red, x, getattr(res, "mip_dual_bound", None), node_count)
+    gap = (sol.objective - sol.best_bound) / max(1.0, abs(sol.objective))
+    if res.status != 0:
+        sol.status = ITERATION_LIMIT
+    elif not gap <= max(gap_tol, 1e-9):  # a NaN gap proves nothing
+        sol.status = GAP_LIMIT
+    return sol
 
 
 def solve_milp(

@@ -240,11 +240,14 @@ def scenario_set_to_document(scen_set: ScenarioSet) -> dict:
 
 def scenario_set_from_document(doc: Mapping) -> ScenarioSet:
     """A scenario set; non-integer ids, seeds and repair times, a probability or
-    irradiance that is not a number or list of numbers, and repeated lines are refused."""
+    irradiance that is not a number or list of numbers, and repeated ids or
+    lines are refused."""
     scenarios = []
     for raw in _read.get(doc, "scenarios", "scenario set", list):
         sid = _read.get(raw, "id", "scenario", int)
         ctx = f"scenario {sid}"
+        if any(s.id == sid for s in scenarios):
+            raise ValueError(f"{ctx} is listed twice")
         entries = _read.get(raw, "damaged", ctx, list)
         damaged = {_read.get(d, "line", f"{ctx} damaged", str):
                    _read.get(d, "repair_periods", f"{ctx} damaged", int) for d in entries}

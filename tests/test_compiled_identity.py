@@ -13,8 +13,12 @@ compile, with the placement and crew totals as upper bounds.
 
 ``PH_RUN_SHA256`` pins what a hedging run leaves behind: its final state
 (as ``ph_state.json`` holds it), its history of g and its priced cost.  It
-was recorded while PH still iterated on Python lists, before the hedging
-vector became an array.
+was recorded again when solve objectives came to be added in column order
+(the checked point's cost through ``ordered_sum``) in place of BLAS's
+order: the state and the history kept their bits, and only the priced
+cost's last bits moved (1059.2660412564237 to 1059.2660412564126).
+``REDUCED_SHA256`` kept its value: presolve's constant, now added the same
+way, has the same bits on both pinned plans.
 """
 
 import hashlib
@@ -42,7 +46,7 @@ REDUCED_SHA256 = {
     "strict": "05f372e70ed80b38395fb8a0e5df6af5a763eef305480499afaeb67b396f1df3",
 }
 PH_SHA256 = "81ad1afd5dd1e76b4e456e7781923cbc5f083ce71b7eb8a9d5ec5924cc85ee4b"
-PH_RUN_SHA256 = "aaf0d88f9fc71951b73b62054eaeb869b62b810b8cec52ce8f211f279e883b20"
+PH_RUN_SHA256 = "d2d3720ff410edef9e9ef01b2e7efdf172601b1072a1f98eaf03b6766a9ccb27"
 
 
 def arrays_digest(problem) -> str:

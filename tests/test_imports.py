@@ -83,23 +83,49 @@ def sites(tree, match) -> list[tuple[str | None, ast.AST]]:
     return found
 
 
-def accumulations(tree) -> list[tuple[str | None, int]]:
-    """(enclosing function, line) of each ``<module>.add.accumulate`` in ``tree``."""
-    return [(func, node.lineno) for func, node in sites(
-        tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "accumulate"
-        and isinstance(node.value, ast.Attribute) and node.value.attr == "add")]
+#: attribute names of the float reductions: ``np.sum``, ``.sum``, ``.mean``,
+#: ``.dot``, ``math.fsum``, ``math.prod``, ``np.add.reduce`` and the rest
+REDUCTIONS = {"sum", "nansum", "mean", "nanmean", "average", "dot", "vdot", "inner", "matmul",
+              "tensordot", "einsum", "prod", "fsum", "reduce", "accumulate", "cumsum"}
+
+#: the reductions allowed outside ``parallel.ordered_sum``, each with the
+#: reason its bits cannot move
+ORDERED_ELSEWHERE = {
+    # presolve's right-hand-side shift: a SciPy CSR product adds each row in index order
+    ("milp/solve.py", "_presolve", "@"),
+    # the solve check's row activities: the same SciPy CSR product
+    ("milp/solve.py", "_check_point", "@"),
+    # the size of a row grid: a product of integers
+    ("formulation.py", "_rows", "prod"),
+}
+
+
+def reductions(tree) -> list[tuple[str | None, str, int]]:
+    """(enclosing function, operator, line) of each float reduction in
+    ``tree``: an ``@`` (or ``@=``), or an attribute named in ``REDUCTIONS``."""
+    return [(func, "@" if isinstance(node, (ast.BinOp, ast.AugAssign)) else node.attr, node.lineno)
+            for func, node in sites(tree, lambda node: (
+                isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+                or (isinstance(node, ast.Attribute) and node.attr in REDUCTIONS))]
 
 
 def test_ordered_sums_have_one_home():
     """Sums whose bits must not move add term by term through
-    ``parallel.ordered_sum``; a running sum anywhere else is a second way."""
-    sites = [(path.name, func, line)
+    ``parallel.ordered_sum``.  NumPy's ``sum``, ``mean`` and ``@`` add in
+    blocks whose shape follows the operands and the BLAS build, so any float
+    reduction elsewhere is a second order of addition, unless
+    ``ORDERED_ELSEWHERE`` names it; each site named there must still exist."""
+    planted = "def f(a, b):\n    a @ b\n    a.sum(axis=1)\n    np.add.reduce(a)\n    math.fsum(a)\n"
+    assert [op for _, op, _ in reductions(ast.parse(planted))] == ["@", "sum", "reduce", "fsum"]
+    found = {(path.relative_to(SRC / "gridprep").as_posix(), func, op, line)
              for path in sorted((SRC / "gridprep").rglob("*.py"))
-             for func, line in accumulations(ast.parse(path.read_text()))]
-    assert any(site[:2] == ("parallel.py", "ordered_sum") for site in sites)
-    stray = [f"{name}:{line}" for name, func, line in sites
-             if (name, func) != ("parallel.py", "ordered_sum")]
-    assert not stray, "np.add.accumulate outside parallel.ordered_sum: " + ", ".join(stray)
+             for func, op, line in reductions(ast.parse(path.read_text()))}
+    allowed = ORDERED_ELSEWHERE | {("parallel.py", "ordered_sum", "accumulate")}
+    stray = sorted(f"{name}:{line} {op} in {func}" for name, func, op, line in found
+                   if (name, func, op) not in allowed)
+    assert not stray, "float reductions outside parallel.ordered_sum: " + ", ".join(stray)
+    gone = sorted(allowed - {site[:3] for site in found})
+    assert not gone, f"reductions allowed at sites that no longer have them: {gone}"
 
 
 #: the functions whose builtin ``sum`` adds integer counts, which every
@@ -177,3 +203,17 @@ def test_document_scalars_have_one_home():
             and any(isinstance(part, ast.Name) and part.id.startswith(DOCUMENT_NAMES)
                     for arg in node.args for part in ast.walk(arg)))]
     assert not stray, "document values read outside gridprep.document: " + ", ".join(stray)
+
+
+def test_highs_has_one_entry_module():
+    """Only ``gridprep.milp.solve`` imports from ``scipy.optimize``, so every
+    HiGHS call passes its presolve, its check and its objective."""
+    stray = []
+    for path in sorted((SRC / "gridprep").rglob("*.py")):
+        name = path.relative_to(SRC / "gridprep").as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            if (name != "milp/solve.py" and isinstance(node, (ast.Import, ast.ImportFrom))
+                    and any(f"{prefix}{a.name}".startswith("scipy.optimize") for a in node.names)):
+                stray.append(f"{name}:{node.lineno}")
+    assert not stray, "scipy.optimize imported outside gridprep.milp.solve: " + ", ".join(stray)

@@ -18,6 +18,8 @@ from gridprep.milp import (
     write_lp,
 )
 
+from gridprep.parallel import ordered_sum
+
 from .oracles import brute_force_milp, max_integrality_violation, max_violation, naive_simplex
 
 
@@ -49,6 +51,32 @@ def random_lp(rng, n=None, m=None):
             b[i] -= rng.uniform(0.0, 1.0)
     bounds = [(-3.0, 4.0)] * n
     return c, a, senses, b, bounds
+
+
+def random_milp(rng):
+    """A MILP over 2-6 binaries and up to 2 continuous columns with 1-5
+    rows, feasible at the seed point it also returns."""
+    nb = int(rng.integers(2, 7))
+    nc = int(rng.integers(0, 3))
+    n = nb + nc
+    m = int(rng.integers(1, 6))
+    c = rng.normal(size=n)
+    a = rng.normal(size=(m, n))
+    seed_x = np.concatenate([rng.integers(0, 2, nb).astype(float), rng.uniform(-1, 2, nc)])
+    senses = [(LE, GE)[int(rng.integers(0, 2))] for _ in range(m)]
+    b = a @ seed_x
+    for i, s in enumerate(senses):
+        b[i] += rng.uniform(0, 0.5) * (1 if s == LE else -1)
+    bounds = [(0, 1)] * nb + [(-2.0, 3.0)] * nc
+    kinds = [BINARY] * nb + ["continuous"] * nc
+    return c, a, senses, b, bounds, kinds, seed_x
+
+
+def assert_ordered_objective(problem, sol):
+    """The reported objective is the checked point's cost, added column by
+    column from the objective constant."""
+    expected = ordered_sum(problem.matrices()[0] * sol.values, start=problem.objective_constant)
+    assert sol.objective == expected
 
 
 PRESOLVE_PATHS = ["embedded", "highs"]
@@ -197,6 +225,7 @@ class TestSolveLp:
             if status == "optimal":
                 assert sol.status == "optimal"
                 assert sol.objective == pytest.approx(ref_obj, abs=1e-6)
+                assert sol.best_bound == sol.objective and sol.node_count == 0
                 checked += 1
             else:
                 assert sol.status == status
@@ -247,20 +276,7 @@ class TestSolveMilp:
     def test_random_instances_match_brute_force(self, path):
         rng = np.random.default_rng(31)
         for _ in range(25):
-            nb = int(rng.integers(2, 7))
-            nc = int(rng.integers(0, 3))
-            n = nb + nc
-            m = int(rng.integers(1, 6))
-            c = rng.normal(size=n)
-            a = rng.normal(size=(m, n))
-            seed_x = np.concatenate([rng.integers(0, 2, nb).astype(float),
-                                     rng.uniform(-1, 2, nc)])
-            senses = [(LE, GE)[int(rng.integers(0, 2))] for _ in range(m)]
-            b = a @ seed_x
-            for i, s in enumerate(senses):
-                b[i] += rng.uniform(0, 0.5) * (1 if s == LE else -1)
-            bounds = [(0, 1)] * nb + [(-2.0, 3.0)] * nc
-            kinds = [BINARY] * nb + ["continuous"] * nc
+            c, a, senses, b, bounds, kinds, seed_x = random_milp(rng)
             if path == "embedded":
                 # x0 <= seed + 1/4 rounds to x0 = 0 when the seed's x0 is 0
                 c, a, senses, b, bounds, kinds = with_presolve_work(
@@ -405,3 +421,61 @@ class TestPresolve:
         sol = solve_milp(p)
         assert sol.values[0] == 1.0
         assert sol.objective == pytest.approx(1.0)
+
+    def test_every_column_fixed_is_solved_without_highs(self, monkeypatch):
+        """Bounds fix x0, rounding fixes the integer x1 and a singleton row
+        fixes x2, so the one row left is empty and no solver runs."""
+        import gridprep.milp.solve as solve_mod
+
+        def no_highs(*args, **kwargs):
+            raise AssertionError("HiGHS was called")
+
+        monkeypatch.setattr(solve_mod, "scipy_milp", no_highs)
+        monkeypatch.setattr(solve_mod, "linprog", no_highs)
+        c = [0.1, 0.2, 0.7]
+        p = build(c, [[0.0, 0.0, 3.0], [1.0, 1.0, 1.0]], [GE, LE], [6.0, 5.0],
+                  [(1.5, 1.5), (0.6, 1.3), (0.0, 2.0)], kinds=["continuous", INTEGER, "continuous"])
+        p.objective_constant = 0.3
+        sol = solve_milp(p)
+        assert sol.status == "optimal" and sol.values.tolist() == [1.5, 1.0, 2.0]
+        expected = ordered_sum([0.1 * 1.5, 0.2 * 1.0, 0.7 * 2.0], start=0.3)
+        assert sol.objective == expected and sol.best_bound == expected
+        assert sol.node_count == 0
+        assert_ordered_objective(p, sol)
+
+
+class TestReportedObjective:
+    """Every reported objective is the checked point's cost in column order,
+    whether HiGHS's MILP or LP solver ran; the all-fixed case is
+    ``TestPresolve.test_every_column_fixed_is_solved_without_highs``."""
+
+    @pytest.mark.parametrize("kind", ["lp", "milp"])
+    def test_random_problems(self, kind):
+        rng = np.random.default_rng(808)
+        solved = 0
+        for _ in range(15):
+            if kind == "lp":
+                c, a, senses, b, bounds = random_lp(rng)
+                kinds, cap = ["continuous"] * len(c), rng.uniform(2.0, 4.0)
+            else:
+                c, a, senses, b, bounds, kinds, seed_x = random_milp(rng)
+                cap = seed_x[0] + 0.25
+            # a fixed column puts its cost into presolve's constant
+            p = build(*with_presolve_work(rng, c, a, senses, b, bounds, kinds, cap))
+            p.objective_constant = float(rng.uniform(-1e3, 1e3))
+            sol = solve_milp(p, gap_tol=0.0)
+            if sol.ok:
+                assert_ordered_objective(p, sol)
+                assert sol.best_bound <= sol.objective
+                solved += 1
+        assert solved >= 10
+
+    def test_fixture_extensive_form(self, feeder13, wind13, fragility13, config13, loops13):
+        from gridprep.formulation import build_extensive_form
+        from gridprep.scenarios import generate_scenario_set
+
+        storms = generate_scenario_set(feeder13, wind13, fragility13, count=2, seed=11)
+        problem = build_extensive_form(feeder13, storms, config13, loops=loops13).problem
+        sol = solve_milp(problem, gap_tol=1e-4)
+        assert sol.status == "optimal" and problem.objective_constant != 0.0
+        assert_ordered_objective(problem, sol)

@@ -357,6 +357,20 @@ class TestCli:
         assert error == {"error": "model has no load buses to host PV", "exit_code": 3}
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("levels, message", [
+        (",", "--levels names no penetration level"),
+        ("abc", "--levels must be comma-separated integers"),
+        ("5", "--levels: unknown penetration levels [5]"),
+    ], ids=["none", "not-integer", "unknown"])
+    def test_bad_levels_are_input_errors(self, paths, tmp_path, capsys, levels, message):
+        code = self.run("sweep-pv", "--network", paths["network"], "--config", paths["config"],
+                        "--wind", paths["wind"], "--count", "1", "--levels", levels,
+                        "--out", str(tmp_path / "out"))
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["exit_code"] == 2 and error["error"].startswith(message)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("what, edit, command", [
         ("config", {"n_mu_by_bus": [1]}, "base-plan"),
         ("config", {"n_meg": 1.5}, "base-plan"),
@@ -376,6 +390,7 @@ class TestCli:
         ("scenarios", {"seed": 1.9}, "solve-ef"),
         ("scenarios", {"damaged": [{"line": "t1", "repair_periods": 2},
                                    {"line": "t1", "repair_periods": 3}]}, "solve-ef"),
+        ("scenarios", {"id": 1}, "evaluate"),
         ("plan", {"fuel": []}, "evaluate"),
         ("plan", {"meg": "f0"}, "evaluate"),
     ], ids=["config-mu-list", "config-meg-float", "config-unknown-key", "config-fuel-too-large",
@@ -384,18 +399,20 @@ class TestCli:
             "scenario-short-irradiance", "scenario-irradiance-string",
             "scenario-irradiance-entry-string", "scenario-irradiance-entry-bool",
             "scenario-prob-string", "scenario-prob-bool", "scenario-repair-float", "scenario-id-float",
-            "scenario-seed-float", "scenario-line-twice", "plan-fuel-list", "plan-meg-string"])
+            "scenario-seed-float", "scenario-line-twice", "scenario-id-twice", "plan-fuel-list",
+            "plan-meg-string"])
     def test_malformed_input_file_is_input_error(self, paths, tmp_path, capsys, what, edit,
                                                  command):
         assert self.run("generate-scenarios", "--network", paths["network"],
                         "--wind", paths["wind"], "--fragility", paths["fragility"],
-                        "--count", "1", "--seed", "1", "--out", str(tmp_path / "s")) == 0
+                        "--count", "2", "--seed", "1", "--out", str(tmp_path / "s")) == 0
         assert self.run("base-plan", "--network", paths["network"], "--config", paths["config"],
                         "--out", str(tmp_path / "base")) == 0
         files = dict(paths, scenarios=str(tmp_path / "s" / "scenarios.json"),
                      plan=str(tmp_path / "base" / "base_plan.json"))
         doc = json.loads(Path(files[what]).read_text())
-        # a scenario-file edit changes the first storm, except the set's own seed
+        # a scenario-file edit changes the first of two storms (ids 0 and 1),
+        # except the set's own seed
         (doc["scenarios"][0] if what == "scenarios" and "seed" not in edit else doc).update(edit)
         files[what] = str(tmp_path / f"bad_{what}.json")
         Path(files[what]).write_text(json.dumps(doc))
