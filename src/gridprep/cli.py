@@ -1,6 +1,6 @@
 """Command-line pipeline: generate -> solve -> validate -> evaluate.
 
-Every stage is deterministic at fixed seeds, whatever the worker counts.
+Every stage is deterministic at fixed seeds, on any number of cores.
 Exit codes: 0 success, 2 input error, 3 infeasible model or plan, 4 solver
 did not converge.
 """
@@ -25,7 +25,7 @@ from .hedging import PhConfig, PhError, iteration_log_csv, ph_solve
 from .milp import NumericalInstabilityError, solve_milp, write_lp
 from .mrp import MrpConfig, MrpError, mrp_validate, result_to_json
 from .network import enumerate_loops, load_network, validate_regions
-from .parallel import default_workers, map_in_order, ordered_sum
+from .parallel import map_in_order, ordered_sum
 from .report import (
     PV_SWEEP_COUNTS,
     EvaluationError,
@@ -162,7 +162,6 @@ def cmd_solve_ph(args) -> int:
             rho=args.rho,
             epsilon=args.epsilon,
             max_iterations=args.max_iters,
-            workers=args.workers,
             prior_plan=prior,
         )
     except ValueError as exc:
@@ -194,8 +193,7 @@ def cmd_validate_mrp(args) -> int:
     candidate = _plan(args.candidate, config)
     sampler = _sampler(args, model)
     try:
-        mrp_config = MrpConfig(alpha=args.alpha, n=args.n, n_g=args.ng,
-                               base_seed=args.seed, workers=args.workers)
+        mrp_config = MrpConfig(alpha=args.alpha, n=args.n, n_g=args.ng, base_seed=args.seed)
     except ValueError as exc:
         raise CliError(f"validation settings: {exc}") from exc
     result = mrp_validate(candidate, model, config, sampler, mrp_config)
@@ -227,7 +225,7 @@ def cmd_evaluate(args) -> int:
     def evaluate(scen):
         return evaluate_plan(plan, model, scen, config, loops=loops, plan_label=label)
 
-    reports = map_in_order(evaluate, scen_set.scenarios, default_workers(None, len(scen_set)))
+    reports = map_in_order(evaluate, scen_set.scenarios)
     out = _out_dir(args)
     _write(out / "evaluation.json", reports_to_json(reports))
     _write(out / "served_fraction.csv", served_fraction_csv(reports))
@@ -251,6 +249,9 @@ def cmd_sweep_pv(args) -> int:
     if unknown:
         raise CliError(f"--levels: unknown penetration levels {unknown}; "
                        f"known: {sorted(PV_SWEEP_COUNTS)}")
+    repeated = sorted({x for x in levels if levels.count(x) > 1})
+    if repeated:
+        raise CliError(f"--levels: repeated penetration levels {repeated}")
     model = _model(args)
     config = _config(args)
     scen_set = _scenario_set(args, model)
@@ -316,10 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--soft-start",
                    help="prior plan file; hedging iteration 0 is pulled toward it")
-    p.add_argument("--workers", type=int, default=None,
-                   help="threads solving scenario subproblems, the calling one included "
-                        "(default: one per usable core, at most one per scenario); "
-                        "results do not depend on it")
     p.set_defaults(fn=cmd_solve_ph)
 
     p = sub.add_parser("validate-mrp", help="confidence interval on a plan's optimality gap")
@@ -331,10 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="scenarios per replication")
     p.add_argument("--ng", type=int, default=2, help="replication count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None,
-                   help="threads solving one replication's sample problem and the "
-                        "candidate's pricing at once, the calling one included (default: "
-                        "one per usable core, at most n + 1); results do not depend on it")
     p.set_defaults(fn=cmd_validate_mrp)
 
     p = sub.add_parser("base-plan", help="heuristic comparison plan")

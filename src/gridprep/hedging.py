@@ -22,10 +22,9 @@ copies of it with the plan's columns pinned.  The compiles'
 columns and turn a prior plan into the first anchor and the final mean
 into the consensus votes.  Subproblems of one iteration are independent
 and solve through :func:`~gridprep.parallel.map_in_order` (HiGHS releases
-the GIL) on one worker per usable core by default, the calling thread
-included, and no more than one per scenario.  Results merge in scenario
-order and HiGHS is deterministic, so the worker count never changes the
-outcome.
+the GIL) on one worker per usable core, the calling thread included, and
+no more than one per scenario.  Results merge in scenario order and HiGHS
+is deterministic, so the worker count never changes the outcome.
 
 The hedging vector stays an array from each solve's checked point to the
 artifacts: decisions and prices are (scenarios, n) arrays and the mean an
@@ -56,7 +55,7 @@ from .formulation import (
 )
 from .milp import BINARY, GE, MilpProblem, solve_milp
 from .network import LoopSet, NetworkModel, enumerate_loops
-from .parallel import default_workers, map_in_order, ordered_sum
+from .parallel import map_in_order, ordered_sum
 from .scenarios import ScenarioSet
 
 
@@ -87,7 +86,6 @@ class PhConfig:
     rho: float = 1.0
     epsilon: float = 0.01
     max_iterations: int = 100
-    workers: int | None = None  # None: one per usable core, at most one per scenario
     prior_plan: FirstStagePlan | None = None
 
     def __post_init__(self):
@@ -97,8 +95,6 @@ class PhConfig:
             raise ValueError("epsilon must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -202,7 +198,6 @@ def evaluate_plan_cost(
     scen_set: ScenarioSet,
     plain: Sequence[CompiledProblem],
     plan: FirstStagePlan,
-    workers: int = 1,
 ) -> tuple[float, list[float]]:
     """True expected cost of a plan: each compiled scenario re-solved with it pinned.
 
@@ -217,7 +212,7 @@ def evaluate_plan_cost(
             raise SubproblemInfeasibleError(comp.scenario_ids[0])
         return sol.objective
 
-    objs = map_in_order(solve_one, plain, workers)
+    objs = map_in_order(solve_one, plain)
     ef_cost = ordered_sum(np.array([s.probability for s in scen_set.scenarios]) * objs)
     return ef_cost, objs
 
@@ -244,7 +239,6 @@ def ph_solve(
     # every compile lays its first stage out alike
     first = plain[0].first
     probs = np.array([s.probability for s in scen_set.scenarios])
-    workers = default_workers(ph_config.workers, len(scen_set))
     # a single scenario has no ties to break; keep its optimum untouched
     tie_break = TIE_BREAK_WEIGHT if len(scen_set) > 1 else 0.0
     rho = ph_config.rho
@@ -271,7 +265,7 @@ def ph_solve(
                 raise SubproblemInfeasibleError(scen.id)
             return sol
 
-        sols = map_in_order(solve_scenario, list(enumerate(scen_set.scenarios)), workers)
+        sols = map_in_order(solve_scenario, list(enumerate(scen_set.scenarios)))
         x_s = np.stack([sol.values[first.ids] for sol in sols])
         objs = [sol.objective for sol in sols]
         # each point sits in the malloc arena of the thread that solved it,
@@ -304,7 +298,7 @@ def ph_solve(
     bad = plan.violations(model, config)
     if bad:
         raise PhError(f"consensus plan violates first-stage constraints: {bad}")
-    ef_cost, scen_objs = evaluate_plan_cost(scen_set, plain, plan, workers=workers)
+    ef_cost, scen_objs = evaluate_plan_cost(scen_set, plain, plan)
     return PhResult(
         plan=plan,
         converged=g <= ph_config.epsilon,

@@ -7,12 +7,11 @@ prove optimality are tainted and excluded rather than silently included;
 with fewer than two untainted replications no interval is reported.
 
 Given its sample, a replication's n + 1 solves are independent and go
-through one ``map_in_order``, by default on one worker per usable core,
-the calling thread included, and no more than n + 1.  Replications run one
-at a time in seed order, each finishing before the sampler is called for
-the next, so a sampler need not be thread-safe.  Results are read in
-scenario order and HiGHS is deterministic, so the worker count never
-changes the outcome.
+through one ``map_in_order``, on one worker per usable core, the calling
+thread included, and no more than n + 1.  Replications run one at a time
+in seed order, each finishing before the sampler is called for the next,
+so a sampler need not be thread-safe.  Results are read in scenario order
+and HiGHS is deterministic, so the worker count never changes the outcome.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from scipy.special import stdtrit
 from .formulation import FirstStagePlan, FormulationConfig, build_extensive_form, build_subproblem, pin_plan
 from .milp import solve_milp
 from .network import LoopSet, NetworkModel, enumerate_loops
-from .parallel import default_workers, map_in_order, ordered_sum
+from .parallel import map_in_order, ordered_sum
 from .scenarios import ScenarioSet
 
 #: draws a fresh equiprobable scenario set: (sample_size, seed) -> ScenarioSet
@@ -47,7 +46,6 @@ class MrpConfig:
     n: int = 2  # scenarios per replication
     n_g: int = 2  # replication count
     base_seed: int = 0
-    workers: int | None = None  # None: one per usable core, at most n + 1
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -56,8 +54,6 @@ class MrpConfig:
             raise ValueError("sample size n must be >= 2")
         if self.n_g < 2:
             raise ValueError("replication count n_g must be >= 2")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -105,7 +101,6 @@ def replicate_gap(
     n: int,
     seed: int,
     loops: LoopSet | None = None,
-    workers: int | None = None,
 ) -> tuple[float, float, bool]:
     """One replication: (gap, candidate mean cost, tainted flag).
 
@@ -121,7 +116,6 @@ def replicate_gap(
         raise MrpError(f"candidate plan is infeasible: {bad[0]}")
     if loops is None:
         loops = enumerate_loops(model)
-    workers = default_workers(workers, n + 1)
     scen_set = sampler(n, seed)
 
     def solve(scen):  # None stands for the sample problem
@@ -129,7 +123,7 @@ def replicate_gap(
                    else pin_plan(build_subproblem(model, scen, config, loops=loops), candidate))
         return solve_milp(problem, gap_tol=GAP_TOL)
 
-    opt, *priced = map_in_order(solve, [None, *scen_set.scenarios], workers)
+    opt, *priced = map_in_order(solve, [None, *scen_set.scenarios])
     if any(sol.status != "optimal" for sol in (opt, *priced)):
         return math.nan, math.nan, True
     cand_total = ordered_sum([scen.probability * sol.objective
@@ -151,8 +145,7 @@ def mrp_validate(
     raw = [
         replicate_gap(
             candidate, model, config, sampler,
-            n=mrp_config.n, seed=mrp_config.base_seed + k,
-            loops=loops, workers=mrp_config.workers,
+            n=mrp_config.n, seed=mrp_config.base_seed + k, loops=loops,
         )
         for k in range(mrp_config.n_g)
     ]

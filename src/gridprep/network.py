@@ -154,7 +154,7 @@ class LoopSet:
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Immutable feeder description; safe to share across workers."""
+    """Immutable feeder description; safe to share across threads."""
 
     base_kva: float
     base_kv: float

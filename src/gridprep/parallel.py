@@ -2,11 +2,13 @@
 sums in item order.
 
 HiGHS releases the interpreter lock while it solves, so independent MILPs
-overlap on threads.  ``workers`` counts the calling thread, which runs items
-beside a pool of ``workers - 1`` threads.  glibc keeps the memory HiGHS
-frees resident in the malloc arena of the thread that used it, so each
-thread at work adds an arena's high-water mark to the peak RSS.  Results
-come back in item order, so the worker count never changes an outcome.
+overlap on threads.  A map runs one worker per usable core, at most one per
+item, and the calling thread is one of them; the cores a process may use
+are its CPU affinity, so ``taskset -c 0`` runs every map on one worker.
+glibc keeps the memory HiGHS frees resident in the malloc arena of the
+thread that used it, so each thread at work adds an arena's high-water mark
+to the peak RSS.  Results come back in item order, so the worker count
+never changes an outcome.
 
 A floating-point sum's last bits depend on the order of its additions.
 NumPy's ``sum`` and ``@`` add in blocks whose shape follows the length and
@@ -30,22 +32,17 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def default_workers(workers: int | None, tasks: int) -> int:
-    """``workers``, or when it is None one per usable core and at most one per task."""
-    if workers is not None:
-        return workers
-    return max(1, min(_usable_cores(), tasks))
-
-
-def map_in_order(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]``, up to ``workers`` calls at once: the
-    calling thread runs ``items[0]``, then each later item not yet started by
-    the pool of ``workers - 1`` threads.  The first error in item order is
-    raised, the calls not started are cancelled, and none outlives the return."""
+def map_in_order(fn, items) -> list:
+    """``[fn(item) for item in items]``, one call at once per usable core and
+    at most one per item: the calling thread runs ``items[0]``, then each
+    later item not yet started by the pool of the other threads.  The first
+    error in item order is raised, the calls not started are cancelled, and
+    none outlives the return."""
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    threads = min(_usable_cores(), len(items))
+    if threads <= 1:
         return [fn(item) for item in items]
-    pool = ThreadPoolExecutor(max_workers=workers - 1)
+    pool = ThreadPoolExecutor(max_workers=threads - 1)
     try:
         pooled = [pool.submit(fn, item) for item in items[1:]]
         outcomes = []

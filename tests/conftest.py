@@ -1,7 +1,9 @@
+import contextlib
 import json
 
 import pytest
 
+from gridprep import parallel
 from gridprep.data import config13_path, feeder13_path, fragility13_path, wind13_path
 from gridprep.formulation import FormulationConfig, config_from_document
 from gridprep.network import enumerate_loops, load_network, network_from_document
@@ -10,6 +12,16 @@ from gridprep.scenarios import (
     generate_scenario_set,
     load_wind_csv,
 )
+
+
+@contextlib.contextmanager
+def usable_cores(count):
+    """Run gridprep's parallel maps as on a host with ``count`` usable cores
+    (None: this host's own count)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if count is not None:
+            patch.setattr(parallel, "_usable_cores", lambda: count)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from gridprep.formulation import (
 from gridprep.hedging import PhConfig, ph_solve
 from gridprep.milp import BINARY, LE, GE, MilpProblem, solve_milp
 from gridprep.mrp import MrpConfig, mrp_validate
-from gridprep.parallel import default_workers, map_in_order
+from gridprep.parallel import map_in_order
 from gridprep.report import build_base_plan, evaluate_plan, sweep_pv
 from gridprep.scenarios import (
     DamageScenario,
@@ -174,7 +174,7 @@ def test_criterion_04_virtual_network_reachability(feeder13, config13, loops13):
             )
 
     # the cases are independent: solve them on the pool, failures surface in case order
-    checked = len(map_in_order(check, cases, default_workers(None, len(cases))))
+    checked = len(map_in_order(check, cases))
     ok("criterion 4 (virtual-network correctness)",
        f"{checked} random damage patterns, exact match at every period")
 
@@ -448,7 +448,7 @@ def _mask_elapsed(csv_text: str) -> str:
 
 def test_criterion_12_determinism(tmp_path):
     """Every pipeline stage writes byte-identical artifacts across repeated
-    runs at fixed seeds and worker counts (wall-clock log column excluded)."""
+    runs at fixed seeds (wall-clock log column excluded)."""
     net, wind, frag, cfg = (str(feeder13_path()), str(wind13_path()),
                             str(fragility13_path()), str(config13_path()))
     outs = []
@@ -461,8 +461,7 @@ def test_criterion_12_determinism(tmp_path):
         assert cli_main(["solve-ef", "--network", net, "--config", cfg,
                          "--scenarios", scen, "--out", str(root / "ef")]) == 0
         assert cli_main(["solve-ph", "--network", net, "--config", cfg,
-                         "--scenarios", scen, "--workers", "2",
-                         "--out", str(root / "ph")]) == 0
+                         "--scenarios", scen, "--out", str(root / "ph")]) == 0
         assert cli_main(["base-plan", "--network", net, "--config", cfg,
                          "--out", str(root / "base")]) == 0
         assert cli_main(["evaluate", "--network", net, "--config", cfg,

@@ -16,6 +16,8 @@ from gridprep.hedging import (
 from gridprep.milp import OPTIMAL, MilpSolution, solve_milp
 from gridprep.scenarios import DamageScenario, ScenarioSet
 
+from .conftest import usable_cores
+
 
 def damage(lines_periods, horizon, sid=0, prob=1.0):
     return DamageScenario(id=sid, probability=prob,
@@ -111,16 +113,20 @@ class TestPhSolve:
 
     @pytest.fixture(scope="class")
     def ph_serial(self, feeder13, config13, training_scenarios, loops13):
-        return ph_solve(feeder13, training_scenarios, config13,
-                        PhConfig(epsilon=0.01, max_iterations=100, workers=1), loops=loops13)
+        with usable_cores(1):
+            return ph_solve(feeder13, training_scenarios, config13,
+                            PhConfig(epsilon=0.01, max_iterations=100), loops=loops13)
 
-    @pytest.mark.parametrize("workers", [None, 3])
+    @pytest.mark.parametrize("cores", [None, 3])
     def test_worker_count_does_not_change_results(self, feeder13, config13, training_scenarios,
-                                                  loops13, ph_cold, ph_serial, workers):
-        # ph_cold runs with the default worker count
-        threaded = ph_cold if workers is None else ph_solve(
-            feeder13, training_scenarios, config13,
-            PhConfig(epsilon=0.01, max_iterations=100, workers=workers), loops=loops13)
+                                                  loops13, ph_cold, ph_serial, cores):
+        # ph_cold runs on this host's usable cores
+        if cores is None:
+            threaded = ph_cold
+        else:
+            with usable_cores(cores):
+                threaded = ph_solve(feeder13, training_scenarios, config13,
+                                    PhConfig(epsilon=0.01, max_iterations=100), loops=loops13)
         assert threaded.plan == ph_serial.plan
         assert threaded.metric_history == ph_serial.metric_history
         assert threaded.ef_cost == ph_serial.ef_cost
@@ -139,8 +145,9 @@ class TestPhSolve:
         # the hedging loop and the pricing of the consensus share one compile per scenario
         monkeypatch.setattr(hedging, "build_subproblem", counting)
         scens = (damage({"l23": 2}, 3, sid=0, prob=0.5), damage({"l12": 3}, 3, sid=1, prob=0.5))
-        result = ph_solve(chain3, ScenarioSet(scenarios=scens, seed=0), chain3_config,
-                          PhConfig(workers=1))
+        with usable_cores(1):
+            result = ph_solve(chain3, ScenarioSet(scenarios=scens, seed=0), chain3_config,
+                              PhConfig())
         assert result.iterations >= 1
         assert builds == [0, 1]
 
@@ -175,8 +182,9 @@ class TestPhSolve:
         monkeypatch.setattr(hedging, "build_ph_subproblem", price)
         monkeypatch.setattr(hedging, "solve_milp", solve)
         start = 2.0
-        result = ph_solve(chain3, ScenarioSet(scenarios=scens, seed=0), chain3_config,
-                          PhConfig(rho=start, max_iterations=40, workers=1))
+        with usable_cores(1):
+            result = ph_solve(chain3, ScenarioSet(scenarios=scens, seed=0), chain3_config,
+                              PhConfig(rho=start, max_iterations=40))
         assert not result.converged
         assert len(set(result.metric_history)) == 1
         state = result.state
@@ -209,8 +217,6 @@ class TestPhSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PhConfig(rho=0.0)
-        with pytest.raises(ValueError):
-            PhConfig(workers=0)
 
     def test_empty_scenario_set_rejected(self):
         # an empty set cannot even be constructed: probabilities must sum to 1

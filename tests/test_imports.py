@@ -178,6 +178,44 @@ def test_threads_have_one_home():
     assert not stray, "threads started outside gridprep.parallel: " + ", ".join(stray)
 
 
+#: what reads the number of cores a process may use
+CORE_COUNTS = {"sched_getaffinity", "cpu_count", "_usable_cores"}
+
+
+def thread_count_settings(tree) -> list[tuple[int, str]]:
+    """(line, what) of each place in ``tree`` that reads a core count, and of
+    each parameter or class field named ``workers``."""
+    found = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in CORE_COUNTS:
+            found.append((node.lineno, f"reads {name}"))
+        elif isinstance(node, ast.arg) and node.arg == "workers":
+            found.append((node.lineno, "takes a workers parameter"))
+        elif isinstance(node, ast.ClassDef):
+            found += [(field.lineno, f"{node.name} has a workers field") for field in node.body
+                      if isinstance(field, ast.AnnAssign)
+                      and getattr(field.target, "id", None) == "workers"]
+    return found
+
+
+def test_thread_count_has_one_home():
+    """``gridprep.parallel.map_in_order`` alone sizes a pool, from the cores
+    the process may use: no other module reads a core count, and no
+    function or class takes a worker count.  CPU affinity (``taskset``)
+    is the one way to run on fewer threads."""
+    planted = ("import os\nfrom os import cpu_count\n@dataclass\nclass C:\n    workers: int = 1\n"
+               "def f(x, *, workers=None):\n    return os.sched_getaffinity(0)\n")
+    assert sorted(line for line, _ in thread_count_settings(ast.parse(planted))) == [2, 5, 6, 7]
+    stray = []
+    for path in sorted((SRC / "gridprep").rglob("*.py")):
+        name = path.relative_to(SRC / "gridprep").as_posix()
+        stray += [f"{name}:{line} {what}" for line, what in thread_count_settings(ast.parse(path.read_text()))
+                  if not (name == "parallel.py" and what.startswith("reads"))]
+    assert not stray, "thread counts set outside gridprep.parallel: " + ", ".join(stray)
+
+
 #: the helpers each module once kept to read a document value its own way
 SCALAR_READERS = {"_number", "_integer", "_is_int", "_require"}
 #: names that hold a raw document, or a part of one, where a module reads it

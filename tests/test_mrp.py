@@ -12,6 +12,8 @@ from gridprep.mrp import MrpConfig, MrpError, MrpResult, mrp_validate, replicate
 from gridprep.network import network_from_document
 from gridprep.scenarios import DamageScenario, ScenarioSet
 
+from .conftest import usable_cores
+
 
 def fixed_sampler(scenario):
     """Degenerate sampler: every draw returns n copies of one scenario."""
@@ -133,9 +135,9 @@ class TestReplicateGap:
             return generate_scenario_set(feeder13, wind13, fragility13, count=n, seed=seed)
 
         monkeypatch.setattr(mrp_mod, "solve_milp", one_node)
-        gap, cost, tainted = replicate_gap(build_base_plan(feeder13, config13), feeder13,
-                                           config13, sampler, n=2, seed=41, loops=loops13,
-                                           workers=1)
+        with usable_cores(1):
+            gap, cost, tainted = replicate_gap(build_base_plan(feeder13, config13), feeder13,
+                                               config13, sampler, n=2, seed=41, loops=loops13)
         assert tainted and math.isnan(gap) and math.isnan(cost)
         assert statuses == ["optimal", "optimal", "iteration_limit"]
 
@@ -235,7 +237,8 @@ class TestMrpValidate:
 
     @pytest.fixture(scope="class")
     def fixture_runs(self, feeder13, config13, ph_cold, wind13, fragility13, loops13):
-        """mrp_validate of the cold hedging plan on the fixture, one run per worker count."""
+        """mrp_validate of the cold hedging plan on the fixture, one run per usable
+        core count (None: this host's)."""
         from gridprep.scenarios import generate_scenario_set
 
         def sampler(n, seed):
@@ -243,13 +246,13 @@ class TestMrpValidate:
 
         runs = {}
 
-        def run(workers):
-            if workers not in runs:
-                runs[workers] = mrp_validate(
-                    ph_cold.plan, feeder13, config13, sampler,
-                    MrpConfig(alpha=0.05, n=2, n_g=3, base_seed=41, workers=workers),
-                    loops=loops13)
-            return runs[workers]
+        def run(cores):
+            if cores not in runs:
+                with usable_cores(cores):
+                    runs[cores] = mrp_validate(
+                        ph_cold.plan, feeder13, config13, sampler,
+                        MrpConfig(alpha=0.05, n=2, n_g=3, base_seed=41), loops=loops13)
+            return runs[cores]
 
         return run
 
@@ -258,9 +261,9 @@ class TestMrpValidate:
         assert all(g >= -1e-6 for g in result.gaps)
         assert result.ci_upper >= result.mean_gap
 
-    @pytest.mark.parametrize("workers", [1, None, 3])
-    def test_worker_count_does_not_change_results(self, fixture_runs, workers):
-        serial, result = fixture_runs(1), fixture_runs(workers)
+    @pytest.mark.parametrize("cores", [1, None, 3])
+    def test_worker_count_does_not_change_results(self, fixture_runs, cores):
+        serial, result = fixture_runs(1), fixture_runs(cores)
         assert result.gaps == serial.gaps
         assert result.tainted == serial.tainted == 0
         assert result.candidate_mean_cost == serial.candidate_mean_cost
@@ -297,8 +300,9 @@ class TestMrpValidate:
         monkeypatch.setattr(mrp_mod, "solve_milp", recorded)
         candidate = FirstStagePlan(meg_at={"b2": 1}, mes_at={"b3": 1},
                                    fuel_lots={"b1": 2}, crews={"r1": 2})
-        mrp_validate(candidate, chain3, chain3_config, sampler,
-                     MrpConfig(n=3, n_g=3, base_seed=5, workers=3))
+        with usable_cores(3):
+            mrp_validate(candidate, chain3, chain3_config, sampler,
+                         MrpConfig(n=3, n_g=3, base_seed=5))
 
         assert [seed for seed, _ in samples] == [5, 6, 7]
         sampled_at = dict(samples)
@@ -324,12 +328,14 @@ class TestMrpValidate:
         common = ["--network", str(feeder13_path()), "--config", str(config13_path())]
         assert cli_main(["base-plan", *common, "--out", str(tmp_path / "base")]) == 0
         docs = []
-        for tag, flags in (("default", []), ("serial", ["--workers", "1"])):
-            assert cli_main(["validate-mrp", *common,
-                             "--candidate", str(tmp_path / "base" / "base_plan.json"),
-                             "--wind", str(wind13_path()), "--fragility", str(fragility13_path()),
-                             "--n", "2", "--ng", "2", "--seed", "5", *flags,
-                             "--out", str(tmp_path / tag)]) == 0
+        for tag, cores in (("default", None), ("serial", 1)):
+            with usable_cores(cores):
+                assert cli_main(["validate-mrp", *common,
+                                 "--candidate", str(tmp_path / "base" / "base_plan.json"),
+                                 "--wind", str(wind13_path()),
+                                 "--fragility", str(fragility13_path()),
+                                 "--n", "2", "--ng", "2", "--seed", "5",
+                                 "--out", str(tmp_path / tag)]) == 0
             docs.append((tmp_path / tag / "mrp.json").read_bytes())
         assert docs[0] == docs[1]
 
@@ -340,5 +346,3 @@ class TestMrpValidate:
             MrpConfig(n=1)
         with pytest.raises(ValueError):
             MrpConfig(n_g=1)
-        with pytest.raises(ValueError):
-            MrpConfig(workers=0)

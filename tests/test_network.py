@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -240,6 +241,28 @@ class TestEnumerateLoops:
         assert len(loops) == 1
         declared = {k.id for k in model.lines}
         assert all(loop.members <= declared for loop in loops)
+
+    @pytest.mark.xfail(strict=True, reason="D1: one open member per basis cycle admits a closed "
+                                           "cycle outside the basis (ROADMAP open defects)")
+    def test_radiality_rows_exclude_every_cycle_on_the_theta_graph(self):
+        """The radiality rows keep one member of each enumerated loop open,
+        sum(u) <= |loop| - 1.  Every open/closed state of the theta graph's
+        five lines that meets them must leave the closed lines a forest.
+        Opening only e1 meets both basis rows, yet e2-e3-e5-e4 stays closed."""
+        doc = minimal_doc()
+        doc["buses"] = [{"id": x, "phases": "a", "demand_p": {"a": [0.0, 0.0]}} for x in "ABCD"]
+        doc["lines"] = [line_doc("e1", "A", "B"), line_doc("e2", "A", "C"), line_doc("e3", "C", "B"),
+                        line_doc("e4", "A", "D"), line_doc("e5", "D", "B")]
+        model = network_from_document(doc)
+        loops = enumerate_loops(model)
+        ends = {k.id: (k.from_bus, k.to_bus) for k in model.lines}
+        admitted = []
+        for state in itertools.product((False, True), repeat=len(ends)):
+            closed = {lid for lid, on in zip(ends, state) if on}
+            meets_rows = all(len(loop.members & closed) <= len(loop.members) - 1 for loop in loops)
+            if meets_rows and cycle_space_dimension(list("ABCD"), [ends[lid] for lid in closed]):
+                admitted.append(sorted(set(ends) - closed))
+        assert not admitted, f"radiality rows admit a closed cycle with only these open: {admitted}"
 
 
 class TestValidateRegions:

@@ -3,7 +3,10 @@ import time
 
 import pytest
 
+from gridprep import parallel
 from gridprep.parallel import map_in_order
+
+from .conftest import usable_cores
 
 
 class Recorder:
@@ -42,28 +45,47 @@ def uneven(item):
     return item * item
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 12])
-def test_results_come_back_in_item_order(workers):
+@pytest.mark.parametrize("cores", [1, 2, 3, 12])
+def test_results_come_back_in_item_order(cores):
     calls = Recorder(uneven)
-    assert map_in_order(calls, range(8), workers) == [k * k for k in range(8)]
+    with usable_cores(cores):
+        assert map_in_order(calls, range(8)) == [k * k for k in range(8)]
     assert sorted(calls.started) == list(range(8))
     calls.assert_quiet()
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_item_zero_runs_on_the_calling_thread(workers):
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_item_zero_runs_on_the_calling_thread(cores):
     calls = Recorder(uneven)
-    map_in_order(calls, range(5), workers)
+    with usable_cores(cores):
+        map_in_order(calls, range(5))
     assert calls.thread_of[0] == threading.get_ident()
-    if workers == 1:
+    if cores == 1:
         assert set(calls.thread_of.values()) == {threading.get_ident()}
 
 
 def test_empty_and_single_items_stay_on_the_calling_thread():
     calls = Recorder(uneven)
-    assert map_in_order(calls, [], 4) == []
-    assert map_in_order(calls, [5], 4) == [25]
+    with usable_cores(4):
+        assert map_in_order(calls, []) == []
+        assert map_in_order(calls, [5]) == [25]
     assert calls.thread_of == {5: threading.get_ident()}
+
+
+@pytest.mark.parametrize("cores, items, pool", [(1, 8, None), (2, 8, 1), (3, 2, 1), (12, 5, 4)])
+def test_one_thread_per_usable_core_and_at_most_one_per_item(monkeypatch, cores, items, pool):
+    """The calling thread is one of min(cores, items) threads; the pool holds the rest."""
+    sizes = []
+
+    class Pool(parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Pool)
+    with usable_cores(cores):
+        assert map_in_order(uneven, range(items)) == [k * k for k in range(items)]
+    assert sizes == ([] if pool is None else [pool])
 
 
 def test_caller_takes_a_later_item_while_the_pool_is_busy():
@@ -80,7 +102,8 @@ def test_caller_takes_a_later_item_while_the_pool_is_busy():
         return item
 
     calls = Recorder(fn)
-    assert map_in_order(calls, range(3), 2) == [0, 1, 2]
+    with usable_cores(2):
+        assert map_in_order(calls, range(3)) == [0, 1, 2]
     caller = threading.get_ident()
     assert calls.thread_of[0] == calls.thread_of[2] == caller
     assert calls.thread_of[1] != caller
@@ -100,8 +123,8 @@ def test_an_error_on_the_calling_thread_propagates_and_stops_the_map():
         return item
 
     calls = Recorder(fn)
-    with pytest.raises(ValueError, match="item 0"):
-        map_in_order(calls, range(6), 2)
+    with usable_cores(2), pytest.raises(ValueError, match="item 0"):
+        map_in_order(calls, range(6))
     assert 1 in calls.ended  # the running call ended before the return
     assert sorted(calls.started) == [0, 1]  # the rest were cancelled
     calls.assert_quiet()
@@ -113,10 +136,10 @@ def test_an_error_on_a_pool_thread_propagates():
             raise KeyError(item)
         return item
 
-    for workers in (2, 3, 12):
+    for cores in (2, 3, 12):
         calls = Recorder(fn)
-        with pytest.raises(KeyError):
-            map_in_order(calls, range(6), workers)
+        with usable_cores(cores), pytest.raises(KeyError):
+            map_in_order(calls, range(6))
         calls.assert_quiet()
 
 
@@ -136,6 +159,6 @@ def test_the_first_error_in_item_order_wins():
         return item
 
     calls = Recorder(fn)
-    with pytest.raises(ValueError, match="item 1"):
-        map_in_order(calls, range(5), 2)
+    with usable_cores(2), pytest.raises(ValueError, match="item 1"):
+        map_in_order(calls, range(5))
     calls.assert_quiet()

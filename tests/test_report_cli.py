@@ -1,11 +1,14 @@
+import argparse
 import json
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gridprep.cli import build_parser
 from gridprep.cli import main as cli_main
 from gridprep.data import config13_path, feeder13_path, fragility13_path, wind13_path
 from gridprep.formulation import FirstStagePlan, FormulationConfig, SecondStageSchedule
@@ -22,7 +25,7 @@ from gridprep.report import (
 )
 from gridprep.scenarios import DamageScenario, ScenarioSet
 
-from .conftest import small_network_doc
+from .conftest import small_network_doc, usable_cores
 
 
 def no_damage(horizon, sid=0, prob=1.0):
@@ -361,7 +364,8 @@ class TestCli:
         (",", "--levels names no penetration level"),
         ("abc", "--levels must be comma-separated integers"),
         ("5", "--levels: unknown penetration levels [5]"),
-    ], ids=["none", "not-integer", "unknown"])
+        ("0,9,0", "--levels: repeated penetration levels [0]"),
+    ], ids=["none", "not-integer", "unknown", "repeated"])
     def test_bad_levels_are_input_errors(self, paths, tmp_path, capsys, levels, message):
         code = self.run("sweep-pv", "--network", paths["network"], "--config", paths["config"],
                         "--wind", paths["wind"], "--count", "1", "--levels", levels,
@@ -535,13 +539,10 @@ class TestCli:
         ("solve-ph", ["--rho", "0"]),
         ("solve-ph", ["--rho", "nan"]),
         ("solve-ph", ["--epsilon", "inf"]),
-        ("solve-ph", ["--workers", "0"]),
         ("validate-mrp", ["--n", "1"]),
-        ("validate-mrp", ["--workers", "0"]),
         ("solve-ef", ["--gap", "-1"]),
         ("solve-ef", ["--gap", "nan"]),
-    ], ids=["ph-rho-0", "ph-rho-nan", "ph-epsilon-inf", "ph-workers-0", "mrp-n-1", "mrp-workers-0", "ef-gap-negative",
-            "ef-gap-nan"])
+    ], ids=["ph-rho-0", "ph-rho-nan", "ph-epsilon-inf", "mrp-n-1", "ef-gap-negative", "ef-gap-nan"])
     def test_bad_settings_are_input_errors(self, paths, tmp_path, capsys, command, flags):
         if command in ("solve-ph", "solve-ef"):
             argv = ["--count", "2", "--seed", "11"]
@@ -589,6 +590,25 @@ class TestCli:
         csv_text = (tmp_path / "eval" / "served_fraction.csv").read_text()
         assert csv_text.startswith("plan,scenario,t,served_fraction")
 
+    def test_evaluate_writes_the_same_reports_on_any_core_count(self, paths, tmp_path):
+        assert self.run("generate-scenarios", "--network", paths["network"],
+                        "--wind", paths["wind"], "--fragility", paths["fragility"],
+                        "--count", "3", "--seed", "3", "--out", str(tmp_path / "s")) == 0
+        assert self.run("base-plan", "--network", paths["network"],
+                        "--config", paths["config"], "--out", str(tmp_path)) == 0
+        written = {}
+        for cores in (None, 1, 3):
+            out = tmp_path / f"eval_{cores}"
+            with usable_cores(cores):
+                assert self.run("evaluate", "--network", paths["network"],
+                                "--config", paths["config"],
+                                "--scenarios", str(tmp_path / "s" / "scenarios.json"),
+                                "--plan", str(tmp_path / "base_plan.json"),
+                                "--out", str(out)) == 0
+            written[cores] = [(out / name).read_bytes()
+                              for name in ("evaluation.json", "served_fraction.csv")]
+        assert written[1] == written[None] == written[3]
+
     def test_lp_dump_flag(self, paths, tmp_path):
         scen = tmp_path / "s"
         assert self.run("generate-scenarios", "--network", paths["network"],
@@ -615,3 +635,19 @@ def test_served_fraction_csv_shape():
     assert lines[1] == "p,4,0,1.0"
     assert lines[2] == "p,4,1,0.5"
     assert rep.total_cost == pytest.approx(3.0)
+
+
+def test_readme_synopsis_names_only_real_flags():
+    """Each ``--flag`` in the README's command-line synopsis exists on its
+    subcommand's parser, so a removed option cannot linger in the docs."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    synopsis = section.split("```", 2)[1].replace("\\\n", " ")
+    commands = {action.dest: action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)}["command"].choices
+    named = [(line.split()[1], flag) for line in synopsis.splitlines() if line.startswith("gridprep ")
+             for flag in re.findall(r"--[a-z][a-z-]*", line)]
+    assert {command for command, _ in named} == set(commands)
+    unknown = [f"{command} {flag}" for command, flag in named
+               if flag not in commands[command]._option_string_actions]
+    assert not unknown, "README synopsis names flags the parser lacks: " + ", ".join(unknown)
