@@ -94,20 +94,8 @@ def _sampler(args, model):
     return lambda count, seed: generate_scenario_set(model, wind, params, count=count, seed=seed)
 
 
-def _sample(args, model):
-    if args.count < 1:
-        raise CliError("--count must be >= 1")
-    return _sampler(args, model)(args.count, args.seed)
-
-
 def _scenario_set(args, model):
-    if args.scenarios:
-        return _parse(args.scenarios, "scenario file", lambda text: load_scenarios(text, model))
-    if args.count is not None:
-        if not args.wind:
-            raise CliError("generating scenarios inline needs --wind")
-        return _sample(args, model)
-    raise CliError("provide --scenarios FILE or --count N --seed K --wind FILE")
+    return _parse(args.scenarios, "scenario file", lambda text: load_scenarios(text, model))
 
 
 def _out_dir(args) -> Path:
@@ -122,7 +110,9 @@ def _write(path: Path, text: str):
 
 
 def cmd_generate(args) -> int:
-    scen_set = _sample(args, _model(args))
+    if args.count < 1:
+        raise CliError("--count must be >= 1")
+    scen_set = _sampler(args, _model(args))(args.count, args.seed)
     out = _out_dir(args)
     _write(out / "scenarios.json", dump_scenarios(scen_set))
     return EXIT_OK
@@ -289,11 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="formulation config (JSON)")
         p.add_argument("--out", default="out", help="output directory")
         if scenarios:
-            p.add_argument("--scenarios", help="scenario file (JSON)")
-            p.add_argument("--count", type=int, help="scenario count for inline sampling")
-            p.add_argument("--seed", type=int, default=0, help="sampling seed")
-            p.add_argument("--wind", help="wind profile CSV (t,wind_mps)")
-            p.add_argument("--fragility", help="fragility parameter file (JSON)")
+            p.add_argument("--scenarios", required=True,
+                           help="scenario file (JSON), as generate-scenarios writes it")
 
     p = sub.add_parser("generate-scenarios", help="sample damage scenarios")
     p.add_argument("--network", required=True)

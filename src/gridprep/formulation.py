@@ -177,16 +177,27 @@ def plan_to_document(plan: FirstStagePlan, quantum: float) -> dict:
 
 
 def plan_from_document(doc: Mapping, quantum: float) -> FirstStagePlan:
-    """The plan that :func:`plan_to_document` wrote; a field of the wrong type
-    raises ``TypeError``."""
+    """The plan that :func:`plan_to_document` wrote.  A field of the wrong
+    type raises ``TypeError``; a bus named twice in ``meg`` or ``mes``, or
+    fuel that is not whole lots of ``quantum`` (within 1e-9 relative),
+    ``ValueError``."""
     read = Reader(TypeError)
+    placed = {}
+    for key in ("meg", "mes"):
+        buses = read.items(read.get(doc, key, "plan", default=[]), str, f"plan: {key}")
+        repeated = sorted({b for b in buses if buses.count(b) > 1})
+        if repeated:
+            raise ValueError(f"plan: {key} names buses {repeated} more than once")
+        placed[key] = dict.fromkeys(buses, 1)
     fuel = read.table(read.get(doc, "fuel", "plan", default={}), float, "plan: fuel")
-    return FirstStagePlan(
-        meg_at={b: 1 for b in read.items(read.get(doc, "meg", "plan", default=[]), str, "plan: meg")},
-        mes_at={b: 1 for b in read.items(read.get(doc, "mes", "plan", default=[]), str, "plan: mes")},
-        fuel_lots={b: int(round(v / quantum)) for b, v in fuel.items()},
-        crews=read.table(read.get(doc, "crews", "plan", default={}), int, "plan: crews"),
-    )
+    lots = {b: round(liters / quantum) for b, liters in fuel.items()}
+    for b, liters in fuel.items():
+        if not math.isclose(liters, lots[b] * quantum, rel_tol=1e-9):
+            raise ValueError(f"plan: fuel[{b!r}] is {liters} L, not a whole number of "
+                             f"{quantum} L lots")
+    return FirstStagePlan(meg_at=placed["meg"], mes_at=placed["mes"], fuel_lots=lots,
+                          crews=read.table(read.get(doc, "crews", "plan", default={}), int,
+                                           "plan: crews"))
 
 
 # -- variable indexing ------------------------------------------------------

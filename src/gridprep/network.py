@@ -319,12 +319,11 @@ def network_from_document(doc: Mapping) -> NetworkModel:
 
     switch_flags: dict[str, bool] = {}
     for i, entry in enumerate(_read.get(doc, "switches", "document", list, [])):
-        if isinstance(entry, Mapping):
-            ctx = f"switches[{i}]"
-            switch_flags[_read.get(entry, "line", ctx, str)] = _read.get(
-                entry, "normally_open", ctx, bool, False)
-        else:
-            switch_flags[_read.value(entry, str, f"switches[{i}]")] = False
+        ctx, record = f"switches[{i}]", isinstance(entry, Mapping)
+        lid = _read.get(entry, "line", ctx, str) if record else _read.value(entry, str, ctx)
+        if lid in switch_flags:
+            raise NetworkValidationError(f"{ctx}: line '{lid}' is listed twice in switches")
+        switch_flags[lid] = record and _read.get(entry, "normally_open", ctx, bool, False)
 
     lines = []
     for raw_line in _read.get(doc, "lines", "document", list):

@@ -719,6 +719,13 @@ class TestPlanHandling:
         assert again.crews == plan.crews
         assert plan.violations(feeder13, config13) == []
 
+    @pytest.mark.parametrize("quantum", [100.0, 0.1, 1 / 3, 37.7])
+    def test_plan_document_reads_back_every_lot_count(self, quantum):
+        lots = {f"b{n}": n for n in range(1, 200)}
+        plan = FirstStagePlan(meg_at={}, mes_at={}, fuel_lots=lots, crews={})
+        doc = json.loads(json.dumps(plan_to_document(plan, quantum)))
+        assert plan_from_document(doc, quantum).fuel_lots == lots
+
     def test_violations_catch_everything(self, feeder13, config13):
         plan = FirstStagePlan(
             meg_at={"f4": 1},  # one MEG missing

@@ -250,6 +250,14 @@ class TestCli:
     def run(self, *argv):
         return cli_main(list(argv))
 
+    def storms(self, paths, out, count, seed):
+        """The file of ``count`` storms at ``seed`` that ``generate-scenarios``
+        writes to ``out``: the one way every other command is given storms."""
+        assert self.run("generate-scenarios", "--network", paths["network"],
+                        "--wind", paths["wind"], "--fragility", paths["fragility"],
+                        "--count", str(count), "--seed", str(seed), "--out", str(out)) == 0
+        return str(out / "scenarios.json")
+
     def test_generate_is_deterministic(self, paths, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -259,9 +267,26 @@ class TestCli:
             assert code == 0
         assert (out1 / "scenarios.json").read_bytes() == (out2 / "scenarios.json").read_bytes()
 
+    @pytest.mark.parametrize("command, needs", [
+        ("solve-ef", []), ("solve-ph", []), ("evaluate", ["--plan", "p.json"]),
+        ("sweep-pv", ["--levels", "0"])])
+    def test_storms_come_only_from_a_scenario_file(self, capsys, command, needs):
+        # generate-scenarios alone samples storms; these commands read them
+        argv = [command, "--network", "n.json", *needs]
+        for flag, value in [("--count", "2"), ("--seed", "11"), ("--wind", "w.csv"),
+                            ("--fragility", "f.json")]:
+            with pytest.raises(SystemExit) as stop:
+                cli_main([*argv, "--scenarios", "s.json", flag, value])
+            assert stop.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as stop:
+            cli_main(argv)
+        assert stop.value.code == 2
+        assert "required: --scenarios" in capsys.readouterr().err
+
     def test_missing_file_is_input_error(self, tmp_path):
         code = self.run("solve-ef", "--network", "/nope/missing.json",
-                        "--out", str(tmp_path))
+                        "--scenarios", "/nope/scenarios.json", "--out", str(tmp_path))
         assert code == 2
 
     def test_unreadable_file_is_input_error(self, tmp_path, capsys):
@@ -307,6 +332,14 @@ class TestCli:
         bad.write_text(json.dumps(doc))
         assert self.run("check-network", "--network", str(bad)) == 2
 
+    def test_generate_refuses_a_count_below_one(self, paths, tmp_path, capsys):
+        code = self.run("generate-scenarios", "--network", paths["network"], "--wind", paths["wind"],
+                        "--count", "0", "--out", str(tmp_path / "s"))
+        assert code == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error == {"error": "--count must be >= 1", "exit_code": 2}
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("speed", ["nan", "-3", "abc"])
     def test_bad_wind_speed_is_input_error(self, paths, tmp_path, speed):
         rows = Path(paths["wind"]).read_text().splitlines()
@@ -326,14 +359,10 @@ class TestCli:
         doc = json.loads(Path(paths["config"]).read_text())
         doc["n_crew"] = 99  # above the regional maxima
         cfg.write_text(json.dumps(doc))
-        scen = tmp_path / "s"
-        assert self.run("generate-scenarios", "--network", paths["network"],
-                        "--wind", paths["wind"], "--fragility", paths["fragility"],
-                        "--count", "1", "--seed", "1", "--out", str(scen)) == 0
+        scenarios = ["--scenarios", self.storms(paths, tmp_path / "s", 1, 1)]
         assert self.run("base-plan", "--network", paths["network"], "--config", paths["config"],
                         "--out", str(tmp_path / "base")) == 0
         plan = str(tmp_path / "base" / "base_plan.json")
-        scenarios = ["--scenarios", str(scen / "scenarios.json")]
         flags = {"solve-ef": scenarios,
                  "evaluate": [*scenarios, "--plan", plan],
                  "validate-mrp": ["--candidate", plan, "--wind", paths["wind"]],
@@ -353,7 +382,7 @@ class TestCli:
         net.write_text(json.dumps(doc))
         assert self.run("check-network", "--network", str(net)) == 0
         code = self.run("sweep-pv", "--network", str(net), "--config", paths["config"],
-                        "--wind", paths["wind"], "--count", "1", "--levels", "0",
+                        "--scenarios", self.storms(paths, tmp_path / "s", 1, 0), "--levels", "0",
                         "--out", str(tmp_path / "out"))
         assert code == 3
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -368,7 +397,7 @@ class TestCli:
     ], ids=["none", "not-integer", "unknown", "repeated"])
     def test_bad_levels_are_input_errors(self, paths, tmp_path, capsys, levels, message):
         code = self.run("sweep-pv", "--network", paths["network"], "--config", paths["config"],
-                        "--wind", paths["wind"], "--count", "1", "--levels", levels,
+                        "--scenarios", self.storms(paths, tmp_path / "s", 1, 0), "--levels", levels,
                         "--out", str(tmp_path / "out"))
         assert code == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -407,12 +436,10 @@ class TestCli:
             "plan-meg-string"])
     def test_malformed_input_file_is_input_error(self, paths, tmp_path, capsys, what, edit,
                                                  command):
-        assert self.run("generate-scenarios", "--network", paths["network"],
-                        "--wind", paths["wind"], "--fragility", paths["fragility"],
-                        "--count", "2", "--seed", "1", "--out", str(tmp_path / "s")) == 0
+        scenarios = self.storms(paths, tmp_path / "s", 2, 1)
         assert self.run("base-plan", "--network", paths["network"], "--config", paths["config"],
                         "--out", str(tmp_path / "base")) == 0
-        files = dict(paths, scenarios=str(tmp_path / "s" / "scenarios.json"),
+        files = dict(paths, scenarios=scenarios,
                      plan=str(tmp_path / "base" / "base_plan.json"))
         doc = json.loads(Path(files[what]).read_text())
         # a scenario-file edit changes the first of two storms (ids 0 and 1),
@@ -443,12 +470,9 @@ class TestCli:
         doc[key] = value
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))  # written as NaN or Infinity, which json reads back
-        scen = tmp_path / "s"
-        assert self.run("generate-scenarios", "--network", paths["network"],
-                        "--wind", paths["wind"], "--fragility", paths["fragility"],
-                        "--count", "2", "--seed", "11", "--out", str(scen)) == 0
         code = self.run("solve-ef", "--network", paths["network"], "--config", str(cfg),
-                        "--scenarios", str(scen / "scenarios.json"), "--out", str(tmp_path / "ef"))
+                        "--scenarios", self.storms(paths, tmp_path / "s", 2, 11),
+                        "--out", str(tmp_path / "ef"))
         assert code == 2
 
     @pytest.mark.parametrize("what, where, value, key", [
@@ -465,21 +489,27 @@ class TestCli:
         ("fragility", ("repair_max_periods",), 6.5, "repair_max_periods"),
         ("scenarios", ("seed",), 10**400, "seed"),
         ("plan", ("meg", 0), 5, "meg"),
+        ("plan", ("fuel",), {"f1": 150.0}, "fuel['f1'] is 150.0 L"),
+        ("plan", ("fuel",), {"f1": 100.0 + 1e-6}, "fuel['f1']"),
+        ("plan", ("meg",), ["f4", "f4"], "meg names buses ['f4']"),
+        ("plan", ("mes",), ["l8", "f2", "l8"], "mes names buses ['l8']"),
+        ("network", ("switches",), [{"line": "t2", "normally_open": False},
+                                    {"line": "t2", "normally_open": True}], "switches[1]"),
+        ("network", ("switches",), ["t2", "t4", "t2"], "switches[2]"),
     ], ids=["switch-open-string", "grid-forming-string", "substation-string", "p_max-bool",
             "p_max-string", "demand-entry-string", "config-fuel_cost-bool", "fragility-median-nan",
             "fragility-log-std-inf", "fragility-tree-bool", "fragility-repair-fraction",
-            "scenario-seed-too-large", "plan-meg-number"])
+            "scenario-seed-too-large", "plan-meg-number", "plan-fuel-half-lot",
+            "plan-fuel-off-by-1e-6", "plan-meg-twice", "plan-mes-twice", "switch-twice",
+            "switch-name-twice"])
     def test_malformed_scalar_is_input_error_naming_its_key(self, paths, tmp_path, capsys, what,
                                                             where, value, key):
         # each of these read as some other value, and ran, before one reader checked them all
-        scen, base = tmp_path / "s", tmp_path / "base"
-        assert self.run("generate-scenarios", "--network", paths["network"],
-                        "--wind", paths["wind"], "--fragility", paths["fragility"],
-                        "--count", "1", "--seed", "1", "--out", str(scen)) == 0
+        base = tmp_path / "base"
+        scenarios = self.storms(paths, tmp_path / "s", 1, 1)
         assert self.run("base-plan", "--network", paths["network"], "--config", paths["config"],
                         "--out", str(base)) == 0
-        files = dict(paths, scenarios=str(scen / "scenarios.json"),
-                     plan=str(base / "base_plan.json"))
+        files = dict(paths, scenarios=scenarios, plan=str(base / "base_plan.json"))
         doc = json.loads(Path(files[what]).read_text())
         *parents, last = where
         target = doc
@@ -508,13 +538,9 @@ class TestCli:
         assert not Path(out).exists()
 
     def test_not_converged_exit_code(self, paths, tmp_path):
-        scen = tmp_path / "s"
-        assert self.run("generate-scenarios", "--network", paths["network"],
-                        "--wind", paths["wind"], "--fragility", paths["fragility"],
-                        "--count", "4", "--seed", "11", "--out", str(scen)) == 0
         code = self.run("solve-ph", "--network", paths["network"],
                         "--config", paths["config"],
-                        "--scenarios", str(scen / "scenarios.json"),
+                        "--scenarios", self.storms(paths, tmp_path / "s", 4, 11),
                         "--epsilon", "1e-12", "--max-iters", "1",
                         "--out", str(tmp_path / "ph"))
         assert code == 4
@@ -528,8 +554,8 @@ class TestCli:
 
         monkeypatch.setattr(cli_mod, "solve_milp", failing)
         code = self.run("solve-ef", "--network", paths["network"],
-                        "--config", paths["config"], "--wind", paths["wind"],
-                        "--fragility", paths["fragility"], "--count", "1", "--seed", "11",
+                        "--config", paths["config"],
+                        "--scenarios", self.storms(paths, tmp_path / "s", 1, 11),
                         "--out", str(tmp_path / "ef"))
         assert code == 4
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -545,14 +571,14 @@ class TestCli:
     ], ids=["ph-rho-0", "ph-rho-nan", "ph-epsilon-inf", "mrp-n-1", "ef-gap-negative", "ef-gap-nan"])
     def test_bad_settings_are_input_errors(self, paths, tmp_path, capsys, command, flags):
         if command in ("solve-ph", "solve-ef"):
-            argv = ["--count", "2", "--seed", "11"]
+            argv = ["--scenarios", self.storms(paths, tmp_path / "s", 2, 11)]
         else:
             plan = tmp_path / "base"
             assert self.run("base-plan", "--network", paths["network"],
                             "--config", paths["config"], "--out", str(plan)) == 0
-            argv = ["--candidate", str(plan / "base_plan.json")]
+            argv = ["--candidate", str(plan / "base_plan.json"),
+                    "--wind", paths["wind"], "--fragility", paths["fragility"]]
         code = self.run(command, "--network", paths["network"], "--config", paths["config"],
-                        "--wind", paths["wind"], "--fragility", paths["fragility"],
                         *argv, *flags, "--out", str(tmp_path / "out"))
         assert code == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -564,8 +590,8 @@ class TestCli:
         plan.write_text(json.dumps({"meg": ["f4", "nowhere"], "fuel": {"zz": 100.0},
                                     "crews": {"r1": 7}}))
         code = self.run("solve-ph", "--network", paths["network"], "--config", paths["config"],
-                        "--wind", paths["wind"], "--fragility", paths["fragility"],
-                        "--count", "2", "--seed", "11", "--soft-start", str(plan),
+                        "--scenarios", self.storms(paths, tmp_path / "s", 2, 11),
+                        "--soft-start", str(plan),
                         "--out", str(tmp_path / "out"))
         assert code == 3
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -573,15 +599,11 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_base_plan_and_evaluate_round_trip(self, paths, tmp_path):
-        scen = tmp_path / "s"
-        assert self.run("generate-scenarios", "--network", paths["network"],
-                        "--wind", paths["wind"], "--fragility", paths["fragility"],
-                        "--count", "2", "--seed", "3", "--out", str(scen)) == 0
+        scenarios = self.storms(paths, tmp_path / "s", 2, 3)
         assert self.run("base-plan", "--network", paths["network"],
                         "--config", paths["config"], "--out", str(tmp_path)) == 0
         code = self.run("evaluate", "--network", paths["network"],
-                        "--config", paths["config"],
-                        "--scenarios", str(scen / "scenarios.json"),
+                        "--config", paths["config"], "--scenarios", scenarios,
                         "--plan", str(tmp_path / "base_plan.json"),
                         "--label", "base", "--out", str(tmp_path / "eval"))
         assert code == 0
@@ -591,9 +613,7 @@ class TestCli:
         assert csv_text.startswith("plan,scenario,t,served_fraction")
 
     def test_evaluate_writes_the_same_reports_on_any_core_count(self, paths, tmp_path):
-        assert self.run("generate-scenarios", "--network", paths["network"],
-                        "--wind", paths["wind"], "--fragility", paths["fragility"],
-                        "--count", "3", "--seed", "3", "--out", str(tmp_path / "s")) == 0
+        scenarios = self.storms(paths, tmp_path / "s", 3, 3)
         assert self.run("base-plan", "--network", paths["network"],
                         "--config", paths["config"], "--out", str(tmp_path)) == 0
         written = {}
@@ -601,8 +621,7 @@ class TestCli:
             out = tmp_path / f"eval_{cores}"
             with usable_cores(cores):
                 assert self.run("evaluate", "--network", paths["network"],
-                                "--config", paths["config"],
-                                "--scenarios", str(tmp_path / "s" / "scenarios.json"),
+                                "--config", paths["config"], "--scenarios", scenarios,
                                 "--plan", str(tmp_path / "base_plan.json"),
                                 "--out", str(out)) == 0
             written[cores] = [(out / name).read_bytes()
@@ -610,13 +629,9 @@ class TestCli:
         assert written[1] == written[None] == written[3]
 
     def test_lp_dump_flag(self, paths, tmp_path):
-        scen = tmp_path / "s"
-        assert self.run("generate-scenarios", "--network", paths["network"],
-                        "--wind", paths["wind"], "--fragility", paths["fragility"],
-                        "--count", "1", "--seed", "5", "--out", str(scen)) == 0
         code = self.run("solve-ef", "--network", paths["network"],
                         "--config", paths["config"],
-                        "--scenarios", str(scen / "scenarios.json"),
+                        "--scenarios", self.storms(paths, tmp_path / "s", 1, 5),
                         "--dump-lp", "--out", str(tmp_path / "ef"))
         assert code == 0
         lp_text = (tmp_path / "ef" / "extensive_form.lp").read_text()
@@ -637,17 +652,44 @@ def test_served_fraction_csv_shape():
     assert rep.total_cost == pytest.approx(3.0)
 
 
-def test_readme_synopsis_names_only_real_flags():
-    """Each ``--flag`` in the README's command-line synopsis exists on its
-    subcommand's parser, so a removed option cannot linger in the docs."""
+def readme_synopsis():
+    """(subcommand, synopsis line) for each ``gridprep`` line of the README's
+    command-line synopsis, continuation lines joined."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Command line", 1)[1]
     synopsis = section.split("```", 2)[1].replace("\\\n", " ")
-    commands = {action.dest: action for action in build_parser()._actions
-                if isinstance(action, argparse._SubParsersAction)}["command"].choices
-    named = [(line.split()[1], flag) for line in synopsis.splitlines() if line.startswith("gridprep ")
+    return [(line.split()[1], line) for line in synopsis.splitlines() if line.startswith("gridprep ")]
+
+
+def subcommand_parsers():
+    return {action.dest: action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)}["command"].choices
+
+
+def test_readme_synopsis_names_only_real_flags():
+    """Each ``--flag`` in the README's command-line synopsis exists on its
+    subcommand's parser, so a removed option cannot linger in the docs."""
+    commands = subcommand_parsers()
+    named = [(command, flag) for command, line in readme_synopsis()
              for flag in re.findall(r"--[a-z][a-z-]*", line)]
     assert {command for command, _ in named} == set(commands)
     unknown = [f"{command} {flag}" for command, flag in named
                if flag not in commands[command]._option_string_actions]
     assert not unknown, "README synopsis names flags the parser lacks: " + ", ".join(unknown)
+
+
+def test_readme_synopsis_shows_the_parser_defaults():
+    """An optional ``[--flag VALUE]`` in the README synopsis shows the value
+    the flag takes when left out; a placeholder such as ``[--flag FILE]``
+    stands only for a flag without a default."""
+    commands = subcommand_parsers()
+    wrong = []
+    for command, line in readme_synopsis():
+        for flag, shown in re.findall(r"\[(--[a-z][a-z-]*) ([^\]\s]+)\]", line):
+            action = commands[command]._option_string_actions[flag]
+            placeholder = shown[0].isupper()
+            value = None if placeholder else (action.type or str)(shown)
+            if value != action.default:
+                wrong.append(f"{command} [{flag} {shown}] (default {action.default!r})")
+    assert not wrong, "README synopsis shows values the parser does not default to: " + \
+        ", ".join(wrong)
