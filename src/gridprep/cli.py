@@ -12,6 +12,7 @@ import json
 import sys
 from pathlib import Path
 
+from .document import loads
 from .formulation import (
     FormulationConfig,
     FormulationError,
@@ -32,7 +33,6 @@ from .report import (
     InsufficientResourcesError,
     build_base_plan,
     evaluate_plan,
-    reports_to_json,
     served_fraction_csv,
     sweep_pv,
 )
@@ -57,13 +57,19 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line through the exit-code table; subcommand
+    parsers are of this class too."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _parse(path: str, what: str, parse):
     """``parse`` of the file's text.  A missing, unreadable or malformed file
     is an input error, reported as ``what``: the reason."""
     try:
         return parse(Path(path).read_text())
-    except FileNotFoundError:
-        raise CliError(f"file not found: {path}") from None
     except OSError as exc:
         raise CliError(f"{what}: cannot read {path} ({exc.strerror})") from exc
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
@@ -77,19 +83,20 @@ def _model(args):
 def _config(args) -> FormulationConfig:
     if not args.config:
         return FormulationConfig()
-    return _parse(args.config, "config file", lambda text: config_from_document(json.loads(text)))
+    return _parse(args.config, "config file",
+                  lambda text: config_from_document(loads(text, FormulationError)))
 
 
 def _plan(path: str, config: FormulationConfig):
     return _parse(path, "plan file",
-                  lambda text: plan_from_document(json.loads(text), config.fuel_quantum))
+                  lambda text: plan_from_document(loads(text, ValueError), config.fuel_quantum))
 
 
 def _sampler(args, model):
     """Draws (count, seed) -> storms under ``--wind`` and ``--fragility``."""
     wind = _parse(args.wind, "wind file", load_wind_csv)
     params = (_parse(args.fragility, "fragility file",
-                     lambda text: fragility_from_document(json.loads(text)))
+                     lambda text: fragility_from_document(loads(text, ValueError)))
               if args.fragility else FragilityParams())
     return lambda count, seed: generate_scenario_set(model, wind, params, count=count, seed=seed)
 
@@ -98,14 +105,16 @@ def _scenario_set(args, model):
     return _parse(args.scenarios, "scenario file", lambda text: load_scenarios(text, model))
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write(path: Path, text: str):
-    path.write_text(text)
+def _write(args, name: str, content):
+    """Writes ``content``, text or a JSON document, to ``name`` in ``--out``, made with
+    the first artifact; an ``--out`` that cannot be made or written is an input error."""
+    path = Path(args.out) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content if isinstance(content, str)
+                        else json.dumps(content, indent=2, sort_keys=True))
+    except OSError as exc:
+        raise CliError(f"--out {args.out}: cannot write {name} ({exc.strerror})") from exc
     print(f"wrote {path}")
 
 
@@ -113,8 +122,7 @@ def cmd_generate(args) -> int:
     if args.count < 1:
         raise CliError("--count must be >= 1")
     scen_set = _sampler(args, _model(args))(args.count, args.seed)
-    out = _out_dir(args)
-    _write(out / "scenarios.json", dump_scenarios(scen_set))
+    _write(args, "scenarios.json", dump_scenarios(scen_set))
     return EXIT_OK
 
 
@@ -126,19 +134,16 @@ def cmd_solve_ef(args) -> int:
     scen_set = _scenario_set(args, model)
     compiled = build_extensive_form(model, scen_set, config)
     if args.dump_lp:
-        _write(_out_dir(args) / "extensive_form.lp", write_lp(compiled.problem))
+        _write(args, "extensive_form.lp", write_lp(compiled.problem))
     sol = solve_milp(compiled.problem, gap_tol=args.gap)
     if sol.status == "infeasible":
         raise CliError("extensive form is infeasible", EXIT_INFEASIBLE)
     if not sol.ok:
         raise CliError(f"solver stopped with status {sol.status}", EXIT_NOT_CONVERGED)
     plan = plan_from_solution(compiled.index, sol)
-    out = _out_dir(args)
-    _write(out / "ef_plan.json", json.dumps(plan_to_document(plan, config.fuel_quantum),
-                                            indent=2, sort_keys=True))
-    _write(out / "ef_solution.json", json.dumps(
-        {"objective": sol.objective, "best_bound": sol.best_bound, "status": sol.status,
-         "scenarios": len(scen_set)}, indent=2, sort_keys=True))
+    _write(args, "ef_plan.json", plan_to_document(plan, config.fuel_quantum))
+    _write(args, "ef_solution.json", {"objective": sol.objective, "best_bound": sol.best_bound,
+                                      "status": sol.status, "scenarios": len(scen_set)})
     return EXIT_OK
 
 
@@ -157,19 +162,16 @@ def cmd_solve_ph(args) -> int:
     except ValueError as exc:
         raise CliError(f"hedging settings: {exc}") from exc
     result = ph_solve(model, scen_set, config, ph_config)
-    out = _out_dir(args)
-    _write(out / "ph_plan.json", json.dumps(plan_to_document(result.plan, config.fuel_quantum),
-                                            indent=2, sort_keys=True))
-    _write(out / "ph_log.csv", iteration_log_csv(result.log_rows))
-    _write(out / "ph_state.json", json.dumps(result.state.to_document(), indent=2, sort_keys=True))
-    _write(out / "ph_result.json", json.dumps(
-        {
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "ef_cost": result.ef_cost,
-            "scenario_objectives": result.scenario_objectives,
-            "metric_history": result.metric_history,
-        }, indent=2, sort_keys=True))
+    _write(args, "ph_plan.json", plan_to_document(result.plan, config.fuel_quantum))
+    _write(args, "ph_log.csv", iteration_log_csv(result.log_rows))
+    _write(args, "ph_state.json", result.state.to_document())
+    _write(args, "ph_result.json", {
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "ef_cost": result.ef_cost,
+        "scenario_objectives": result.scenario_objectives,
+        "metric_history": result.metric_history,
+    })
     if not result.converged:
         print(f"hedging stopped at g={result.metric_history[-1]:.6g} "
               f"after {result.iterations} iterations", file=sys.stderr)
@@ -187,8 +189,7 @@ def cmd_validate_mrp(args) -> int:
     except ValueError as exc:
         raise CliError(f"validation settings: {exc}") from exc
     result = mrp_validate(candidate, model, config, sampler, mrp_config)
-    out = _out_dir(args)
-    _write(out / "mrp.json", result_to_json(result))
+    _write(args, "mrp.json", result_to_json(result))
     print(f"one-sided CI on the optimality gap: [0, {result.ci_upper:.6g}] "
           f"([0, {result.ci_upper_pct:.2f}%] of candidate cost)")
     return EXIT_OK
@@ -198,9 +199,7 @@ def cmd_base_plan(args) -> int:
     model = _model(args)
     config = _config(args)
     plan = build_base_plan(model, config)
-    out = _out_dir(args)
-    _write(out / "base_plan.json", json.dumps(plan_to_document(plan, config.fuel_quantum),
-                                              indent=2, sort_keys=True))
+    _write(args, "base_plan.json", plan_to_document(plan, config.fuel_quantum))
     return EXIT_OK
 
 
@@ -216,9 +215,8 @@ def cmd_evaluate(args) -> int:
         return evaluate_plan(plan, model, scen, config, loops=loops, plan_label=label)
 
     reports = map_in_order(evaluate, scen_set.scenarios)
-    out = _out_dir(args)
-    _write(out / "evaluation.json", reports_to_json(reports))
-    _write(out / "served_fraction.csv", served_fraction_csv(reports))
+    _write(args, "evaluation.json", [r.to_document() for r in reports])
+    _write(args, "served_fraction.csv", served_fraction_csv(reports))
     mean_energy = ordered_sum([r.restored_energy_kwh * s.probability
                                for r, s in zip(reports, scen_set.scenarios)])
     mean_outage = ordered_sum([r.avg_outage_hours * s.probability
@@ -246,14 +244,12 @@ def cmd_sweep_pv(args) -> int:
     config = _config(args)
     scen_set = _scenario_set(args, model)
     results = sweep_pv(model, levels, scen_set, config)
-    out = _out_dir(args)
-    _write(out / "pv_sweep.json", json.dumps([r.to_document() for r in results],
-                                             indent=2, sort_keys=True))
+    _write(args, "pv_sweep.json", [r.to_document() for r in results])
     rows = ["percent,objective,expected_served_kwh,expected_outage_hours,pv_units"]
     for r in results:
         rows.append(f"{r.percent},{r.objective!r},{r.expected_served_kwh!r},"
                     f"{r.expected_outage_hours!r},{r.pv_units}")
-    _write(out / "pv_sweep.csv", "\n".join(rows) + "\n")
+    _write(args, "pv_sweep.csv", "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -268,7 +264,7 @@ def cmd_check_network(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridprep",
         description="Pre-event resource allocation for storm-resilient feeders",
     )
@@ -342,10 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  Input errors are raised as :class:`CliError` where
-    files are read and flags checked; this is the one table from every other
-    failure to its exit code."""
-    args = build_parser().parse_args(argv)
+    the command line is parsed, files are read and written and flags checked;
+    this is the one table from every other failure to its exit code."""
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         return _fail(str(exc), exc.code)

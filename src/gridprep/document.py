@@ -1,7 +1,9 @@
-"""The one reader of values in gridprep's input documents.
+"""The one reader of gridprep's input documents.
 
 Every JSON input (the network, config, fragility, scenario and plan
-documents) reads its values here, by one set of rules:
+documents) is decoded by :func:`loads`, which refuses text that is not JSON
+and a key repeated in one object, and reads its values here, by one set of
+rules:
 
 - a number is a finite JSON number, read as a float: never a string, a
   boolean, NaN, Infinity or an integer too large for a float;
@@ -17,6 +19,7 @@ Range checks belong to the readers' callers and the dataclasses.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import MISSING, fields
 from typing import Mapping
@@ -30,6 +33,23 @@ _KINDS = {"float": float, "int": int, "bool": bool, "str": str}
 _ONE = {float: "a number", int: "an integer", bool: "true or false", str: "a string",
         list: "a list"}
 _MANY = {float: "numbers", int: "integers", bool: "flags", str: "strings", list: "lists"}
+
+
+def loads(text: str, error: type[Exception]):
+    """The JSON value of ``text``.  ``error`` is raised for text that is not
+    JSON and, naming the key, for a key repeated in one object at any depth."""
+
+    def unique(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+            raise error(f"key '{key}' appears twice in one object")
+        return doc
+
+    try:
+        return json.loads(text, object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise error(f"not valid JSON: {exc}") from None
 
 
 class Reader:

@@ -9,11 +9,11 @@ per-unit on ``base.kva`` (single-phase power base), voltages squared per-unit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from .document import Reader
+from .document import Reader, loads
 from .parallel import ordered_sum
 
 PHASES = ("a", "b", "c")
@@ -180,21 +180,13 @@ class NetworkModel:
     def line(self, line_id: str) -> Line:
         return self._line_map[line_id]
 
-    @property
+    @cached_property
     def _bus_map(self) -> dict[str, Bus]:
-        m = self.__dict__.get("_bus_map_cache")
-        if m is None:
-            m = {b.id: b for b in self.buses}
-            self.__dict__["_bus_map_cache"] = m
-        return m
+        return {b.id: b for b in self.buses}
 
-    @property
+    @cached_property
     def _line_map(self) -> dict[str, Line]:
-        m = self.__dict__.get("_line_map_cache")
-        if m is None:
-            m = {k.id: k for k in self.lines}
-            self.__dict__["_line_map_cache"] = m
-        return m
+        return {k.id: k for k in self.lines}
 
     @property
     def switch_ids(self) -> tuple[str, ...]:
@@ -259,11 +251,7 @@ def _profile(doc: Mapping, key: str, phases: Sequence[str], horizon: int, ctx: s
 
 def load_network(text: str) -> NetworkModel:
     """Parse and validate a network document's JSON text; raises on the first violation."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkParseError(f"network document is not valid JSON: {exc}") from exc
-    return network_from_document(doc)
+    return network_from_document(loads(text, NetworkParseError))
 
 
 def network_from_document(doc: Mapping) -> NetworkModel:

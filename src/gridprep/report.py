@@ -8,7 +8,6 @@ optimized plan.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -302,10 +301,6 @@ def sweep_pv(
             pv_units=len(level_model.pv_units),
         ))
     return out
-
-
-def reports_to_json(reports: Sequence[EvaluationReport]) -> str:
-    return json.dumps([r.to_document() for r in reports], indent=2, sort_keys=True)
 
 
 def served_fraction_csv(reports: Sequence[EvaluationReport]) -> str:

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .document import Reader
+from .document import Reader, loads
 from .network import Line, NetworkModel
 from .parallel import ordered_sum
 
@@ -162,8 +162,9 @@ def storm_damage_prob(line: Line, wind: WindProfile, params: FragilityParams) ->
 
 
 def _scenario_rng(seed: int, index: int) -> np.random.Generator:
-    # Philox keyed by (seed, index): independent streams, order-insensitive.
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), index]))
+    # Philox keyed by (seed mod 2**64, index): independent streams, order-insensitive.
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed & (2**64 - 1), index], dtype=np.uint64)))
 
 
 def clear_sky_profile(horizon: int, peak: float) -> tuple[float, ...]:
@@ -274,7 +275,7 @@ def dump_scenarios(scen_set: ScenarioSet) -> str:
 def load_scenarios(text: str, model: NetworkModel) -> ScenarioSet:
     """Read a scenario file written for ``model``: every damaged line must be
     one of its lines and every irradiance profile must span its horizon."""
-    scen_set = scenario_set_from_document(json.loads(text))
+    scen_set = scenario_set_from_document(loads(text, ValueError))
     lines = {line.id for line in model.lines}
     for s in scen_set.scenarios:
         unknown = sorted(s.damaged_lines - lines)

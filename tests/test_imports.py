@@ -243,6 +243,24 @@ def test_document_scalars_have_one_home():
     assert not stray, "document values read outside gridprep.document: " + ", ".join(stray)
 
 
+def test_json_is_decoded_only_in_document():
+    """Only ``gridprep.document.loads`` turns text into JSON, so every input
+    document refuses a repeated key and malformed text the same way."""
+    stray = []
+    for path in sorted((SRC / "gridprep").rglob("*.py")):
+        name = path.relative_to(SRC / "gridprep").as_posix()
+        if name == "document.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and getattr(node.value, "id", None) == "json"):
+                stray.append(f"{name}:{node.lineno} calls json.{node.attr}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and any(a.name in ("load", "loads") for a in node.names)):
+                stray.append(f"{name}:{node.lineno} imports from json")
+    assert not stray, "JSON decoded outside gridprep.document: " + ", ".join(stray)
+
+
 def test_highs_has_one_entry_module():
     """Only ``gridprep.milp.solve`` imports from ``scipy.optimize``, so every
     HiGHS call passes its presolve, its check and its objective."""

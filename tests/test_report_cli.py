@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,10 +29,34 @@ from gridprep.scenarios import DamageScenario, ScenarioSet
 
 from .conftest import small_network_doc, usable_cores
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def no_damage(horizon, sid=0, prob=1.0):
     return DamageScenario(id=sid, probability=prob, damaged_lines=frozenset(),
                           repair_periods={}, irradiance=(500.0,) * horizon)
+
+
+def reading(what: str, files: dict, out: str) -> list[str]:
+    """A command line that reads the ``what`` document of ``files`` first."""
+    return {"network": ["check-network", "--network", files["network"]],
+            "config": ["base-plan", "--network", files["network"], "--config", files["config"],
+                       "--out", out],
+            "fragility": ["generate-scenarios", "--network", files["network"],
+                          "--wind", files["wind"], "--fragility", files["fragility"],
+                          "--count", "1", "--out", out],
+            "scenarios": ["solve-ef", "--network", files["network"], "--config", files["config"],
+                          "--scenarios", files["scenarios"], "--out", out],
+            "plan": ["evaluate", "--network", files["network"], "--config", files["config"],
+                     "--scenarios", files["scenarios"], "--plan", files["plan"], "--out", out]}[what]
+
+
+def one_error(capsys) -> dict:
+    """The JSON error line of a refused command, which must be all it wrote
+    to stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
 
 
 def metrics_by_loop(model, pickup):
@@ -258,6 +284,14 @@ class TestCli:
                         "--count", str(count), "--seed", str(seed), "--out", str(out)) == 0
         return str(out / "scenarios.json")
 
+    def documents(self, paths, tmp_path) -> dict:
+        """The files of all five input documents: the bundled network, config
+        and fragility, one storm at seed 1 and the base plan."""
+        assert self.run("base-plan", "--network", paths["network"], "--config", paths["config"],
+                        "--out", str(tmp_path / "base")) == 0
+        return dict(paths, scenarios=self.storms(paths, tmp_path / "s", 1, 1),
+                    plan=str(tmp_path / "base" / "base_plan.json"))
+
     def test_generate_is_deterministic(self, paths, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -275,19 +309,89 @@ class TestCli:
         argv = [command, "--network", "n.json", *needs]
         for flag, value in [("--count", "2"), ("--seed", "11"), ("--wind", "w.csv"),
                             ("--fragility", "f.json")]:
-            with pytest.raises(SystemExit) as stop:
-                cli_main([*argv, "--scenarios", "s.json", flag, value])
-            assert stop.value.code == 2
-            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as stop:
-            cli_main(argv)
-        assert stop.value.code == 2
-        assert "required: --scenarios" in capsys.readouterr().err
+            assert cli_main([*argv, "--scenarios", "s.json", flag, value]) == 2
+            assert f"unrecognized arguments: {flag} {value}" in one_error(capsys)["error"]
+        assert cli_main(argv) == 2
+        assert "required: --scenarios" in one_error(capsys)["error"]
 
-    def test_missing_file_is_input_error(self, tmp_path):
+    @pytest.mark.parametrize("argv, message", [
+        (["solve-ef", "--network", "n.json", "--scenarios", "s.json", "--bogus"],
+         "gridprep: unrecognized arguments: --bogus"),
+        (["generate-scenarios", "--network", "n.json", "--wind", "w.csv"],
+         "gridprep generate-scenarios: the following arguments are required: --count"),
+        (["generate-scenarios", "--network", "n.json", "--wind", "w.csv", "--count", "abc"],
+         "gridprep generate-scenarios: argument --count: invalid int value: 'abc'"),
+        (["plan-everything"], "gridprep: argument command: invalid choice: 'plan-everything'"),
+        ([], "gridprep: the following arguments are required: command"),
+    ], ids=["unknown-flag", "missing-flag", "count-not-int", "unknown-command", "no-command"])
+    def test_refused_command_line_is_input_error(self, capsys, argv, message):
+        assert cli_main(argv) == 2
+        error = one_error(capsys)
+        assert error["exit_code"] == 2 and error["error"].startswith(message)
+
+    def test_refused_flag_from_the_shell_prints_one_json_line(self):
+        run = subprocess.run([sys.executable, "-m", "gridprep.cli", "solve-ef", "--bogus"],
+                             capture_output=True, text=True, cwd=SRC)
+        assert run.returncode == 2 and run.stdout == ""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == 2
+        assert "usage:" not in run.stderr and "Traceback" not in run.stderr
+
+    def test_help_still_prints_help(self):
+        run = subprocess.run([sys.executable, "-m", "gridprep.cli", "solve-ef", "--help"],
+                             capture_output=True, text=True, cwd=SRC)
+        assert run.returncode == 0 and run.stderr == ""
+        assert run.stdout.startswith("usage: gridprep solve-ef")
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["a-file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_is_input_error(self, paths, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("not a directory")
+        out = str(tmp_path / out)
+        assert self.run("base-plan", "--network", paths["network"], "--config", paths["config"],
+                        "--out", out) == 2
+        error = one_error(capsys)
+        assert error["exit_code"] == 2 and error["error"].startswith(f"--out {out}: cannot write")
+        assert (tmp_path / "taken").read_text() == "not a directory"
+
+    @pytest.mark.parametrize("what, where, key", [
+        ("network", (), "horizon"),
+        ("network", ("buses", 5, "demand_p"), "a"),
+        ("config", (), "fuel_cost"),
+        ("fragility", (), "pole_median"),
+        ("scenarios", (), "seed"),
+        ("scenarios", ("scenarios", 0), "prob"),
+        ("plan", ("fuel",), "f1"),
+        ("plan", ("crews",), "r1"),
+    ], ids=["network-horizon", "network-demand-phase", "config-fuel_cost", "fragility-median",
+            "scenario-set-seed", "scenario-prob", "plan-fuel", "plan-crews"])
+    def test_repeated_key_is_input_error_naming_it(self, paths, tmp_path, capsys, what, where,
+                                                   key):
+        # json keeps the last of two equal keys; each document refuses the pair
+        files = self.documents(paths, tmp_path)
+        doc = json.loads(Path(files[what]).read_text())
+        target = doc
+        for step in where:
+            target = target[step]
+        target["twin"] = target[key]  # written out as a second copy of the key
+        text = json.dumps(doc).replace('"twin":', f'"{key}":')
+        files[what] = str(tmp_path / f"twin_{what}.json")
+        Path(files[what]).write_text(text)
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        assert self.run(*reading(what, files, out)) == 2
+        prefix = {"network": "network document: ", "config": "config file: ",
+                  "fragility": "fragility file: ", "scenarios": "scenario file: ",
+                  "plan": "plan file: "}[what]
+        assert one_error(capsys) == {"error": f"{prefix}key '{key}' appears twice in one object",
+                                     "exit_code": 2}
+        assert not Path(out).exists()
+
+    def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = self.run("solve-ef", "--network", "/nope/missing.json",
                         "--scenarios", "/nope/scenarios.json", "--out", str(tmp_path))
         assert code == 2
+        assert one_error(capsys)["error"] == ("network document: cannot read /nope/missing.json "
+                                              "(No such file or directory)")
 
     def test_unreadable_file_is_input_error(self, tmp_path, capsys):
         assert self.run("check-network", "--network", str(tmp_path)) == 2
@@ -505,11 +609,7 @@ class TestCli:
     def test_malformed_scalar_is_input_error_naming_its_key(self, paths, tmp_path, capsys, what,
                                                             where, value, key):
         # each of these read as some other value, and ran, before one reader checked them all
-        base = tmp_path / "base"
-        scenarios = self.storms(paths, tmp_path / "s", 1, 1)
-        assert self.run("base-plan", "--network", paths["network"], "--config", paths["config"],
-                        "--out", str(base)) == 0
-        files = dict(paths, scenarios=scenarios, plan=str(base / "base_plan.json"))
+        files = self.documents(paths, tmp_path)
         doc = json.loads(Path(files[what]).read_text())
         *parents, last = where
         target = doc
@@ -520,17 +620,7 @@ class TestCli:
         Path(files[what]).write_text(json.dumps(doc))  # NaN and Infinity as json writes them
         capsys.readouterr()
         out = str(tmp_path / "out")
-        argv = {"network": ["check-network", "--network", files["network"]],
-                "config": ["base-plan", "--network", files["network"], "--config", files["config"],
-                           "--out", out],
-                "fragility": ["generate-scenarios", "--network", files["network"],
-                              "--wind", files["wind"], "--fragility", files["fragility"],
-                              "--count", "1", "--out", out],
-                "scenarios": ["solve-ef", "--network", files["network"], "--config", files["config"],
-                              "--scenarios", files["scenarios"], "--out", out],
-                "plan": ["evaluate", "--network", files["network"], "--config", files["config"],
-                         "--scenarios", files["scenarios"], "--plan", files["plan"], "--out", out]}
-        assert self.run(*argv[what]) == 2
+        assert self.run(*reading(what, files, out)) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         error = json.loads(lines[0])

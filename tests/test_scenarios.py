@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,19 @@ class TestSampling:
 
         ss = generate_scenario_set(feeder13, wind13, fragility13, count=3, seed=42)
         golden = Path(__file__).parent / "data" / "golden_scenario_seed42.json"
+        assert dump_scenarios(ss) == golden.read_text()
+
+    def test_seeds_outside_int64_draw_their_own_storms(self, feeder13, wind13, fragility13):
+        # a seed is taken mod 2**64; seeds below 0 or from 2**63 once shared one stream
+        from pathlib import Path
+
+        golden = Path(__file__).parent / "data" / "golden_scenario_seed42.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [sample_damage_scenario(feeder13, wind13, fragility13, seed=seed).irradiance
+                     for seed in (-1, -2, 2**63, 2**63 + 1, 2**64 - 1)]
+            ss = generate_scenario_set(feeder13, wind13, fragility13, count=3, seed=42)
+        assert len(set(draws[:4])) == 4 and draws[0] == draws[4]
         assert dump_scenarios(ss) == golden.read_text()
 
     def test_single_scenario_has_probability_one(self, feeder13, wind13, fragility13):
