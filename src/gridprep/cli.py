@@ -22,9 +22,9 @@ from .formulation import (
     plan_from_solution,
     plan_to_document,
 )
-from .hedging import PhConfig, PhError, iteration_log_csv, ph_solve
-from .milp import NumericalInstabilityError, solve_milp, write_lp
-from .mrp import MrpConfig, MrpError, mrp_validate, result_to_json
+from .hedging import PhConfig, PhError, ph_solve
+from .milp import NumericalInstabilityError, SolverStoppedError, solve_milp, write_lp
+from .mrp import MrpConfig, MrpError, mrp_validate
 from .network import enumerate_loops, load_network, validate_regions
 from .parallel import map_in_order, ordered_sum
 from .report import (
@@ -33,16 +33,15 @@ from .report import (
     InsufficientResourcesError,
     build_base_plan,
     evaluate_plan,
-    served_fraction_csv,
     sweep_pv,
 )
 from .scenarios import (
     FragilityParams,
     fragility_from_document,
-    dump_scenarios,
     generate_scenario_set,
     load_scenarios,
     load_wind_csv,
+    scenario_set_to_document,
 )
 
 EXIT_OK = 0
@@ -106,13 +105,22 @@ def _scenario_set(args, model):
 
 
 def _write(args, name: str, content):
-    """Writes ``content``, text or a JSON document, to ``name`` in ``--out``, made with
-    the first artifact; an ``--out`` that cannot be made or written is an input error."""
+    """Writes ``content`` to ``name`` in ``--out``, made with the first artifact; the one
+    encoder of artifacts.  A ``.csv`` table, (header, rows), is one line per row, floats as
+    ``float.__repr__`` and other cells as ``str``; text is written as it is and anything else
+    as JSON with sorted keys and 2-space indent.  An unwritable ``--out`` is an input error."""
+    if isinstance(content, str):
+        text = content
+    elif name.endswith(".csv"):
+        header, rows = content
+        text = "".join(",".join(float.__repr__(cell) if isinstance(cell, float) else str(cell)
+                                for cell in row) + "\n" for row in (header, *rows))
+    else:
+        text = json.dumps(content, indent=2, sort_keys=True)
     path = Path(args.out) / name
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content if isinstance(content, str)
-                        else json.dumps(content, indent=2, sort_keys=True))
+        path.write_text(text)
     except OSError as exc:
         raise CliError(f"--out {args.out}: cannot write {name} ({exc.strerror})") from exc
     print(f"wrote {path}")
@@ -122,7 +130,7 @@ def cmd_generate(args) -> int:
     if args.count < 1:
         raise CliError("--count must be >= 1")
     scen_set = _sampler(args, _model(args))(args.count, args.seed)
-    _write(args, "scenarios.json", dump_scenarios(scen_set))
+    _write(args, "scenarios.json", scenario_set_to_document(scen_set))
     return EXIT_OK
 
 
@@ -136,10 +144,8 @@ def cmd_solve_ef(args) -> int:
     if args.dump_lp:
         _write(args, "extensive_form.lp", write_lp(compiled.problem))
     sol = solve_milp(compiled.problem, gap_tol=args.gap)
-    if sol.status == "infeasible":
+    if not sol.verdict("extensive form"):
         raise CliError("extensive form is infeasible", EXIT_INFEASIBLE)
-    if not sol.ok:
-        raise CliError(f"solver stopped with status {sol.status}", EXIT_NOT_CONVERGED)
     plan = plan_from_solution(compiled.index, sol)
     _write(args, "ef_plan.json", plan_to_document(plan, config.fuel_quantum))
     _write(args, "ef_solution.json", {"objective": sol.objective, "best_bound": sol.best_bound,
@@ -163,7 +169,7 @@ def cmd_solve_ph(args) -> int:
         raise CliError(f"hedging settings: {exc}") from exc
     result = ph_solve(model, scen_set, config, ph_config)
     _write(args, "ph_plan.json", plan_to_document(result.plan, config.fuel_quantum))
-    _write(args, "ph_log.csv", iteration_log_csv(result.log_rows))
+    _write(args, "ph_log.csv", (("iter", "g", "elapsed_s", "mean_subproblem_obj"), result.log_rows))
     _write(args, "ph_state.json", result.state.to_document())
     _write(args, "ph_result.json", {
         "converged": result.converged,
@@ -189,7 +195,7 @@ def cmd_validate_mrp(args) -> int:
     except ValueError as exc:
         raise CliError(f"validation settings: {exc}") from exc
     result = mrp_validate(candidate, model, config, sampler, mrp_config)
-    _write(args, "mrp.json", result_to_json(result))
+    _write(args, "mrp.json", result.to_document())
     print(f"one-sided CI on the optimality gap: [0, {result.ci_upper:.6g}] "
           f"([0, {result.ci_upper_pct:.2f}%] of candidate cost)")
     return EXIT_OK
@@ -216,7 +222,9 @@ def cmd_evaluate(args) -> int:
 
     reports = map_in_order(evaluate, scen_set.scenarios)
     _write(args, "evaluation.json", [r.to_document() for r in reports])
-    _write(args, "served_fraction.csv", served_fraction_csv(reports))
+    _write(args, "served_fraction.csv", (("plan", "scenario", "t", "served_fraction"), [
+        (r.plan_label, r.scenario_id, t, frac) for r in reports
+        for t, frac in enumerate(r.served_fraction)]))
     mean_energy = ordered_sum([r.restored_energy_kwh * s.probability
                                for r, s in zip(reports, scen_set.scenarios)])
     mean_outage = ordered_sum([r.avg_outage_hours * s.probability
@@ -244,12 +252,9 @@ def cmd_sweep_pv(args) -> int:
     config = _config(args)
     scen_set = _scenario_set(args, model)
     results = sweep_pv(model, levels, scen_set, config)
-    _write(args, "pv_sweep.json", [r.to_document() for r in results])
-    rows = ["percent,objective,expected_served_kwh,expected_outage_hours,pv_units"]
-    for r in results:
-        rows.append(f"{r.percent},{r.objective!r},{r.expected_served_kwh!r},"
-                    f"{r.expected_outage_hours!r},{r.pv_units}")
-    _write(args, "pv_sweep.csv", "\n".join(rows) + "\n")
+    docs = [r.to_document() for r in results]
+    _write(args, "pv_sweep.json", docs)
+    _write(args, "pv_sweep.csv", (tuple(docs[0]), [tuple(doc.values()) for doc in docs]))
     return EXIT_OK
 
 
@@ -350,6 +355,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_INFEASIBLE)
     except NumericalInstabilityError as exc:
         return _fail(f"solver failed: {exc}", EXIT_NOT_CONVERGED)
+    except SolverStoppedError as exc:
+        return _fail(f"solver did not converge: {exc}", EXIT_NOT_CONVERGED)
 
 
 def _fail(message: str, code: int) -> int:

@@ -96,6 +96,11 @@ class FormulationConfig:
             raise FormulationError("fuel_quantum must be positive")
         if min(self.n_meg, self.n_mes, self.n_crew) < 0:
             raise FormulationError("resource totals must be nonnegative")
+        caps = {"n_mu_default": self.n_mu_default,
+                **{f"n_mu_by_bus[{b!r}]": n for b, n in self.n_mu_by_bus.items()}}
+        for key, cap in caps.items():
+            if cap < 0:
+                raise FormulationError(f"{key} must be nonnegative, got {cap}")
 
     def n_mu(self, bus: str) -> int:
         return int(self.n_mu_by_bus.get(bus, self.n_mu_default))
@@ -460,6 +465,9 @@ def check_first_stage_config(model: NetworkModel, config: FormulationConfig) -> 
         raise FormulationError("n_meg > 0 but the network declares no MEG template")
     if config.n_mes > 0 and model.mes_template is None:
         raise FormulationError("n_mes > 0 but the network declares no MES template")
+    unknown = sorted(set(config.n_mu_by_bus) - set(model.candidate_buses))
+    if unknown:
+        raise FormulationError(f"n_mu_by_bus names buses {unknown} that are not candidate buses")
     mu_total = sum(config.n_mu(b) for b in model.candidate_buses)
     if mu_total < config.n_meg + config.n_mes:
         raise FormulationError(

@@ -189,7 +189,7 @@ def repair_consensus(
     # a binary's move |x - v| is (1 - 2v) x + v; the constants add in cell order
     problem.objective_constant = ordered_sum(vote[binary], start=problem.objective_constant)
     sol = solve_milp(problem.seal(), gap_tol=0.0)
-    if not sol.ok:
+    if not sol.verdict("consensus repair"):
         raise PhError("consensus repair found no feasible first-stage plan")
     return plan_from_solution(index, sol)
 
@@ -208,7 +208,7 @@ def evaluate_plan_cost(
 
     def solve_one(comp: CompiledProblem) -> float:
         sol = solve_milp(pin_plan(comp, plan), gap_tol=GAP_TOL)
-        if not sol.ok:
+        if not sol.verdict(f"scenario {comp.scenario_ids[0]} subproblem"):
             raise SubproblemInfeasibleError(comp.scenario_ids[0])
         return sol.objective
 
@@ -261,7 +261,7 @@ def ph_solve(
             comp = build_ph_subproblem(plain[si], multipliers=eta_s[si], anchor=anchor,
                                        rho=prox_rho, tie_break=tie_break)
             sol = solve_milp(comp.problem, gap_tol=GAP_TOL)
-            if not sol.ok:
+            if not sol.verdict(f"scenario {scen.id} subproblem"):
                 raise SubproblemInfeasibleError(scen.id)
             return sol
 
@@ -309,10 +309,3 @@ def ph_solve(
         log_rows=log_rows,
         state=state,
     )
-
-
-def iteration_log_csv(rows: Sequence[tuple[int, float, float, float]]) -> str:
-    lines = ["iter,g,elapsed_s,mean_subproblem_obj"]
-    for it, g, elapsed, mean_obj in rows:
-        lines.append(f"{it},{g!r},{elapsed!r},{mean_obj!r}")
-    return "\n".join(lines) + "\n"

@@ -55,6 +55,10 @@ class NumericalInstabilityError(RuntimeError):
     """HiGHS ended in an error, or returned a point that breaks the problem's rows or bounds."""
 
 
+class SolverStoppedError(RuntimeError):
+    """A solve stopped without a verdict: neither within its gap nor proven infeasible."""
+
+
 def _check_bounds(lower: np.ndarray, upper: np.ndarray, binary: np.ndarray, what) -> None:
     crossed = lower > upper
     if crossed.any():
@@ -336,6 +340,13 @@ class MilpSolution:
     @property
     def ok(self) -> bool:
         return self.status in (OPTIMAL, GAP_LIMIT)
+
+    def verdict(self, what: str) -> bool:
+        """True when the solve is within its gap, False when it proved ``what``
+        infeasible; a solve that stopped with neither raises :class:`SolverStoppedError`."""
+        if not self.ok and self.status != INFEASIBLE:
+            raise SolverStoppedError(f"{what} stopped with status {self.status}")
+        return self.ok
 
 
 def _fmt(x: float) -> str:

@@ -16,7 +16,6 @@ and HiGHS is deterministic, so the worker count never changes the outcome.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -177,7 +176,3 @@ def mrp_validate(
         ci_upper=mean_gap + half_width,
         candidate_mean_cost=ordered_sum(costs) / used,
     )
-
-
-def result_to_json(result: MrpResult) -> str:
-    return json.dumps(result.to_document(), indent=2, sort_keys=True)

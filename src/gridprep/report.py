@@ -128,10 +128,8 @@ def evaluate_plan(
         raise EvaluationError(f"plan violates first-stage rules: {bad[0]}")
     compiled = build_subproblem(model, scenario, config, loops=loops)
     sol = solve_milp(pin_plan(compiled, plan), gap_tol=1e-6)
-    if not sol.ok:
-        raise EvaluationError(
-            f"scenario {scenario.id} operations infeasible under the pinned plan ({sol.status})"
-        )
+    if not sol.verdict(f"scenario {scenario.id} operations"):
+        raise EvaluationError(f"scenario {scenario.id} operations infeasible under the pinned plan")
     schedule = extract_schedule(model, scenario, compiled.index, sol, scenario.id)
     restored, avg_outage, served = schedule_metrics(model, schedule)
     parts = scenario_cost(model, scenario, schedule, config)
@@ -285,8 +283,8 @@ def sweep_pv(
         level_model = replace(model, pv_units=model.pv_units + fleet)
         compiled = build_extensive_form(level_model, scen_set, config)
         sol = solve_milp(compiled.problem, gap_tol=1e-4)
-        if not sol.ok:
-            raise EvaluationError(f"sweep level {percent}%: stochastic solve failed ({sol.status})")
+        if not sol.verdict(f"sweep level {percent}%"):
+            raise EvaluationError(f"sweep level {percent}%: stochastic program infeasible")
         metrics = [
             schedule_metrics(level_model, extract_schedule(level_model, scen, compiled.index, sol, si))
             for si, scen in enumerate(scen_set.scenarios)
@@ -301,12 +299,3 @@ def sweep_pv(
             pv_units=len(level_model.pv_units),
         ))
     return out
-
-
-def served_fraction_csv(reports: Sequence[EvaluationReport]) -> str:
-    """Plot-ready time series: one row per (scenario, period)."""
-    lines = ["plan,scenario,t,served_fraction"]
-    for r in reports:
-        for t, frac in enumerate(r.served_fraction):
-            lines.append(f"{r.plan_label},{r.scenario_id},{t},{frac!r}")
-    return "\n".join(lines) + "\n"

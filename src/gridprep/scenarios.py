@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -265,11 +264,6 @@ def scenario_set_from_document(doc: Mapping) -> ScenarioSet:
             )
         )
     return ScenarioSet(scenarios=tuple(scenarios), seed=_read.get(doc, "seed", "scenario set", int))
-
-
-def dump_scenarios(scen_set: ScenarioSet) -> str:
-    """Canonical JSON serialization (stable across runs for fixed inputs)."""
-    return json.dumps(scenario_set_to_document(scen_set), indent=2, sort_keys=True)
 
 
 def load_scenarios(text: str, model: NetworkModel) -> ScenarioSet:

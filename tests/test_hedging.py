@@ -3,13 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gridprep.data import feeder13_path, wind13_path
 from gridprep.formulation import FirstStagePlan, build_subproblem
 from gridprep.hedging import (
     PhConfig,
+    PhResult,
+    PhState,
     aggregate,
     convergence_metric,
     evaluate_plan_cost,
-    iteration_log_csv,
     ph_solve,
     repair_consensus,
 )
@@ -287,9 +289,23 @@ class TestConsensusRepair:
 
 
 class TestArtifacts:
-    def test_iteration_log_format(self):
-        csv = iteration_log_csv([(0, 2.5, 0.1, 100.0), (1, 0.0, 0.2, 99.5)])
-        lines = csv.strip().split("\n")
+    def test_iteration_log_format(self, tmp_path, monkeypatch):
+        import gridprep.cli as cli_mod
+
+        state = PhState(iteration=1, x_s=np.zeros((1, 0)), x_bar=np.zeros(0),
+                        eta_s=np.zeros((1, 0)), metric_history=[2.5, 0.0])
+        result = PhResult(plan=FirstStagePlan({}, {}, {}, {}), converged=True, iterations=1,
+                          scenario_objectives=[99.5], ef_cost=99.5, metric_history=[2.5, 0.0],
+                          log_rows=[(0, 2.5, 0.1, 100.0), (1, np.float64(0.0), 0.2, 99.5)],
+                          state=state)
+        monkeypatch.setattr(cli_mod, "ph_solve", lambda *args: result)
+        network = ["--network", str(feeder13_path()), "--out", str(tmp_path)]
+        assert cli_mod.main(["generate-scenarios", *network, "--wind", str(wind13_path()),
+                             "--count", "1"]) == 0
+        assert cli_mod.main(["solve-ph", *network, "--scenarios",
+                             str(tmp_path / "scenarios.json")]) == 0
+        lines = (tmp_path / "ph_log.csv").read_text().strip().split("\n")
         assert lines[0] == "iter,g,elapsed_s,mean_subproblem_obj"
         assert lines[1].startswith("0,2.5,")
+        assert lines[2] == "1,0.0,0.2,99.5"  # a NumPy float is written as a float
         assert len(lines) == 3

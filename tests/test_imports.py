@@ -261,6 +261,27 @@ def test_json_is_decoded_only_in_document():
     assert not stray, "JSON decoded outside gridprep.document: " + ", ".join(stray)
 
 
+def test_artifacts_are_encoded_only_in_cli():
+    """Only ``cli._write`` turns a result into an artifact's bytes, so every
+    JSON document has sorted keys and 2-space indent and every CSV float is
+    ``float.__repr__``.  ``load_wind_csv`` reads a CSV and is the one
+    ``*_csv`` function left."""
+    stray = []
+    for path in sorted((SRC / "gridprep").rglob("*.py")):
+        name = path.relative_to(SRC / "gridprep").as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (name != "cli.py" and isinstance(node, ast.Attribute)
+                    and node.attr in ("dump", "dumps") and getattr(node.value, "id", None) == "json"):
+                stray.append(f"{name}:{node.lineno} calls json.{node.attr}")
+            elif (name != "cli.py" and isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and any(a.name in ("dump", "dumps") for a in node.names)):
+                stray.append(f"{name}:{node.lineno} imports from json")
+            elif (isinstance(node, ast.FunctionDef) and node.name.endswith("_csv")
+                    and node.name != "load_wind_csv"):
+                stray.append(f"{name}:{node.lineno} defines {node.name}")
+    assert not stray, "artifacts encoded outside cli._write: " + ", ".join(stray)
+
+
 def test_highs_has_one_entry_module():
     """Only ``gridprep.milp.solve`` imports from ``scipy.optimize``, so every
     HiGHS call passes its presolve, its check and its objective."""

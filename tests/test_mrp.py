@@ -6,9 +6,10 @@ import threading
 import pytest
 from scipy.stats import t as tdist
 
+from gridprep.data import config13_path, feeder13_path, wind13_path
 from gridprep.formulation import FirstStagePlan, FormulationConfig, build_extensive_form, plan_from_solution
 from gridprep.milp import solve_milp
-from gridprep.mrp import MrpConfig, MrpError, MrpResult, mrp_validate, replicate_gap, result_to_json
+from gridprep.mrp import MrpConfig, MrpError, MrpResult, mrp_validate, replicate_gap
 from gridprep.network import network_from_document
 from gridprep.scenarios import DamageScenario, ScenarioSet
 
@@ -225,11 +226,19 @@ class TestMrpValidate:
                          fixed_sampler(chain_scenario()), MrpConfig(n=2, n_g=2))
         assert len(calls) == 2
 
-    def test_result_document_schema(self):
+    def test_result_document_schema(self, tmp_path, monkeypatch):
+        import gridprep.cli as cli_mod
+
         result = MrpResult(alpha=0.05, n=3, n_g=4, gaps=[0.0, 1.0], tainted=2,
                            mean_gap=0.5, sample_variance=0.5, half_width=0.3,
                            ci_upper=0.8, candidate_mean_cost=10.0)
-        doc = json.loads(result_to_json(result))
+        monkeypatch.setattr(cli_mod, "mrp_validate", lambda *args: result)
+        network = ["--network", str(feeder13_path()), "--config", str(config13_path()),
+                   "--out", str(tmp_path)]
+        assert cli_mod.main(["base-plan", *network]) == 0
+        assert cli_mod.main(["validate-mrp", *network, "--wind", str(wind13_path()),
+                             "--candidate", str(tmp_path / "base_plan.json")]) == 0
+        doc = json.loads((tmp_path / "mrp.json").read_text())
         for key in ("alpha", "n", "n_g", "gaps", "mean_gap", "var", "half_width",
                     "ci_upper", "ci_upper_pct"):
             assert key in doc
@@ -267,7 +276,7 @@ class TestMrpValidate:
         assert result.gaps == serial.gaps
         assert result.tainted == serial.tainted == 0
         assert result.candidate_mean_cost == serial.candidate_mean_cost
-        assert result_to_json(result) == result_to_json(serial)
+        assert result.to_document() == serial.to_document()
 
     def test_solves_stay_inside_their_replication(self, chain3, chain3_config, monkeypatch):
         """The sample problem is solved on the calling thread, the pricing on

@@ -22,7 +22,6 @@ from gridprep.report import (
     evaluate_plan,
     pv_fleet_for_level,
     schedule_metrics,
-    served_fraction_csv,
     sweep_pv,
 )
 from gridprep.scenarios import DamageScenario, ScenarioSet
@@ -587,6 +586,8 @@ class TestCli:
         ("network", ("lines", 0, "p_max"), "100", "p_max"),
         ("network", ("buses", 5, "demand_p", "a", 0), "1", "demand_p"),
         ("config", ("fuel_cost",), True, "fuel_cost"),
+        ("config", ("n_mu_default",), -1, "n_mu_default"),
+        ("config", ("n_mu_by_bus",), {"f4": -1}, "n_mu_by_bus['f4']"),
         ("fragility", ("pole_median",), math.nan, "pole_median"),
         ("fragility", ("pole_log_std",), math.inf, "pole_log_std"),
         ("fragility", ("tree_factor",), True, "tree_factor"),
@@ -601,7 +602,8 @@ class TestCli:
                                     {"line": "t2", "normally_open": True}], "switches[1]"),
         ("network", ("switches",), ["t2", "t4", "t2"], "switches[2]"),
     ], ids=["switch-open-string", "grid-forming-string", "substation-string", "p_max-bool",
-            "p_max-string", "demand-entry-string", "config-fuel_cost-bool", "fragility-median-nan",
+            "p_max-string", "demand-entry-string", "config-fuel_cost-bool", "config-mu-default-negative",
+            "config-mu-by-bus-negative", "fragility-median-nan",
             "fragility-log-std-inf", "fragility-tree-bool", "fragility-repair-fraction",
             "scenario-seed-too-large", "plan-meg-number", "plan-fuel-half-lot",
             "plan-fuel-off-by-1e-6", "plan-meg-twice", "plan-mes-twice", "switch-twice",
@@ -634,6 +636,46 @@ class TestCli:
                         "--epsilon", "1e-12", "--max-iters", "1",
                         "--out", str(tmp_path / "ph"))
         assert code == 4
+
+    @pytest.mark.parametrize("command, status, code", [
+        ("solve-ph", "iteration_limit", 4), ("evaluate", "iteration_limit", 4),
+        ("solve-ph", "infeasible", 3), ("evaluate", "infeasible", 3)])
+    def test_solve_without_a_verdict_is_not_infeasible(self, paths, tmp_path, monkeypatch, capsys,
+                                                       command, status, code):
+        # a solve that stopped at a limit proves nothing about feasibility
+        import gridprep.hedging
+        import gridprep.report
+        from gridprep.milp import MilpSolution
+
+        files = self.documents(paths, tmp_path)
+        module = gridprep.hedging if command == "solve-ph" else gridprep.report
+        monkeypatch.setattr(module, "solve_milp", lambda problem, **kw: MilpSolution(status))
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        flags = ["--plan", files["plan"]] if command == "evaluate" else []
+        assert self.run(command, "--network", paths["network"], "--config", paths["config"],
+                        "--scenarios", files["scenarios"], *flags, "--out", out) == code
+        error = one_error(capsys)["error"]
+        if code == 4:
+            assert error.startswith("solver did not converge: scenario 0 ")
+            assert error.endswith("stopped with status iteration_limit")
+        else:
+            assert "scenario 0" in error and "infeasible" in error
+        assert not Path(out).exists()
+
+    def test_mobile_unit_cap_for_a_bus_that_is_no_candidate(self, paths, tmp_path, capsys):
+        doc = json.loads(Path(paths["config"]).read_text())
+        doc["n_mu_by_bus"] = {"nope": 2, "f4": 1}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        code = self.run("solve-ef", "--network", paths["network"], "--config", str(cfg),
+                        "--scenarios", self.storms(paths, tmp_path / "s", 1, 1), "--out", out)
+        assert code == 3
+        assert one_error(capsys) == {
+            "error": "n_mu_by_bus names buses ['nope'] that are not candidate buses",
+            "exit_code": 3}
+        assert not Path(out).exists()
 
     def test_solver_failure_exit_code(self, paths, tmp_path, monkeypatch, capsys):
         import gridprep.cli as cli_mod
@@ -729,16 +771,24 @@ class TestCli:
         assert "Minimize" in lp_text and "Binaries" in lp_text
 
 
-def test_served_fraction_csv_shape():
+def test_served_fraction_csv_shape(tmp_path, monkeypatch):
+    import gridprep.cli as cli_mod
     from gridprep.report import EvaluationReport
 
     rep = EvaluationReport(plan_label="p", scenario_id=4, restored_energy_kwh=1.0,
-                           avg_outage_hours=0.0, served_fraction=[1.0, 0.5],
+                           avg_outage_hours=0.0, served_fraction=[1.0, np.float64(0.5)],
                            fuel_cost=1.0, switching_cost=0.0, shed_cost=2.0)
-    text = served_fraction_csv([rep])
-    lines = text.strip().split("\n")
+    monkeypatch.setattr(cli_mod, "evaluate_plan", lambda *args, **kw: rep)
+    common = ["--network", str(feeder13_path()), "--out", str(tmp_path)]
+    config = ["--config", str(config13_path())]
+    assert cli_main(["generate-scenarios", *common, "--wind", str(wind13_path()),
+                     "--count", "1"]) == 0
+    assert cli_main(["base-plan", *common, *config]) == 0
+    assert cli_main(["evaluate", *common, *config, "--scenarios", str(tmp_path / "scenarios.json"),
+                     "--plan", str(tmp_path / "base_plan.json")]) == 0
+    lines = (tmp_path / "served_fraction.csv").read_text().strip().split("\n")
     assert lines[1] == "p,4,0,1.0"
-    assert lines[2] == "p,4,1,0.5"
+    assert lines[2] == "p,4,1,0.5"  # a NumPy float is written as a float
     assert rep.total_cost == pytest.approx(3.0)
 
 

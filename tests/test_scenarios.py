@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from gridprep.cli import main as cli_main
+from gridprep.data import feeder13_path, fragility13_path, wind13_path
 from gridprep.network import network_from_document
 from gridprep.scenarios import (
     DamageScenario,
@@ -13,7 +15,6 @@ from gridprep.scenarios import (
     ScenarioSet,
     WindProfile,
     conductor_failure_prob,
-    dump_scenarios,
     generate_scenario_set,
     line_failure_prob,
     load_scenarios,
@@ -24,6 +25,15 @@ from gridprep.scenarios import (
 )
 
 from .conftest import small_network_doc
+
+
+def generated(out, count, seed) -> str:
+    """The scenario file ``generate-scenarios`` writes to ``out`` for
+    ``count`` storms at ``seed`` on the bundled feeder, wind and fragility."""
+    assert cli_main(["generate-scenarios", "--network", str(feeder13_path()),
+                     "--wind", str(wind13_path()), "--fragility", str(fragility13_path()),
+                     "--count", str(count), "--seed", str(seed), "--out", str(out)]) == 0
+    return (out / "scenarios.json").read_text()
 
 
 def make_line(poles=1, spans=0, p_u=0.0):
@@ -165,15 +175,15 @@ class TestSampling:
             scen = sample_damage_scenario(feeder13, wind, fragility13, seed=seed)
             assert scen.damaged_lines == frozenset()
 
-    def test_golden_scenario_seed42(self, feeder13, wind13, fragility13):
+    def test_golden_scenario_seed42(self, tmp_path):
         """First-generation output pinned as the golden file."""
         from pathlib import Path
 
-        ss = generate_scenario_set(feeder13, wind13, fragility13, count=3, seed=42)
         golden = Path(__file__).parent / "data" / "golden_scenario_seed42.json"
-        assert dump_scenarios(ss) == golden.read_text()
+        assert generated(tmp_path, 3, 42) == golden.read_text()
 
-    def test_seeds_outside_int64_draw_their_own_storms(self, feeder13, wind13, fragility13):
+    def test_seeds_outside_int64_draw_their_own_storms(self, feeder13, wind13, fragility13,
+                                                       tmp_path):
         # a seed is taken mod 2**64; seeds below 0 or from 2**63 once shared one stream
         from pathlib import Path
 
@@ -182,9 +192,9 @@ class TestSampling:
             warnings.simplefilter("error")
             draws = [sample_damage_scenario(feeder13, wind13, fragility13, seed=seed).irradiance
                      for seed in (-1, -2, 2**63, 2**63 + 1, 2**64 - 1)]
-            ss = generate_scenario_set(feeder13, wind13, fragility13, count=3, seed=42)
+            text = generated(tmp_path, 3, 42)
         assert len(set(draws[:4])) == 4 and draws[0] == draws[4]
-        assert dump_scenarios(ss) == golden.read_text()
+        assert text == golden.read_text()
 
     def test_single_scenario_has_probability_one(self, feeder13, wind13, fragility13):
         ss = generate_scenario_set(feeder13, wind13, fragility13, count=1, seed=5)
@@ -240,14 +250,14 @@ class TestSampling:
 
 
 class TestSerialization:
-    def test_scenario_set_round_trip(self, feeder13, wind13, fragility13):
+    def test_scenario_set_round_trip(self, feeder13, wind13, fragility13, tmp_path):
         ss = generate_scenario_set(feeder13, wind13, fragility13, count=4, seed=11)
-        again = load_scenarios(dump_scenarios(ss), feeder13)
+        again = load_scenarios(generated(tmp_path, 4, 11), feeder13)
         assert again == ss
 
-    def test_dump_is_deterministic(self, feeder13, wind13, fragility13):
-        a = dump_scenarios(generate_scenario_set(feeder13, wind13, fragility13, 4, 11))
-        b = dump_scenarios(generate_scenario_set(feeder13, wind13, fragility13, 4, 11))
+    def test_dump_is_deterministic(self, tmp_path):
+        a = generated(tmp_path / "a", 4, 11)
+        b = generated(tmp_path / "b", 4, 11)
         assert a == b
 
     def test_probabilities_must_sum_to_one(self):
