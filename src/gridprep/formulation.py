@@ -5,7 +5,10 @@ probability-weighted operations block per scenario) and single-scenario
 subproblems, the one compiled form of a scenario: its copies are priced for
 hedging with an exactly linearized proximal term, or pinned to a plan.
 Owns big-M derivation, inverter-capacity polygonization, and first-stage
-plan handling.
+plan handling.  :func:`build_first_stage` is the one statement of the
+first-stage rules: HiGHS receives its rows and bounds, and
+:meth:`FirstStagePlan.violations` checks a plan against a scratch compile of
+them.
 
 :class:`FirstStageVars` is the one map between first-stage columns and plan
 entries: it holds the hedging vector's column ids and turns a plan into a
@@ -122,53 +125,33 @@ class FirstStagePlan:
     def violations(
         self, model: NetworkModel, config: FormulationConfig, strict_totals: bool = True
     ) -> list[str]:
-        """Check the plan against the first-stage rules.
+        """The plan's breaches of the first stage that :func:`build_first_stage`
+        compiles, each naming its row or column as :func:`~gridprep.milp.write_lp`
+        does: an entry with no column, whatever its value, a value outside its
+        column's bounds, and a row broken by more than 1e-9 * (1 + |rhs|).
 
-        ``strict_totals=False`` accepts plans that hold back budgeted
-        resources (totals become upper bounds); placement caps, fuel site
-        bounds, and crew ranges always apply.
+        ``strict_totals=False`` reads the ``=`` rows, the MEG, MES and crew
+        totals, as ``<=``, so a plan may hold back budgeted units and crews.
+        A config the feeder cannot meet raises :class:`FormulationError`.
         """
-        out = []
-        n_meg_placed = sum(self.meg_at.values())
-        n_mes_placed = sum(self.mes_at.values())
-        if strict_totals:
-            if n_meg_placed != config.n_meg:
-                out.append(f"sum of MEG placements is {n_meg_placed}, expected {config.n_meg}")
-            if n_mes_placed != config.n_mes:
-                out.append(f"sum of MES placements is {n_mes_placed}, expected {config.n_mes}")
-        else:
-            if n_meg_placed > config.n_meg:
-                out.append(f"{n_meg_placed} MEGs placed but only {config.n_meg} available")
-            if n_mes_placed > config.n_mes:
-                out.append(f"{n_mes_placed} MESs placed but only {config.n_mes} available")
-        for b in sorted(set(self.meg_at) | set(self.mes_at)):
-            if b not in model.candidate_buses:
-                out.append(f"mobile unit placed at non-candidate bus '{b}'")
-            if self.meg_at.get(b, 0) + self.mes_at.get(b, 0) > config.n_mu(b):
-                out.append(f"bus '{b}' exceeds its mobile-unit cap {config.n_mu(b)}")
-        q = config.fuel_quantum
-        total_fuel = ordered_sum([lots * q for lots in self.fuel_lots.values()])
-        if total_fuel > config.n_fuel + 1e-9:
-            out.append(f"total fuel {total_fuel} L exceeds budget {config.n_fuel} L")
-        sites = fuel_site_bounds(model, config)
-        for b, (lo, hi) in sites.items():
-            lots = self.fuel_lots.get(b, 0)
-            if not lo <= lots <= hi:
-                out.append(f"fuel lots at '{b}' = {lots} outside [{lo}, {hi}]")
-        for b in self.fuel_lots:
-            if b not in sites:
-                out.append(f"fuel allocated to non-generator bus '{b}'")
-        n_crews = sum(self.crews.values())
-        if strict_totals and n_crews != config.n_crew:
-            out.append(f"sum of crews is {n_crews}, expected {config.n_crew}")
-        if not strict_totals and n_crews > config.n_crew:
-            out.append(f"{n_crews} crews assigned but only {config.n_crew} available")
-        for r in model.regions:
-            c = self.crews.get(r.id, 0)
-            if not r.crew_min <= c <= r.crew_max:
-                out.append(f"region '{r.id}' crews {c} outside [{r.crew_min}, {r.crew_max}]")
-        for r in sorted(set(self.crews) - {reg.id for reg in model.regions}):
-            out.append(f"crews assigned to unknown region '{r}'")
+        problem = MilpProblem("first_stage")
+        first = build_first_stage(model, config, problem, VariableIndex())
+        out = [f"{_vname((kind, entity))} = {value}: no first-stage column"
+               for kind in FIRST_STAGE_KINDS
+               for entity, value in sorted(getattr(self, KIND_FIELD_MAP[kind][1]).items())
+               if entity not in getattr(first, kind)]
+        x = np.zeros(problem.num_variables)
+        x[first.ids] = first.vector(self)
+        _, a_mat, senses, rhs, lower, upper = problem.matrices()
+        names = problem.column_names()
+        out += [f"{names[j]} = {x[j]:.17g} outside [{lower[j]:.17g}, {upper[j]:.17g}]"
+                for j in np.flatnonzero((x < lower) | (x > upper)).tolist()]
+        activity = ordered_sum(a_mat.toarray() * x, axis=1)
+        for name, ax, sense, b in zip(problem.row_names(), activity.tolist(), senses, rhs.tolist()):
+            sense = LE if sense == EQ and not strict_totals else sense
+            excess = {LE: ax - b, GE: b - ax, EQ: abs(ax - b)}[sense]
+            if excess > 1e-9 * (1.0 + abs(b)):
+                out.append(f"{name}: {ax:.17g} is not {sense} {b:.17g}")
         return out
 
 
@@ -1022,7 +1005,8 @@ def pin_plan(compiled: CompiledProblem, plan: FirstStagePlan) -> MilpProblem:
     fixed at the plan's value and the first-stage rows, which
     :meth:`FirstStagePlan.violations` checks, left out; so a thrifty plan
     (fewer units or crews than budgeted) meets no totals equality.  The
-    columns keep their ids, so ``compiled.index`` reads the copy.
+    columns keep their ids, so ``compiled.index`` reads the copy.  A plan
+    entry with no column is not pinned; ``violations`` reports it.
     """
     first = compiled.first
     values = first.vector(plan)

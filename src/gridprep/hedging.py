@@ -202,8 +202,10 @@ def evaluate_plan_cost(
     """True expected cost of a plan: each compiled scenario re-solved with it pinned.
 
     ``plain`` holds the scenarios' compiles in ``scen_set`` order; each is
-    solved as :func:`~gridprep.formulation.pin_plan` copies it, so any plan
-    that passes ``violations(strict_totals=False)`` can be priced.
+    solved as :func:`~gridprep.formulation.pin_plan` copies it, without the
+    first-stage rows, so any plan that meets the first stage's rows and
+    bounds with the totals read as ``<=`` (``violations(strict_totals=False)``
+    is empty) can be priced.
     """
 
     def solve_one(comp: CompiledProblem) -> float:

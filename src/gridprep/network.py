@@ -362,9 +362,12 @@ def network_from_document(doc: Mapping) -> NetworkModel:
             raise NetworkValidationError(f"switch entry references unknown line '{sid}'")
 
     regions = []
+    region_of: dict[str, str] = {}
     for raw_region in _read.get(doc, "regions", "document", list, []):
         rid = _read.get(raw_region, "id", "region", str)
         ctx = f"region {rid}"
+        if any(r.id == rid for r in regions):
+            raise NetworkValidationError(f"{ctx}: the id is listed twice in regions")
         depot = _read.get(raw_region, "depot_bus", ctx, str)
         if depot not in bus_map:
             raise NetworkValidationError(f"{ctx}: unknown depot bus '{depot}'")
@@ -372,6 +375,10 @@ def network_from_document(doc: Mapping) -> NetworkModel:
         for lid in members:
             if lid not in line_id_set:
                 raise NetworkValidationError(f"{ctx}: unknown line '{lid}'")
+            if lid in region_of:
+                raise NetworkValidationError(
+                    f"{ctx}: line '{lid}' is already listed in region '{region_of[lid]}'")
+            region_of[lid] = rid
         crew_min = _read.get(raw_region, "crew_min", ctx, int, 0)
         crew_max = _read.get(raw_region, "crew_max", ctx, int, 10**6)
         if not 0 <= crew_min <= crew_max:
@@ -491,18 +498,11 @@ class RegionReport:
 
 
 def validate_regions(model: NetworkModel, crew_total: int | None = None) -> RegionReport:
-    """Check the regions partition the line set and crew bounds admit a split."""
-    violations: list[str] = []
-    seen: dict[str, str] = {}
-    for r in model.regions:
-        for lid in r.lines:
-            if lid in seen:
-                violations.append(f"line '{lid}' assigned to regions '{seen[lid]}' and '{r.id}'")
-            else:
-                seen[lid] = r.id
-    for k in model.lines:
-        if k.id not in seen:
-            violations.append(f"line '{k.id}' not covered by any region")
+    """Check the regions cover the line set and crew bounds admit a split;
+    :func:`network_from_document` refuses a line listed in two regions."""
+    covered = {lid for r in model.regions for lid in r.lines}
+    violations = [f"line '{k.id}' not covered by any region" for k in model.lines
+                  if k.id not in covered]
     if crew_total is not None:
         lo = sum(r.crew_min for r in model.regions)
         hi = sum(r.crew_max for r in model.regions)

@@ -159,19 +159,13 @@ def build_base_plan(model: NetworkModel, config: FormulationConfig) -> FirstStag
         raise InsufficientResourcesError(
             f"{config.n_meg} MEGs cannot cover {len(substations)} substations"
         )
-    meg_at = {b: 0 for b in candidates}
-    for b in substations:
-        meg_at[b] = 1
-    remaining = config.n_meg - len(substations)
     ranked = sorted(
-        (b for b in candidates if meg_at[b] == 0 and config.n_mu(b) >= 1),
+        (b for b in candidates if b not in substations and config.n_mu(b) >= 1),
         key=lambda b: (-model.bus(b).shed_cost, b),
     )
-    for b in ranked[:remaining]:
-        meg_at[b] = 1
-    if sum(meg_at.values()) < config.n_meg:
+    meg_at = dict.fromkeys(substations + ranked[:config.n_meg - len(substations)], 1)
+    if len(meg_at) < config.n_meg:
         raise InsufficientResourcesError("not enough candidate buses to place every MEG")
-    mes_at = {b: 0 for b in candidates}
 
     sites = fuel_site_bounds(model, config)
     q = config.fuel_quantum
@@ -180,7 +174,7 @@ def build_base_plan(model: NetworkModel, config: FormulationConfig) -> FirstStag
     if budget_lots < 0:
         raise InsufficientResourcesError("on-site fuel exceeds the fuel budget")
     day_hours = 24.0
-    for b in sorted(b for b, v in meg_at.items() if v):
+    for b in sorted(meg_at):
         phases = len(model.bus(b).phases)
         cap_kw = (model.meg_template.p_max if model.meg_template else 0.0) * phases
         need_lots = math.ceil(config.fuel_rate * cap_kw * day_hours / q - 1e-9)
@@ -215,7 +209,7 @@ def build_base_plan(model: NetworkModel, config: FormulationConfig) -> FirstStag
             if not moved:
                 raise InsufficientResourcesError("crew bounds do not admit the crew total")
 
-    plan = FirstStagePlan(meg_at=meg_at, mes_at=mes_at, fuel_lots=lots, crews=crews)
+    plan = FirstStagePlan(meg_at=meg_at, mes_at={}, fuel_lots=lots, crews=crews)
     bad = plan.violations(model, config, strict_totals=False)
     if bad:
         raise InsufficientResourcesError(f"base recipe produced an invalid plan: {bad[0]}")

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridprep.data import config13_path, feeder13_path
 from gridprep.formulation import (
     FirstStagePlan,
     FormulationConfig,
@@ -23,6 +25,7 @@ from gridprep.formulation import (
     build_subproblem,
     big_m_virtual,
     big_m_voltage,
+    config_from_document,
     extract_schedule,
     fuel_site_bounds,
     gen_units,
@@ -40,6 +43,34 @@ from gridprep.scenarios import DamageScenario, ScenarioSet
 
 from .conftest import small_network_doc
 from .oracles import interval_voltage_big_m, polygon_admits, reachable_buses
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+#: one fault per first-stage rule, as edits to the seed-11 reference plan and
+#: to the bundled config; a plan edit replaces a list and updates a map
+SINGLE_FAULTS = {
+    "reference": ({}, {}),
+    "meg-total": ({"meg": ["f4"]}, {}),
+    "mes-total": ({"mes": []}, {}),
+    "non-candidate-bus": ({"meg": ["f4", "l5"]}, {}),
+    "bus-cap": ({}, {"n_mu_by_bus": {"f2": 0}}),
+    "fuel-budget": ({"fuel": {"f1": 300.0, "f3": 800.0}}, {}),
+    "site-lot-range": ({"fuel": {"f1": 900.0}}, {}),
+    "fuel-at-non-site": ({"fuel": {"l5": 100.0}}, {}),
+    "crew-total": ({"crews": {"r2": 2}}, {}),
+    "region-range": ({"crews": {"r1": 5, "r2": 0}}, {}),
+    "unknown-region": ({"crews": {"zz": 0}}, {}),
+}
+
+
+def plan_failures(*docs):
+    """``perfbench/checks.plan_failures``, which states the first-stage rules
+    apart from gridprep."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.plan_failures(*docs)
 
 
 def no_damage(horizon, sid=0, prob=1.0, irradiance=500.0):
@@ -734,11 +765,32 @@ class TestPlanHandling:
             crews={"r1": 9, "r2": 0, "r3": 0, "zz": 0},  # above regional max, unknown region
         )
         bad = plan.violations(feeder13, config13)
-        assert any("MEG placements" in v for v in bad)
-        assert any("non-candidate" in v for v in bad)
-        assert any("fuel lots" in v for v in bad)
-        assert any("crews" in v and "outside" in v for v in bad)
-        assert any("unknown region 'zz'" in v for v in bad)
+        assert "meg_total: 1 is not = 2" in bad
+        assert "mes_l5 = 1: no first-stage column" in bad
+        assert "lots_f1 = 99 outside [1, 8]" in bad
+        assert "crew_r1 = 9 outside [0, 4]" in bad
+        assert "crew_zz = 0: no first-stage column" in bad
+
+    @pytest.mark.parametrize("fault", list(SINGLE_FAULTS))
+    def test_violations_agree_with_the_benchmark_checker(self, feeder13, fault):
+        plan_edit, config_edit = SINGLE_FAULTS[fault]
+        plan_doc = json.loads((PERFBENCH / "reference.json").read_text())["plan"]["11"]
+        for key, value in plan_edit.items():
+            plan_doc[key] = {**plan_doc[key], **value} if isinstance(value, dict) else value
+        config_doc = {**json.loads(config13_path().read_text()), **config_edit}
+        config = config_from_document(config_doc)
+        expected = plan_failures(plan_doc, json.loads(feeder13_path().read_text()), config_doc)
+        assert bool(expected) == (fault != "reference")
+        plan = plan_from_document(plan_doc, config.fuel_quantum)
+        assert bool(plan.violations(feeder13, config)) == bool(expected)
+
+    def test_two_units_of_one_kind_at_one_bus_are_refused(self, feeder13, config13):
+        # the cap admits two units at f4, but a placement column is binary
+        config = replace(config13, n_mu_by_bus={"f4": 2})
+        plan = FirstStagePlan(meg_at={"f4": 2}, mes_at={}, fuel_lots={"f1": 1},
+                              crews={"r1": 2, "r2": 2, "r3": 2})
+        assert plan.violations(feeder13, config, strict_totals=False) == [
+            "meg_f4 = 2 outside [0, 1]"]
 
     def test_violations_do_not_depend_on_string_hashing(self):
         # the first violation is the one hedging and validation report

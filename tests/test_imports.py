@@ -131,7 +131,6 @@ def test_ordered_sums_have_one_home():
 #: the functions whose builtin ``sum`` adds integer counts, which every
 #: order of addition adds exactly
 INTEGER_SUMS = {
-    ("formulation.py", "FirstStagePlan.violations"),
     ("formulation.py", "check_first_stage_config"),
     ("network.py", "validate_regions"),
     ("report.py", "build_base_plan"),

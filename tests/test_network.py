@@ -274,14 +274,15 @@ class TestValidateRegions:
         assert report.ok
 
     def test_line_in_two_regions_is_flagged(self):
+        # one line's repair can draw on one region's crews only
         doc = minimal_doc()
         doc["regions"] = [
             {"id": "r1", "depot_bus": "a", "lines": ["ab"], "crew_min": 0, "crew_max": 5},
             {"id": "r2", "depot_bus": "b", "lines": ["ab"], "crew_min": 0, "crew_max": 5},
         ]
-        report = validate_regions(network_from_document(doc))
-        assert any("'ab'" in v and "two" in v or "r1" in v for v in report.violations)
-        assert not report.ok
+        with pytest.raises(NetworkValidationError,
+                           match="region r2: line 'ab' is already listed in region 'r1'"):
+            network_from_document(doc)
 
     def test_uncovered_line_is_flagged(self):
         doc = minimal_doc()

@@ -229,7 +229,7 @@ class TestEvaluatePlan:
 
     def test_invalid_plan_is_reported(self, feeder13, config13):
         bad = FirstStagePlan(meg_at={"nowhere": 1}, mes_at={}, fuel_lots={}, crews={})
-        with pytest.raises(EvaluationError, match="non-candidate"):
+        with pytest.raises(EvaluationError, match="meg_nowhere = 1: no first-stage column"):
             evaluate_plan(bad, feeder13, no_damage(feeder13.horizon), config13)
 
 
@@ -601,13 +601,16 @@ class TestCli:
         ("network", ("switches",), [{"line": "t2", "normally_open": False},
                                     {"line": "t2", "normally_open": True}], "switches[1]"),
         ("network", ("switches",), ["t2", "t4", "t2"], "switches[2]"),
+        ("network", ("regions", 1, "lines"), ["t3", "d7", "d8", "d9", "d5"],
+         "region r2: line 'd5' is already listed in region 'r1'"),
+        ("network", ("regions", 1, "id"), "r1", "region r1: the id is listed twice"),
     ], ids=["switch-open-string", "grid-forming-string", "substation-string", "p_max-bool",
             "p_max-string", "demand-entry-string", "config-fuel_cost-bool", "config-mu-default-negative",
             "config-mu-by-bus-negative", "fragility-median-nan",
             "fragility-log-std-inf", "fragility-tree-bool", "fragility-repair-fraction",
             "scenario-seed-too-large", "plan-meg-number", "plan-fuel-half-lot",
             "plan-fuel-off-by-1e-6", "plan-meg-twice", "plan-mes-twice", "switch-twice",
-            "switch-name-twice"])
+            "switch-name-twice", "region-line-twice", "region-id-twice"])
     def test_malformed_scalar_is_input_error_naming_its_key(self, paths, tmp_path, capsys, what,
                                                             where, value, key):
         # each of these read as some other value, and ran, before one reader checked them all
@@ -676,6 +679,18 @@ class TestCli:
             "error": "n_mu_by_bus names buses ['nope'] that are not candidate buses",
             "exit_code": 3}
         assert not Path(out).exists()
+
+    def test_base_plan_refuses_a_config_the_feeder_cannot_meet(self, paths, tmp_path, capsys):
+        # the base plan is checked against the first stage every command compiles
+        doc = json.loads(Path(paths["config"]).read_text())
+        doc["n_mu_by_bus"] = {"nope": 2}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "base"
+        assert self.run("base-plan", "--network", paths["network"], "--config", str(cfg),
+                        "--out", str(out)) == 3
+        assert "'nope'" in one_error(capsys)["error"]
+        assert not (out / "base_plan.json").exists()
 
     def test_solver_failure_exit_code(self, paths, tmp_path, monkeypatch, capsys):
         import gridprep.cli as cli_mod
