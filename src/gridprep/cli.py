@@ -260,12 +260,12 @@ def cmd_sweep_pv(args) -> int:
 
 def cmd_check_network(args) -> int:
     model = _model(args)
-    report = validate_regions(model, crew_total=args.crew_total)
-    for v in report.violations:
+    violations = validate_regions(model)
+    for v in violations:
         print(f"violation: {v}")
     print(f"{len(model.buses)} buses, {len(model.lines)} lines, "
-          f"{len(model.regions)} regions; {len(report.violations)} violation(s)")
-    return EXIT_OK if report.ok else EXIT_INFEASIBLE
+          f"{len(model.regions)} regions; {len(violations)} violation(s)")
+    return EXIT_INFEASIBLE if violations else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-network", help="validate a network document")
     p.add_argument("--network", required=True)
-    p.add_argument("--crew-total", type=int, default=None)
     p.set_defaults(fn=cmd_check_network)
 
     return parser

@@ -48,6 +48,9 @@ from .problem import (
 # the HiGHS status is read from the message.
 _HIGHS_ERRORS = frozenset({1, 3, 4, 5})
 
+#: branch-and-bound nodes HiGHS may explore in one MILP solve
+NODE_LIMIT = 200_000
+
 
 def _highs_error(message: str) -> bool:
     found = re.search(r"HiGHS Status (\d+):", message)
@@ -237,7 +240,7 @@ def _lp_highs(problem: MilpProblem, red: _Reduced) -> MilpSolution:
     return _finish(problem, red, np.asarray(res.x))
 
 
-def _milp_highs(problem: MilpProblem, red: _Reduced, gap_tol: float, node_limit: int) -> MilpSolution:
+def _milp_highs(problem: MilpProblem, red: _Reduced, gap_tol: float) -> MilpSolution:
     lb = np.where(red.senses == LE, -np.inf, red.b)
     ub = np.where(red.senses == GE, np.inf, red.b)
     constraints = LinearConstraint(red.a, lb, ub) if len(red.senses) else ()
@@ -248,7 +251,7 @@ def _milp_highs(problem: MilpProblem, red: _Reduced, gap_tol: float, node_limit:
             constraints=constraints,
             integrality=red.integer_mask.astype(int),
             bounds=Bounds(red.lower, red.upper),
-            options={"mip_rel_gap": gap_tol, "node_limit": node_limit, "presolve": presolve},
+            options={"mip_rel_gap": gap_tol, "node_limit": NODE_LIMIT, "presolve": presolve},
         )
 
     res = run(presolve=True)
@@ -276,11 +279,7 @@ def _milp_highs(problem: MilpProblem, red: _Reduced, gap_tol: float, node_limit:
     return sol
 
 
-def solve_milp(
-    problem: MilpProblem,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    node_limit: int = 200_000,
-) -> MilpSolution:
+def solve_milp(problem: MilpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> MilpSolution:
     """Solve to a proven relative gap; ``node_count`` is HiGHS's node count.
 
     Integer bounds stay as presolve rounded them when it leaves no integer
@@ -291,4 +290,4 @@ def solve_milp(
         return MilpSolution(status=INFEASIBLE)
     if not np.any(red.integer_mask):
         return _lp_highs(problem, red)
-    return _milp_highs(problem, red, gap_tol, node_limit)
+    return _milp_highs(problem, red, gap_tol)

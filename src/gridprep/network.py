@@ -488,30 +488,9 @@ def enumerate_loops(model: NetworkModel) -> LoopSet:
     return LoopSet(loops=tuple(loops))
 
 
-@dataclass(frozen=True)
-class RegionReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_regions(model: NetworkModel, crew_total: int | None = None) -> RegionReport:
-    """Check the regions cover the line set and crew bounds admit a split;
-    :func:`network_from_document` refuses a line listed in two regions."""
+def validate_regions(model: NetworkModel) -> list[str]:
+    """Name every line no region covers; :func:`network_from_document`
+    refuses a line listed in two regions."""
     covered = {lid for r in model.regions for lid in r.lines}
-    violations = [f"line '{k.id}' not covered by any region" for k in model.lines
-                  if k.id not in covered]
-    if crew_total is not None:
-        lo = sum(r.crew_min for r in model.regions)
-        hi = sum(r.crew_max for r in model.regions)
-        if crew_total < lo:
-            violations.append(
-                f"crew total {crew_total} below the sum of regional minima {lo} (infeasible)"
-            )
-        if crew_total > hi:
-            violations.append(
-                f"crew total {crew_total} above the sum of regional maxima {hi} (infeasible)"
-            )
-    return RegionReport(violations=tuple(violations))
+    return [f"line '{k.id}' not covered by any region" for k in model.lines
+            if k.id not in covered]

@@ -19,6 +19,7 @@ from .formulation import (
     FormulationConfig,
     SecondStageSchedule,
     build_subproblem,
+    check_first_stage_config,
     extract_schedule,
     fuel_site_bounds,
     pin_plan,
@@ -147,7 +148,9 @@ def evaluate_plan(
 
 def build_base_plan(model: NetworkModel, config: FormulationConfig) -> FirstStagePlan:
     """Heuristic pre-event plan: substation generators, priority-load extras,
-    a day of fuel per generator site, even crew split, no mobile storage."""
+    a day of fuel per generator site, even crew split, no mobile storage;
+    :func:`check_first_stage_config` first refuses a config the feeder cannot meet."""
+    check_first_stage_config(model, config)
     candidates = sorted(model.candidate_buses)
     substations = [b.id for b in model.buses if b.substation and b.id in model.candidate_buses]
     missing = [b.id for b in model.buses if b.substation and b.id not in model.candidate_buses]
@@ -171,8 +174,6 @@ def build_base_plan(model: NetworkModel, config: FormulationConfig) -> FirstStag
     q = config.fuel_quantum
     lots = {b: lo for b, (lo, _) in sites.items()}
     budget_lots = int(math.floor(config.n_fuel / q + 1e-9)) - sum(lots.values())
-    if budget_lots < 0:
-        raise InsufficientResourcesError("on-site fuel exceeds the fuel budget")
     day_hours = 24.0
     for b in sorted(meg_at):
         phases = len(model.bus(b).phases)
@@ -192,22 +193,18 @@ def build_base_plan(model: NetworkModel, config: FormulationConfig) -> FirstStag
         for i, r in enumerate(ordered):
             # even split, remainder to the lowest region ids, clamped into bounds
             crews[r.id] = min(max(even + (1 if i < rem else 0), r.crew_min), r.crew_max)
+        # the config check put n_crew inside the crew bounds, so this ends
         drift = config.n_crew - sum(crews.values())
         while drift != 0:
-            moved = False
             for r in ordered:
                 if drift > 0 and crews[r.id] < r.crew_max:
                     crews[r.id] += 1
                     drift -= 1
-                    moved = True
                 elif drift < 0 and crews[r.id] > r.crew_min:
                     crews[r.id] -= 1
                     drift += 1
-                    moved = True
                 if drift == 0:
                     break
-            if not moved:
-                raise InsufficientResourcesError("crew bounds do not admit the crew total")
 
     plan = FirstStagePlan(meg_at=meg_at, mes_at={}, fuel_lots=lots, crews=crews)
     bad = plan.violations(model, config, strict_totals=False)

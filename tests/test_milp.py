@@ -330,17 +330,20 @@ class TestSolveMilp:
         with pytest.raises(NumericalInstabilityError, match="breaks a row by 0.6"):
             solve_milp(p, gap_tol=0.0)
 
-    def test_node_limit_is_a_limit_not_an_error(self):
+    def test_node_limit_is_a_limit_not_an_error(self, monkeypatch):
         """SciPy reports HiGHS's node limit as status 4, as it does a solve
         error; a solve stopped at its node limit still ends as
         ``ITERATION_LIMIT``, with its incumbent when it has one."""
+        import gridprep.milp.solve as solve_mod
+
         w = [40.0, 44.0, 58.0, 49.0, 45.0, 41.0, 42.0, 57.0, 31.0, 52.0]
         v = [47.0, 45.0, 62.0, 57.0, 50.0, 42.0, 49.0, 64.0, 39.0, 54.0]
         knapsack = build([-x for x in v], [w], [LE], [230.0], [(0, 1)] * 10, kinds=[BINARY] * 10)
         full = solve_milp(knapsack, gap_tol=0.0)
         assert full.status == "optimal" and full.objective == pytest.approx(-261.0)
         assert full.node_count > 1
-        limited = solve_milp(knapsack, gap_tol=0.0, node_limit=1)
+        monkeypatch.setattr(solve_mod, "NODE_LIMIT", 1)
+        limited = solve_milp(knapsack, gap_tol=0.0)
         assert limited.status == ITERATION_LIMIT
         assert max_violation(knapsack, limited.values) <= 1e-6
         assert limited.objective >= full.objective - 1e-9
@@ -349,7 +352,7 @@ class TestSolveMilp:
         a = rng.integers(0, 100, (2, 12)).astype(float)
         b = np.floor(a.sum(axis=1) / 2)
         split = build(rng.normal(size=12), a, [EQ, EQ], b, [(0, 1)] * 12, kinds=[BINARY] * 12)
-        stopped = solve_milp(split, gap_tol=0.0, node_limit=1)
+        stopped = solve_milp(split, gap_tol=0.0)
         assert stopped.status == ITERATION_LIMIT and stopped.values.size == 0
 
     def test_solver_error_retries_without_presolve(self, monkeypatch):

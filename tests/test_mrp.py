@@ -116,10 +116,11 @@ class TestReplicateGap:
                                                loops13, monkeypatch):
         """A real solve stopped at its node limit taints the replication.
 
-        The wrapper only holds HiGHS to one node; the statuses are HiGHS's
-        own.  Pricing the base plan on the second storm of sample 41 then
-        ends at the limit.
+        HiGHS is held to one node and the wrapper only records each
+        status, HiGHS's own.  Pricing the base plan on the second storm of
+        sample 41 then ends at the limit.
         """
+        import gridprep.milp.solve as solve_mod
         import gridprep.mrp as mrp_mod
         from gridprep.report import build_base_plan
         from gridprep.scenarios import generate_scenario_set
@@ -127,15 +128,16 @@ class TestReplicateGap:
         real = mrp_mod.solve_milp
         statuses = []
 
-        def one_node(problem, gap_tol=0.0, **kw):
-            sol = real(problem, gap_tol=gap_tol, node_limit=1)
+        def recorded(problem, gap_tol=0.0):
+            sol = real(problem, gap_tol=gap_tol)
             statuses.append(sol.status)
             return sol
 
         def sampler(n, seed):
             return generate_scenario_set(feeder13, wind13, fragility13, count=n, seed=seed)
 
-        monkeypatch.setattr(mrp_mod, "solve_milp", one_node)
+        monkeypatch.setattr(solve_mod, "NODE_LIMIT", 1)
+        monkeypatch.setattr(mrp_mod, "solve_milp", recorded)
         with usable_cores(1):
             gap, cost, tainted = replicate_gap(build_base_plan(feeder13, config13), feeder13,
                                                config13, sampler, n=2, seed=41, loops=loops13)

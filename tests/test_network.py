@@ -270,8 +270,7 @@ class TestValidateRegions:
         doc = minimal_doc()
         doc["regions"] = [{"id": "r", "depot_bus": "a", "lines": ["ab"],
                            "crew_min": 0, "crew_max": 5}]
-        report = validate_regions(network_from_document(doc), crew_total=3)
-        assert report.ok
+        assert validate_regions(network_from_document(doc)) == []
 
     def test_line_in_two_regions_is_flagged(self):
         # one line's repair can draw on one region's crews only
@@ -287,15 +286,8 @@ class TestValidateRegions:
     def test_uncovered_line_is_flagged(self):
         doc = minimal_doc()
         doc["regions"] = []
-        report = validate_regions(network_from_document(doc))
-        assert any("not covered" in v for v in report.violations)
-
-    def test_crew_minimum_exceeding_total_warns(self):
-        doc = minimal_doc()
-        doc["regions"] = [{"id": "r", "depot_bus": "a", "lines": ["ab"],
-                           "crew_min": 4, "crew_max": 6}]
-        report = validate_regions(network_from_document(doc), crew_total=2)
-        assert any("infeasible" in v for v in report.violations)
+        violations = validate_regions(network_from_document(doc))
+        assert violations == ["line 'ab' not covered by any region"]
 
 
 def test_symbol_audit_every_index_kind_maps_to_a_field(chain3, chain3_config):

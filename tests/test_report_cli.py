@@ -13,8 +13,14 @@ import pytest
 from gridprep.cli import build_parser
 from gridprep.cli import main as cli_main
 from gridprep.data import config13_path, feeder13_path, fragility13_path, wind13_path
-from gridprep.formulation import FirstStagePlan, FormulationConfig, SecondStageSchedule
-from gridprep.network import network_from_document
+from gridprep.formulation import (
+    FirstStagePlan,
+    FormulationConfig,
+    SecondStageSchedule,
+    config_from_document,
+    plan_from_document,
+)
+from gridprep.network import load_network, network_from_document
 from gridprep.report import (
     EvaluationError,
     InsufficientResourcesError,
@@ -322,7 +328,10 @@ class TestCli:
          "gridprep generate-scenarios: argument --count: invalid int value: 'abc'"),
         (["plan-everything"], "gridprep: argument command: invalid choice: 'plan-everything'"),
         ([], "gridprep: the following arguments are required: command"),
-    ], ids=["unknown-flag", "missing-flag", "count-not-int", "unknown-command", "no-command"])
+        (["check-network", "--network", "n.json", "--crew-total", "3"],
+         "gridprep: unrecognized arguments: --crew-total 3"),
+    ], ids=["unknown-flag", "missing-flag", "count-not-int", "unknown-command", "no-command",
+            "crew-total"])
     def test_refused_command_line_is_input_error(self, capsys, argv, message):
         assert cli_main(argv) == 2
         error = one_error(capsys)
@@ -456,26 +465,60 @@ class TestCli:
         assert code == 2
         assert not (tmp_path / "s" / "scenarios.json").exists()
 
-    @pytest.mark.parametrize("command", ["solve-ef", "evaluate", "validate-mrp", "sweep-pv"])
-    def test_infeasible_config_exit_code(self, paths, tmp_path, capsys, command):
+    def refused_config(self, paths, tmp_path, capsys, command, edit) -> dict:
+        """Run ``command`` on the fixture with ``edit`` applied to its
+        config, assert it exits 3 and writes nothing, and return its error."""
         cfg = tmp_path / "cfg.json"
         doc = json.loads(Path(paths["config"]).read_text())
-        doc["n_crew"] = 99  # above the regional maxima
+        doc.update(edit)
         cfg.write_text(json.dumps(doc))
         scenarios = ["--scenarios", self.storms(paths, tmp_path / "s", 1, 1)]
         assert self.run("base-plan", "--network", paths["network"], "--config", paths["config"],
                         "--out", str(tmp_path / "base")) == 0
         plan = str(tmp_path / "base" / "base_plan.json")
-        flags = {"solve-ef": scenarios,
+        flags = {"base-plan": [],
+                 "solve-ef": scenarios,
+                 "solve-ph": scenarios,
                  "evaluate": [*scenarios, "--plan", plan],
                  "validate-mrp": ["--candidate", plan, "--wind", paths["wind"]],
                  "sweep-pv": [*scenarios, "--levels", "0,9"]}[command]
+        capsys.readouterr()
         code = self.run(command, "--network", paths["network"], "--config", str(cfg),
                         *flags, "--out", str(tmp_path / "out"))
         assert code == 3
-        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert error["exit_code"] == 3 and "crew total 99" in error["error"]
+        error = one_error(capsys)
+        assert error["exit_code"] == 3
         assert not (tmp_path / "out").exists()
+        return error
+
+    @pytest.mark.parametrize("command", ["base-plan", "solve-ef", "solve-ph", "evaluate",
+                                         "validate-mrp", "sweep-pv"])
+    def test_infeasible_config_exit_code(self, paths, tmp_path, capsys, command):
+        # above the regional maxima: every command that reads a config says so alike
+        error = self.refused_config(paths, tmp_path, capsys, command, {"n_crew": 99})
+        assert error["error"] == "crew total 99 outside the feasible range [0, 12]"
+
+    @pytest.mark.parametrize("command", ["base-plan", "solve-ef", "solve-ph", "evaluate",
+                                         "validate-mrp", "sweep-pv"])
+    def test_fuel_budget_below_on_site_fuel_exit_code(self, paths, tmp_path, capsys, command):
+        error = self.refused_config(paths, tmp_path, capsys, command, {"n_fuel": 50.0})
+        assert error["error"] == "on-site fuel 100.0 L already exceeds the budget 50.0 L"
+
+    def test_base_plan_meets_a_fuel_budget_just_below_on_site_fuel(self, paths, tmp_path):
+        """5e-10 L short of the 100 L already on site is within the fuel
+        budget row's tolerance, so the config check admits it and so does
+        ``base-plan``."""
+        doc = json.loads(Path(paths["config"]).read_text())
+        doc.update(fuel_quantum=0.001, n_fuel=99.9999999995)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert self.run("base-plan", "--network", paths["network"], "--config", str(cfg),
+                        "--out", str(tmp_path / "out")) == 0
+        config = config_from_document(doc)
+        plan = plan_from_document(json.loads((tmp_path / "out" / "base_plan.json").read_text()),
+                                  config.fuel_quantum)
+        model = load_network(Path(paths["network"]).read_text())
+        assert plan.violations(model, config, strict_totals=False) == []
 
     def test_sweep_without_load_buses_exit_code(self, paths, tmp_path, capsys):
         doc = json.loads(Path(paths["network"]).read_text())
