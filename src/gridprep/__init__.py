@@ -22,7 +22,6 @@ from .network import (
     enumerate_loops,
     load_network,
     network_from_document,
-    validate_regions,
 )
 from .scenarios import (
     DamageScenario,

@@ -634,9 +634,6 @@ def build_second_stage(
     for lid in damaged:
         model.line(lid)  # raises KeyError for unknown ids
     region_of = {lid: r.id for r in model.regions for lid in r.lines}
-    for lid in sorted(damaged):
-        if lid not in region_of:
-            raise FormulationError(f"damaged line '{lid}' belongs to no region")
     mv = big_m_virtual(model)
     gens = gen_units(model)
     stores = storage_units(model)

@@ -2,16 +2,16 @@
 
 Every solve takes one path: an own presolve (singleton rows folded into
 bounds, integer bounds rounded, fixed variables substituted out), then HiGHS
-through SciPy, ``milp`` while integer variables remain and ``linprog`` once
-none do.  HiGHS is deterministic at fixed inputs, so every solve is too.
-Each returned point is checked against the original rows and bounds, and
-one that breaks them raises :class:`NumericalInstabilityError`; the checked
-point, one float64 per column, is the solution's ``values``, and its cost,
-added in column order by :func:`~gridprep.parallel.ordered_sum`, is the
-solution's ``objective``.  A HiGHS MILP solve that ends in a load,
-presolve, solve or postsolve error is tried once more with HiGHS's own
-presolve off, and raises the same error only if that fails too; a MILP
-stopped at its node limit returns ``ITERATION_LIMIT`` instead.
+through SciPy's ``milp``, which runs HiGHS's LP solver once no integer
+variable remains.  HiGHS is deterministic at fixed inputs, so every solve is
+too.  Each returned point is checked against the original rows and bounds,
+and one that breaks them raises :class:`NumericalInstabilityError`; the
+checked point, one float64 per column, is the solution's ``values``, and its
+cost, added in column order by :func:`~gridprep.parallel.ordered_sum`, is
+the solution's ``objective``.  A HiGHS solve that ends in a load, presolve,
+solve or postsolve error is tried once more with HiGHS's own presolve off,
+and raises the same error only if that fails too; a MILP stopped at its node
+limit returns ``ITERATION_LIMIT`` instead.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+# linprog is called nowhere: perfbench/spans.py wraps this module's binding of it
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp as scipy_milp
 
 from ..parallel import ordered_sum
@@ -199,47 +200,6 @@ def _finish(problem: MilpProblem, red: _Reduced, x: np.ndarray, dual_bound: floa
                         node_count=node_count)
 
 
-def _lp_highs(problem: MilpProblem, red: _Reduced) -> MilpSolution:
-    """Solve a reduced problem that has no integer variable left."""
-    if red.a.shape[1] == 0:
-        return _finish(problem, red, np.empty(0))
-    le_rows = np.flatnonzero(red.senses == LE)
-    ge_rows = np.flatnonzero(red.senses == GE)
-    eq_rows = np.flatnonzero(red.senses == EQ)
-    a_csr = red.a
-    a_ub = b_ub = a_eq = b_eq = None
-    if len(le_rows) or len(ge_rows):
-        parts = []
-        rhs = []
-        if len(le_rows):
-            parts.append(a_csr[le_rows])
-            rhs.append(red.b[le_rows])
-        if len(ge_rows):
-            parts.append(-a_csr[ge_rows])
-            rhs.append(-red.b[ge_rows])
-        a_ub = sparse.vstack(parts).tocsr()
-        b_ub = np.concatenate(rhs)
-    if len(eq_rows):
-        a_eq = a_csr[eq_rows]
-        b_eq = red.b[eq_rows]
-    res = linprog(
-        red.c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([red.lower, red.upper]),
-        method="highs",
-    )
-    if res.status == 2:
-        return MilpSolution(status=INFEASIBLE)
-    if res.status == 3:
-        return MilpSolution(status=UNBOUNDED)
-    if res.status != 0:
-        raise NumericalInstabilityError(f"HiGHS LP failed: {res.message}")
-    return _finish(problem, red, np.asarray(res.x))
-
-
 def _milp_highs(problem: MilpProblem, red: _Reduced, gap_tol: float) -> MilpSolution:
     lb = np.where(red.senses == LE, -np.inf, red.b)
     ub = np.where(red.senses == GE, np.inf, red.b)
@@ -282,12 +242,15 @@ def _milp_highs(problem: MilpProblem, red: _Reduced, gap_tol: float) -> MilpSolu
 def solve_milp(problem: MilpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> MilpSolution:
     """Solve to a proven relative gap; ``node_count`` is HiGHS's node count.
 
-    Integer bounds stay as presolve rounded them when it leaves no integer
-    variable, so the LP it then solves is the MILP itself.
+    Every reduced problem with a column goes to HiGHS through SciPy's
+    ``milp``.  Integer bounds stay as presolve rounded them when it leaves no
+    integer variable, so the LP HiGHS then solves is the MILP itself, and
+    its bound is its objective.  A problem presolve fixes whole is checked
+    and returned without HiGHS.
     """
     red = _presolve(problem)
     if red.infeasible:
         return MilpSolution(status=INFEASIBLE)
-    if not np.any(red.integer_mask):
-        return _lp_highs(problem, red)
+    if len(red.c) == 0:  # SciPy's milp refuses an empty objective
+        return _finish(problem, red, np.empty(0))
     return _milp_highs(problem, red, gap_tol)

@@ -384,6 +384,9 @@ def network_from_document(doc: Mapping) -> NetworkModel:
         if not 0 <= crew_min <= crew_max:
             raise NetworkValidationError(f"{ctx}: require 0 <= crew_min <= crew_max")
         regions.append(Region(id=rid, depot_bus=depot, lines=members, crew_min=crew_min, crew_max=crew_max))
+    for lid in line_ids:
+        if lid not in region_of:
+            raise NetworkValidationError(f"line '{lid}' is listed in no region")
 
     def units(key: str, cls) -> tuple:
         return tuple(_read.record(cls, raw, f"{key}[{i}]")
@@ -486,11 +489,3 @@ def enumerate_loops(model: NetworkModel) -> LoopSet:
                 a = up[0]
             loops.append(Loop(members=frozenset(members)))
     return LoopSet(loops=tuple(loops))
-
-
-def validate_regions(model: NetworkModel) -> list[str]:
-    """Name every line no region covers; :func:`network_from_document`
-    refuses a line listed in two regions."""
-    covered = {lid for r in model.regions for lid in r.lines}
-    return [f"line '{k.id}' not covered by any region" for k in model.lines
-            if k.id not in covered]

@@ -38,7 +38,7 @@ from gridprep.formulation import (
     VariableIndex,
 )
 from gridprep.milp import MilpProblem, ProblemError, solve_milp
-from gridprep.network import enumerate_loops, network_from_document
+from gridprep.network import NetworkValidationError, enumerate_loops, network_from_document
 from gridprep.scenarios import DamageScenario, ScenarioSet
 
 from .conftest import small_network_doc
@@ -441,12 +441,12 @@ class TestSecondStage:
             assert sched.pickup[("b3", t)] > 0.5  # on-site PV carries the load
             assert sched.energized[("b3", t)] < 0.5  # without energizing the bus
 
-    def test_damaged_line_outside_regions_rejected(self, chain3, chain3_config):
+    def test_damaged_line_outside_regions_rejected(self):
+        # refused where the feeder is read, whichever lines a storm damages
         doc = small_network_doc()
         doc["regions"][0]["lines"] = ["l12"]  # l23 uncovered
-        model = network_from_document(doc)
-        with pytest.raises(FormulationError, match="belongs to no region"):
-            build_subproblem(model, damage({"l23": 2}, 3), chain3_config)
+        with pytest.raises(NetworkValidationError, match="^line 'l23' is listed in no region$"):
+            network_from_document(doc)
 
 
 class TestExtensiveForm:

@@ -292,3 +292,44 @@ def test_highs_has_one_entry_module():
                     and any(f"{prefix}{a.name}".startswith("scipy.optimize") for a in node.names)):
                 stray.append(f"{name}:{node.lineno}")
     assert not stray, "scipy.optimize imported outside gridprep.milp.solve: " + ", ".join(stray)
+
+
+#: what a module may call of ``scipy.optimize``: ``milp`` and the types of its arguments
+SCIPY_CALLS = {"milp", "Bounds", "LinearConstraint"}
+
+
+def scipy_solver_calls(tree) -> list[tuple[int, str]]:
+    """(line, name) of each call in ``tree`` to a ``scipy.optimize`` function
+    outside ``SCIPY_CALLS``, under whatever name the module binds it."""
+    functions, modules = {}, {"scipy.optimize"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.optimize"):
+            functions |= {a.asname or a.name: a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            modules |= {a.asname or a.name for a in node.names if a.name == "optimize"}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.asname and a.name == "scipy.optimize"}
+    calls = []
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Name) and func.id in functions:
+            calls.append((node.lineno, functions[func.id]))
+        elif isinstance(func, ast.Attribute) and ast.unparse(func.value) in modules:
+            calls.append((node.lineno, func.attr))
+    return sorted((line, name) for line, name in calls if name not in SCIPY_CALLS)
+
+
+def test_highs_has_one_solver_call():
+    """Every solve reaches HiGHS through SciPy's ``milp`` (``scipy_milp`` in
+    ``gridprep.milp.solve``), which runs HiGHS's LP solver when no integer
+    is left; a call to ``linprog`` or any other SciPy solver is a second
+    path past ``milp``'s status handling."""
+    planted = ("from scipy.optimize import Bounds, linprog, milp as scipy_milp\n"
+               "from scipy import optimize\nimport scipy.optimize as so\n"
+               "def f(c):\n    scipy_milp(c, bounds=Bounds(0, 1))\n    linprog(c)\n"
+               "    optimize.minimize(f, c)\n    so.linprog(c)\n")
+    assert scipy_solver_calls(ast.parse(planted)) == [(6, "linprog"), (7, "minimize"), (8, "linprog")]
+    stray = [f"{path.relative_to(SRC / 'gridprep').as_posix()}:{line} calls {name}"
+             for path in sorted((SRC / "gridprep").rglob("*.py"))
+             for line, name in scipy_solver_calls(ast.parse(path.read_text()))]
+    assert not stray, "SciPy solvers called other than milp: " + ", ".join(stray)

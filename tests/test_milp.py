@@ -194,7 +194,7 @@ class TestProblemRepresentation:
 
 
 class TestSolveLp:
-    """Problems with no integer variable, which ``solve_milp`` hands to HiGHS's LP solver."""
+    """Problems with no integer variable, solved by HiGHS through ``milp`` with no integrality."""
 
     def test_lower_bounded_singleton(self):
         p = build([1.0], [[1.0]], [GE], [3.0], [(0.0, 10.0)])
@@ -312,12 +312,12 @@ class TestSolveMilp:
                 assert max_violation(p, sol.values) <= 1e-6
                 assert max_integrality_violation(p, sol.values) <= 1e-6
 
-    @pytest.mark.parametrize("engine, kind", [("scipy_milp", BINARY), ("linprog", "continuous")])
-    def test_point_breaking_a_row_is_refused(self, monkeypatch, engine, kind):
+    @pytest.mark.parametrize("kind", [BINARY, "continuous"])
+    def test_point_breaking_a_row_is_refused(self, monkeypatch, kind):
         """Every returned point is checked against the original rows and bounds."""
         import gridprep.milp.solve as solve_mod
 
-        real = getattr(solve_mod, engine)
+        real = solve_mod.scipy_milp
 
         def corrupted(*args, **kw):
             res = real(*args, **kw)
@@ -326,7 +326,7 @@ class TestSolveMilp:
 
         p = build([1.0, 1.0], [[1.0, 1.0]], [GE], [1.5], [(0, 1), (0, 1)], kinds=[kind, kind])
         assert solve_milp(p, gap_tol=0.0).objective == pytest.approx(2.0 if kind == BINARY else 1.5)
-        monkeypatch.setattr(solve_mod, engine, corrupted)
+        monkeypatch.setattr(solve_mod, "scipy_milp", corrupted)
         with pytest.raises(NumericalInstabilityError, match="breaks a row by 0.6"):
             solve_milp(p, gap_tol=0.0)
 
@@ -434,7 +434,6 @@ class TestPresolve:
             raise AssertionError("HiGHS was called")
 
         monkeypatch.setattr(solve_mod, "scipy_milp", no_highs)
-        monkeypatch.setattr(solve_mod, "linprog", no_highs)
         c = [0.1, 0.2, 0.7]
         p = build(c, [[0.0, 0.0, 3.0], [1.0, 1.0, 1.0]], [GE, LE], [6.0, 5.0],
                   [(1.5, 1.5), (0.6, 1.3), (0.0, 2.0)], kinds=["continuous", INTEGER, "continuous"])
@@ -449,7 +448,7 @@ class TestPresolve:
 
 class TestReportedObjective:
     """Every reported objective is the checked point's cost in column order,
-    whether HiGHS's MILP or LP solver ran; the all-fixed case is
+    with integer columns or without; the all-fixed case is
     ``TestPresolve.test_every_column_fixed_is_solved_without_highs``."""
 
     @pytest.mark.parametrize("kind", ["lp", "milp"])

@@ -14,7 +14,6 @@ from gridprep.network import (
     enumerate_loops,
     load_network,
     network_from_document,
-    validate_regions,
 )
 
 from .oracles import cycle_space_dimension
@@ -35,7 +34,15 @@ def minimal_doc():
             {"id": "ab", "from_bus": "a", "to_bus": "b", "phases": "a",
              "r_matrix": UNIT, "x_matrix": UNIT, "p_max": 10.0, "q_max": 10.0},
         ],
+        "regions": [{"id": "r", "depot_bus": "a", "lines": ["ab"]}],
     }
+
+
+def one_region(doc):
+    """``doc`` with its lines in one region, as every line must lie in one."""
+    doc["regions"] = [{"id": "r", "depot_bus": doc["buses"][0]["id"],
+                       "lines": [k["id"] for k in doc["lines"]]}]
+    return doc
 
 
 def line_doc(lid, frm, to, phases="a"):
@@ -179,14 +186,14 @@ class TestEnumerateLoops:
             line_doc("ab", "a", "b"), line_doc("bc", "b", "c"),
             line_doc("cd", "c", "d"), line_doc("da", "d", "a"),
         ]
-        loops = enumerate_loops(network_from_document(doc))
+        loops = enumerate_loops(network_from_document(one_region(doc)))
         assert len(loops) == 1
         assert loops.loops[0].members == frozenset({"ab", "bc", "cd", "da"})
 
     def test_parallel_lines_form_two_member_loop(self):
         doc = minimal_doc()
         doc["lines"].append(line_doc("ab2", "a", "b"))
-        loops = enumerate_loops(network_from_document(doc))
+        loops = enumerate_loops(network_from_document(one_region(doc)))
         assert len(loops) == 1
         assert loops.loops[0].members == frozenset({"ab", "ab2"})
 
@@ -204,7 +211,7 @@ class TestEnumerateLoops:
             "buses": [{"id": b, "phases": "a", "demand_p": {"a": [0.0]}} for b in buses],
             "lines": [line_doc(f"e{i}", a, b) for i, (a, b) in enumerate(edges)],
         }
-        loops = enumerate_loops(network_from_document(doc))
+        loops = enumerate_loops(network_from_document(one_region(doc)))
         assert len(loops) == 24 - 20 + 1 == 5
 
     @settings(deadline=None, max_examples=40)
@@ -227,7 +234,7 @@ class TestEnumerateLoops:
             "buses": [{"id": b, "phases": "a", "demand_p": {"a": [0.0]}} for b in buses],
             "lines": [line_doc(f"e{k}", a, b) for k, (a, b) in enumerate(edges)],
         }
-        model = network_from_document(doc)
+        model = network_from_document(one_region(doc))
         loops = enumerate_loops(model)
         assert len(loops) == cycle_space_dimension(buses, edges)
         for loop in loops:
@@ -236,6 +243,7 @@ class TestEnumerateLoops:
     def test_every_loop_member_is_a_declared_line(self):
         doc = json.loads(feeder13_path().read_text())
         doc["lines"].append(line_doc("tie", "l5", "l8", "a"))
+        doc["regions"][0]["lines"].append("tie")
         model = network_from_document(doc)
         loops = enumerate_loops(model)
         assert len(loops) == 1
@@ -253,7 +261,7 @@ class TestEnumerateLoops:
         doc["buses"] = [{"id": x, "phases": "a", "demand_p": {"a": [0.0, 0.0]}} for x in "ABCD"]
         doc["lines"] = [line_doc("e1", "A", "B"), line_doc("e2", "A", "C"), line_doc("e3", "C", "B"),
                         line_doc("e4", "A", "D"), line_doc("e5", "D", "B")]
-        model = network_from_document(doc)
+        model = network_from_document(one_region(doc))
         loops = enumerate_loops(model)
         ends = {k.id: (k.from_bus, k.to_bus) for k in model.lines}
         admitted = []
@@ -266,11 +274,13 @@ class TestEnumerateLoops:
 
 
 class TestValidateRegions:
+    """Every line lies in exactly one region, or the document is refused."""
+
     def test_single_region_covering_everything(self):
         doc = minimal_doc()
         doc["regions"] = [{"id": "r", "depot_bus": "a", "lines": ["ab"],
                            "crew_min": 0, "crew_max": 5}]
-        assert validate_regions(network_from_document(doc)) == []
+        assert [r.lines for r in network_from_document(doc).regions] == [("ab",)]
 
     def test_line_in_two_regions_is_flagged(self):
         # one line's repair can draw on one region's crews only
@@ -286,8 +296,8 @@ class TestValidateRegions:
     def test_uncovered_line_is_flagged(self):
         doc = minimal_doc()
         doc["regions"] = []
-        violations = validate_regions(network_from_document(doc))
-        assert violations == ["line 'ab' not covered by any region"]
+        with pytest.raises(NetworkValidationError, match="^line 'ab' is listed in no region$"):
+            network_from_document(doc)
 
 
 def test_symbol_audit_every_index_kind_maps_to_a_field(chain3, chain3_config):

@@ -647,13 +647,15 @@ class TestCli:
         ("network", ("regions", 1, "lines"), ["t3", "d7", "d8", "d9", "d5"],
          "region r2: line 'd5' is already listed in region 'r1'"),
         ("network", ("regions", 1, "id"), "r1", "region r1: the id is listed twice"),
+        ("network", ("regions", 0, "lines"), ["t2", "d5", "d6"], "line 't1' is listed in no region"),
     ], ids=["switch-open-string", "grid-forming-string", "substation-string", "p_max-bool",
             "p_max-string", "demand-entry-string", "config-fuel_cost-bool", "config-mu-default-negative",
             "config-mu-by-bus-negative", "fragility-median-nan",
             "fragility-log-std-inf", "fragility-tree-bool", "fragility-repair-fraction",
             "scenario-seed-too-large", "plan-meg-number", "plan-fuel-half-lot",
             "plan-fuel-off-by-1e-6", "plan-meg-twice", "plan-mes-twice", "switch-twice",
-            "switch-name-twice", "region-line-twice", "region-id-twice"])
+            "switch-name-twice", "region-line-twice", "region-id-twice",
+            "region-line-uncovered"])
     def test_malformed_scalar_is_input_error_naming_its_key(self, paths, tmp_path, capsys, what,
                                                             where, value, key):
         # each of these read as some other value, and ran, before one reader checked them all
