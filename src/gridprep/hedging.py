@@ -3,17 +3,17 @@
 Every iteration τ = 0, 1, 2, ... solves each scenario's subproblem augmented
 with its running price vector and a proximal pull toward an anchor, then
 moves the anchor to the probability-weighted mean of the first-stage
-decisions and each price by ρ times its scenario's deviation from that mean.
-Iteration 0 starts from zero prices and no pull, so each scenario is solved
-alone.  A prior plan that passes the first-stage rules warm-starts the loop
-(Watson & Woodruff 2011): iteration 0 then pulls every scenario toward that
-plan with the full ρ.  With two or more scenarios,
-every subproblem also carries a tiny first-stage cost shared by all of
-them, so exact ties resolve the same way everywhere.  The loop stops
-once the weighted deviation from the mean falls below the threshold, then
-extracts a consensus plan (majority vote projected onto the first-stage
-constraints) and prices it by re-solving every scenario with the plan
-pinned.
+decisions and each price by ρ times its scenario's deviation from that mean;
+ρ is ``PhConfig.rho`` in every iteration.  Iteration 0 starts from zero
+prices and no pull, so each scenario is solved alone.  A prior plan that
+passes the first-stage rules warm-starts the loop (Watson & Woodruff 2011):
+iteration 0 then pulls every scenario toward that plan with the full ρ.
+With two or more scenarios, every subproblem also carries a tiny
+first-stage cost shared by all of them, so exact ties resolve the same way
+everywhere.  The loop stops once the weighted deviation from the mean falls
+below the threshold, then extracts a consensus plan (majority vote projected
+onto the first-stage constraints) and prices it by re-solving every scenario
+with the plan pinned.
 
 Each scenario's subproblem is compiled once; every iteration solves a
 copy of it with that iteration's prices, and the consensus is priced on
@@ -69,12 +69,6 @@ class SubproblemInfeasibleError(PhError):
         self.scenario_id = scenario_id
 
 
-# rho grows by RHO_BUMP, up to RHO_CAP_FACTOR times its start, once g has
-# moved by less than STAGNATION_REL_TOL for STAGNATION_WINDOW iterations
-STAGNATION_WINDOW = 5
-STAGNATION_REL_TOL = 1e-4
-RHO_BUMP = 1.5
-RHO_CAP_FACTOR = 10.0
 GAP_TOL = 1e-6
 # tiny common first-stage cost so exact ties resolve the same way in
 # every scenario; without it, equal-cost placements swap forever
@@ -244,7 +238,6 @@ def ph_solve(
     # a single scenario has no ties to break; keep its optimum untouched
     tie_break = TIE_BREAK_WEIGHT if len(scen_set) > 1 else 0.0
     rho = ph_config.rho
-    rho_cap = rho * RHO_CAP_FACTOR
     # iteration 0 prices nothing (-0.0 adds as an exact zero, so the first
     # update leaves rho * (x - x_bar) bit for bit) and pulls only toward a
     # prior plan
@@ -255,7 +248,6 @@ def ph_solve(
         anchor, prox_rho = first.vector(prior), rho
     history: list[float] = []
     log_rows: list[tuple[int, float, float, float]] = []
-    stagnant = 0
 
     for tau in itertools.count():
         def solve_scenario(si_scen):
@@ -286,13 +278,6 @@ def ph_solve(
             raise PhError(f"multiplier aggregate drifted to {drift}")
         if g <= ph_config.epsilon or tau >= ph_config.max_iterations:
             break
-
-        if len(history) >= 2:
-            rel = abs(history[-1] - history[-2]) / max(history[-2], 1e-12)
-            stagnant = stagnant + 1 if rel < STAGNATION_REL_TOL else 0
-        if stagnant >= STAGNATION_WINDOW:
-            rho = min(rho * RHO_BUMP, rho_cap)
-            stagnant = 0
         anchor, prox_rho = x_bar, rho
 
     state = PhState(iteration=tau, x_s=x_s, x_bar=x_bar, eta_s=eta_s, metric_history=history)

@@ -18,6 +18,7 @@ from .formulation import (
     FirstStagePlan,
     FormulationConfig,
     SecondStageSchedule,
+    build_extensive_form,
     build_subproblem,
     check_first_stage_config,
     extract_schedule,
@@ -27,7 +28,7 @@ from .formulation import (
 )
 from .milp import solve_milp
 from .network import PHASES, LoopSet, NetworkModel, PvSpec
-from .parallel import ordered_sum
+from .parallel import map_in_order, ordered_sum
 from .scenarios import DamageScenario, ScenarioSet
 
 PV_SWEEP_RATINGS = {
@@ -265,11 +266,13 @@ def sweep_pv(
     scen_set: ScenarioSet,
     config: FormulationConfig,
 ) -> list[SweepLevelResult]:
-    """Re-solve the stochastic program per penetration level and score it."""
-    from .formulation import build_extensive_form
+    """Re-solve the stochastic program per penetration level and score it.
 
-    out = []
-    for percent in levels:
+    Levels are independent extensive forms, so they solve through
+    :func:`~gridprep.parallel.map_in_order` and come back in level order.
+    """
+
+    def solve_level(percent: int) -> SweepLevelResult:
         fleet = tuple(pv_fleet_for_level(model, percent))
         level_model = replace(model, pv_units=model.pv_units + fleet)
         compiled = build_extensive_form(level_model, scen_set, config)
@@ -280,7 +283,7 @@ def sweep_pv(
             schedule_metrics(level_model, extract_schedule(level_model, scen, compiled.index, sol, si))
             for si, scen in enumerate(scen_set.scenarios)
         ]
-        out.append(SweepLevelResult(
+        return SweepLevelResult(
             percent=percent,
             objective=sol.objective,
             expected_served_kwh=ordered_sum([s.probability * restored
@@ -288,5 +291,6 @@ def sweep_pv(
             expected_outage_hours=ordered_sum([s.probability * outage
                                                for s, (_, outage, _) in zip(scen_set, metrics)]),
             pv_units=len(level_model.pv_units),
-        ))
-    return out
+        )
+
+    return map_in_order(solve_level, levels)

@@ -79,11 +79,11 @@ def assert_ordered_objective(problem, sol):
     assert sol.objective == expected
 
 
-PRESOLVE_PATHS = ["embedded", "highs"]
-# "embedded": the instance also carries a fixed column and a singleton row,
-# which gridprep's own presolve substitutes out and folds into bounds before
-# HiGHS runs; "highs": presolve finds nothing to remove and HiGHS solves the
-# instance as built.
+PRESOLVE_PATHS = ["gridprep-presolve", "as-built"]
+# "gridprep-presolve": the instance also carries a fixed column and a
+# singleton row, which gridprep's own presolve substitutes out and folds into
+# bounds before HiGHS runs; "as-built": gridprep's presolve finds nothing to
+# remove and HiGHS solves the instance as built.
 
 
 def with_presolve_work(rng, c, a, senses, b, bounds, kinds, cap):
@@ -213,7 +213,7 @@ class TestSolveLp:
         while checked < 20:
             c, a, senses, b, bounds = random_lp(rng)
             kinds = ["continuous"] * len(c)
-            if path == "embedded":
+            if path == "gridprep-presolve":
                 # random_lp's feasible point has x0 <= 2
                 c, a, senses, b, bounds, kinds = with_presolve_work(
                     rng, c, a, senses, b, bounds, kinds, cap=rng.uniform(2.0, 4.0))
@@ -277,7 +277,7 @@ class TestSolveMilp:
         rng = np.random.default_rng(31)
         for _ in range(25):
             c, a, senses, b, bounds, kinds, seed_x = random_milp(rng)
-            if path == "embedded":
+            if path == "gridprep-presolve":
                 # x0 <= seed + 1/4 rounds to x0 = 0 when the seed's x0 is 0
                 c, a, senses, b, bounds, kinds = with_presolve_work(
                     rng, c, a, senses, b, bounds, kinds, cap=seed_x[0] + 0.25)

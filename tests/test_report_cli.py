@@ -820,6 +820,19 @@ class TestCli:
                               for name in ("evaluation.json", "served_fraction.csv")]
         assert written[1] == written[None] == written[3]
 
+    def test_sweep_writes_the_same_reports_on_any_core_count(self, paths, tmp_path):
+        scenarios = self.storms(paths, tmp_path / "s", 2, 3)
+        written = {}
+        for cores in (None, 1, 3):
+            out = tmp_path / f"sweep_{cores}"
+            with usable_cores(cores):
+                assert self.run("sweep-pv", "--network", paths["network"],
+                                "--config", paths["config"], "--scenarios", scenarios,
+                                "--levels", "0,9", "--out", str(out)) == 0
+            written[cores] = [(out / name).read_bytes()
+                              for name in ("pv_sweep.json", "pv_sweep.csv")]
+        assert written[1] == written[None] == written[3]
+
     def test_lp_dump_flag(self, paths, tmp_path):
         code = self.run("solve-ef", "--network", paths["network"],
                         "--config", paths["config"],
