@@ -4,7 +4,9 @@ The feeder has a three-phase trunk (f0..f4) and eight single-phase laterals,
 three crew regions, two dispatchable generators, three PV units (one of each
 type), two stationary storage units, and four mobile-unit candidate buses.
 The head line t1 is deliberately fragile so plans that lean on the
-substation underperform.
+substation underperform.  Beside the feeder it writes the fragility
+parameters, the resource budget ``config13.json`` and
+``config13_scarce.json``, the same budget with one crew.
 """
 
 import json
@@ -149,7 +151,10 @@ def main():
         "n_mu_default": 1,
     }
     (OUT / "config13.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
-    for name in ("feeder13.json", "wind13.csv", "fragility13.json", "config13.json"):
+    # one crew for the whole feeder: repairs compete, so the best plan differs by storm
+    scarce = dict(config, n_crew=1)
+    (OUT / "config13_scarce.json").write_text(json.dumps(scarce, indent=2, sort_keys=True) + "\n")
+    for name in ("feeder13.json", "wind13.csv", "fragility13.json", "config13.json", "config13_scarce.json"):
         print("wrote", OUT / name)
 
 

@@ -63,12 +63,6 @@ class PhError(RuntimeError):
     pass
 
 
-class SubproblemInfeasibleError(PhError):
-    def __init__(self, scenario_id: int):
-        super().__init__(f"scenario {scenario_id} subproblem is infeasible")
-        self.scenario_id = scenario_id
-
-
 GAP_TOL = 1e-6
 # tiny common first-stage cost so exact ties resolve the same way in
 # every scenario; without it, equal-cost placements swap forever
@@ -205,7 +199,7 @@ def evaluate_plan_cost(
     def solve_one(comp: CompiledProblem) -> float:
         sol = solve_milp(pin_plan(comp, plan), gap_tol=GAP_TOL)
         if not sol.verdict(f"scenario {comp.scenario_ids[0]} subproblem"):
-            raise SubproblemInfeasibleError(comp.scenario_ids[0])
+            raise PhError(f"scenario {comp.scenario_ids[0]} subproblem is infeasible")
         return sol.objective
 
     objs = map_in_order(solve_one, plain)
@@ -256,7 +250,7 @@ def ph_solve(
                                        rho=prox_rho, tie_break=tie_break)
             sol = solve_milp(comp.problem, gap_tol=GAP_TOL)
             if not sol.verdict(f"scenario {scen.id} subproblem"):
-                raise SubproblemInfeasibleError(scen.id)
+                raise PhError(f"scenario {scen.id} subproblem is infeasible")
             return sol
 
         sols = map_in_order(solve_scenario, list(enumerate(scen_set.scenarios)))

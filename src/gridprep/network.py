@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .document import Reader, loads
 from .parallel import ordered_sum
@@ -38,9 +38,19 @@ class Bus:
     phases: tuple[str, ...]
     demand_p: Mapping[str, tuple[float, ...]]  # kW per phase, length T
     demand_q: Mapping[str, tuple[float, ...]]  # kVAr per phase, length T
-    shed_cost: float  # $/kWh
+    shed_cost: float = 0.0  # $/kWh
     priority: bool = False
     substation: bool = False
+
+    def __post_init__(self):
+        for key, profiles in (("demand_p", self.demand_p), ("demand_q", self.demand_q)):
+            for ph, prof in profiles.items():
+                if ph not in self.phases:
+                    raise NetworkValidationError(f"bus {self.id}: {key} declared on absent phase '{ph}'")
+                if any(v < 0 for v in prof):
+                    raise NetworkValidationError(f"bus {self.id}: negative {key} on phase '{ph}'")
+        if self.shed_cost < 0:
+            raise NetworkValidationError(f"bus {self.id}: shed_cost must be nonnegative")
 
     def demand_at(self, phase: str, t: int) -> float:
         prof = self.demand_p.get(phase)
@@ -69,6 +79,20 @@ class Line:
     poles: int = 0
     spans: int = 0
     underground_prob: float = 0.0
+
+    def __post_init__(self):
+        ctx = f"line {self.id}"
+        if self.from_bus == self.to_bus:
+            raise NetworkValidationError(f"{ctx}: degenerate self-loop (from == to)")
+        for key, m in (("r_matrix", self.r_matrix), ("x_matrix", self.x_matrix)):
+            if any(abs(m[i][j] - m[j][i]) > 1e-12 for i in range(3) for j in range(3)):
+                raise NetworkValidationError(f"{ctx}: {key} not symmetric")
+        if self.p_max < 0 or self.q_max < 0:
+            raise NetworkValidationError(f"{ctx}: flow limits must be nonnegative")
+        if self.poles < 0 or self.spans < 0:
+            raise NetworkValidationError(f"{ctx}: poles/spans must be nonnegative")
+        if not 0.0 <= self.underground_prob <= 1.0:
+            raise NetworkValidationError(f"{ctx}: underground_prob must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -133,6 +157,10 @@ class Region:
     crew_min: int = 0
     crew_max: int = 10**6
 
+    def __post_init__(self):
+        if not 0 <= self.crew_min <= self.crew_max:
+            raise NetworkValidationError(f"region {self.id}: require 0 <= crew_min <= crew_max")
+
 
 @dataclass(frozen=True)
 class Loop:
@@ -154,7 +182,13 @@ class LoopSet:
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Immutable feeder description; safe to share across threads."""
+    """Immutable feeder description; safe to share across threads.
+
+    A model checks the rules between its parts when it is built, whether
+    from a document or in code: ids are unique, every bus, line and region
+    a part names exists, each line lies in exactly one region, and each
+    demand profile spans the horizon.  Each part checks its own ranges.
+    """
 
     base_kva: float
     base_kv: float
@@ -173,6 +207,59 @@ class NetworkModel:
     u_max_default: float = 1.21
     u_min_by_bus: Mapping[str, float] = field(default_factory=dict)
     u_max_by_bus: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise NetworkValidationError("horizon must be >= 1")
+        if self.dt_hours <= 0:
+            raise NetworkValidationError("dt_hours must be > 0")
+        if self.base_kva <= 0 or self.base_kv <= 0:
+            raise NetworkValidationError("base kva/kv must be > 0")
+        if len(self._bus_map) != len(self.buses):
+            raise NetworkValidationError("duplicate bus ids in document")
+        for b in self.buses:
+            for key, profiles in (("demand_p", b.demand_p), ("demand_q", b.demand_q)):
+                for ph, prof in profiles.items():
+                    if len(prof) != self.horizon:
+                        raise NetworkValidationError(f"bus {b.id}: {key} on phase '{ph}' has length "
+                                                     f"{len(prof)}, horizon is {self.horizon}")
+            if not self.u_min(b.id) < self.u_max(b.id):
+                raise NetworkValidationError(f"bus {b.id}: require u_min < u_max")
+        if len(self._line_map) != len(self.lines):
+            raise NetworkValidationError("duplicate line ids in document")
+        for k in self.lines:
+            for end in (k.from_bus, k.to_bus):
+                if end not in self._bus_map:
+                    raise NetworkValidationError(f"line {k.id}: references unknown bus '{end}'")
+            for ph in k.phases:
+                if ph not in self.bus(k.from_bus).phases or ph not in self.bus(k.to_bus).phases:
+                    raise NetworkValidationError(f"line {k.id}: phase '{ph}' not present at both endpoints")
+        region_of: dict[str, str] = {}
+        for i, r in enumerate(self.regions):
+            ctx = f"region {r.id}"
+            if any(q.id == r.id for q in self.regions[:i]):
+                raise NetworkValidationError(f"{ctx}: the id is listed twice in regions")
+            if r.depot_bus not in self._bus_map:
+                raise NetworkValidationError(f"{ctx}: unknown depot bus '{r.depot_bus}'")
+            for lid in r.lines:
+                if lid not in self._line_map:
+                    raise NetworkValidationError(f"{ctx}: unknown line '{lid}'")
+                if lid in region_of:
+                    raise NetworkValidationError(
+                        f"{ctx}: line '{lid}' is already listed in region '{region_of[lid]}'")
+                region_of[lid] = r.id
+        for k in self.lines:
+            if k.id not in region_of:
+                raise NetworkValidationError(f"line '{k.id}' is listed in no region")
+        for key, specs in (("generators", self.generators), ("pv", self.pv_units), ("ess", self.ess_units)):
+            for i, spec in enumerate(specs):
+                if spec.bus not in self._bus_map:
+                    raise NetworkValidationError(f"{key}[{i}]: unknown bus '{spec.bus}'")
+        for cid in sorted(self.candidate_buses):
+            if cid not in self._bus_map:
+                raise NetworkValidationError(f"candidate bus '{cid}' not declared")
+        if self.candidate_buses and self.meg_template is None and self.mes_template is None:
+            raise NetworkValidationError("candidate_buses declared but no meg/mes template to instantiate")
 
     def bus(self, bus_id: str) -> Bus:
         return self._bus_map[bus_id]
@@ -216,10 +303,6 @@ def _matrix3(doc: Mapping, key: str, ctx: str) -> tuple[tuple[float, ...], ...]:
     m = tuple(tuple(_read.items(row, float, f"{ctx}: {key}[{i}]")) for i, row in enumerate(rows))
     if len(m) != 3 or any(len(row) != 3 for row in m):
         raise NetworkParseError(f"{ctx}: {key} must be 3x3")
-    for i in range(3):
-        for j in range(3):
-            if abs(m[i][j] - m[j][i]) > 1e-12:
-                raise NetworkValidationError(f"{ctx}: {key} not symmetric")
     return m
 
 
@@ -230,23 +313,12 @@ def _phases(raw, ctx: str) -> tuple[str, ...]:
     return tuple(p for p in PHASES if p in phs)
 
 
-def _profile(doc: Mapping, key: str, phases: Sequence[str], horizon: int, ctx: str) -> dict[str, tuple[float, ...]]:
+def _profile(doc: Mapping, key: str, ctx: str) -> dict[str, tuple[float, ...]]:
     raw = _read.get(doc, key, ctx, default={})
     if not isinstance(raw, Mapping):
         raise NetworkParseError(f"{ctx}: {key} must map phases to lists of numbers")
-    out: dict[str, tuple[float, ...]] = {}
-    for ph, prof in raw.items():
-        if ph not in phases:
-            raise NetworkValidationError(f"{ctx}: {key} declared on absent phase '{ph}'")
-        vals = tuple(_read.items(prof, float, f"{ctx}: {key} on phase '{ph}'"))
-        if len(vals) != horizon:
-            raise NetworkValidationError(
-                f"{ctx}: {key} on phase '{ph}' has length {len(vals)}, horizon is {horizon}"
-            )
-        if any(v < 0 for v in vals):
-            raise NetworkValidationError(f"{ctx}: negative {key} on phase '{ph}'")
-        out[ph] = vals
-    return out
+    return {ph: tuple(_read.items(prof, float, f"{ctx}: {key} on phase '{ph}'"))
+            for ph, prof in raw.items()}
 
 
 def load_network(text: str) -> NetworkModel:
@@ -255,21 +327,11 @@ def load_network(text: str) -> NetworkModel:
 
 
 def network_from_document(doc: Mapping) -> NetworkModel:
+    """Read a network document.  The model and its parts check the feeder's
+    rules as they are built; only the ``switches`` list is checked here,
+    since the model keeps no trace of it."""
     base = _read.get(doc, "base", "document")
-    base_kva = _read.get(base, "kva", "base", float)
-    base_kv = _read.get(base, "kv", "base", float)
-    horizon = _read.get(doc, "horizon", "document", int)
-    dt_hours = _read.get(doc, "dt_hours", "document", float)
-    if horizon < 1:
-        raise NetworkValidationError("horizon must be >= 1")
-    if dt_hours <= 0:
-        raise NetworkValidationError("dt_hours must be > 0")
-    if base_kva <= 0 or base_kv <= 0:
-        raise NetworkValidationError("base kva/kv must be > 0")
-
     vl = _read.get(doc, "voltage_limits", "document", default={})
-    u_min_default = _read.get(vl, "u_min", "voltage_limits", float, 0.81)
-    u_max_default = _read.get(vl, "u_max", "voltage_limits", float, 1.21)
 
     buses = []
     u_min_by_bus: dict[str, float] = {}
@@ -277,33 +339,14 @@ def network_from_document(doc: Mapping) -> NetworkModel:
     for raw_bus in _read.get(doc, "buses", "document", list):
         bid = _read.get(raw_bus, "id", "bus", str)
         ctx = f"bus {bid}"
-        phases = _phases(_read.get(raw_bus, "phases", ctx), ctx)
-        bus = Bus(
-            id=bid,
-            phases=phases,
-            demand_p=_profile(raw_bus, "demand_p", phases, horizon, ctx),
-            demand_q=_profile(raw_bus, "demand_q", phases, horizon, ctx),
-            shed_cost=_read.get(raw_bus, "shed_cost", ctx, float, 0.0),
-            priority=_read.get(raw_bus, "priority", ctx, bool, False),
-            substation=_read.get(raw_bus, "substation", ctx, bool, False),
-        )
-        if bus.shed_cost < 0:
-            raise NetworkValidationError(f"{ctx}: shed_cost must be nonnegative")
+        buses.append(_read.record(Bus, raw_bus, ctx, id=bid,
+                                  phases=_phases(_read.get(raw_bus, "phases", ctx), ctx),
+                                  demand_p=_profile(raw_bus, "demand_p", ctx),
+                                  demand_q=_profile(raw_bus, "demand_q", ctx)))
         if "u_min" in raw_bus:
             u_min_by_bus[bid] = _read.get(raw_bus, "u_min", ctx, float)
         if "u_max" in raw_bus:
             u_max_by_bus[bid] = _read.get(raw_bus, "u_max", ctx, float)
-        buses.append(bus)
-    bus_ids = [b.id for b in buses]
-    if len(set(bus_ids)) != len(bus_ids):
-        raise NetworkValidationError("duplicate bus ids in document")
-    bus_map = {b.id: b for b in buses}
-
-    for bid in bus_ids:
-        lo = u_min_by_bus.get(bid, u_min_default)
-        hi = u_max_by_bus.get(bid, u_max_default)
-        if not lo < hi:
-            raise NetworkValidationError(f"bus {bid}: require u_min < u_max")
 
     switch_flags: dict[str, bool] = {}
     for i, entry in enumerate(_read.get(doc, "switches", "document", list, [])):
@@ -317,126 +360,51 @@ def network_from_document(doc: Mapping) -> NetworkModel:
     for raw_line in _read.get(doc, "lines", "document", list):
         lid = _read.get(raw_line, "id", "line", str)
         ctx = f"line {lid}"
-        frm = _read.get(raw_line, "from_bus", ctx, str)
-        to = _read.get(raw_line, "to_bus", ctx, str)
-        if frm not in bus_map:
-            raise NetworkValidationError(f"{ctx}: references unknown bus '{frm}'")
-        if to not in bus_map:
-            raise NetworkValidationError(f"{ctx}: references unknown bus '{to}'")
-        if frm == to:
-            raise NetworkValidationError(f"{ctx}: degenerate self-loop (from == to)")
-        phases = _phases(_read.get(raw_line, "phases", ctx), ctx)
-        for ph in phases:
-            if ph not in bus_map[frm].phases or ph not in bus_map[to].phases:
-                raise NetworkValidationError(
-                    f"{ctx}: phase '{ph}' not present at both endpoints"
-                )
-        line = Line(
-            id=lid,
-            from_bus=frm,
-            to_bus=to,
-            phases=phases,
-            r_matrix=_matrix3(raw_line, "r_matrix", ctx),
-            x_matrix=_matrix3(raw_line, "x_matrix", ctx),
-            p_max=_read.get(raw_line, "p_max", ctx, float),
-            q_max=_read.get(raw_line, "q_max", ctx, float),
-            switchable=lid in switch_flags,
-            normally_open=switch_flags.get(lid, False),
-            poles=_read.get(raw_line, "poles", ctx, int, 0),
-            spans=_read.get(raw_line, "spans", ctx, int, 0),
-            underground_prob=_read.get(raw_line, "underground_prob", ctx, float, 0.0),
-        )
-        if line.p_max < 0 or line.q_max < 0:
-            raise NetworkValidationError(f"{ctx}: flow limits must be nonnegative")
-        if line.poles < 0 or line.spans < 0:
-            raise NetworkValidationError(f"{ctx}: poles/spans must be nonnegative")
-        if not 0.0 <= line.underground_prob <= 1.0:
-            raise NetworkValidationError(f"{ctx}: underground_prob must lie in [0, 1]")
-        lines.append(line)
-    line_ids = [k.id for k in lines]
-    if len(set(line_ids)) != len(line_ids):
-        raise NetworkValidationError("duplicate line ids in document")
-    line_id_set = set(line_ids)
+        lines.append(_read.record(Line, raw_line, ctx, id=lid,
+                                  phases=_phases(_read.get(raw_line, "phases", ctx), ctx),
+                                  r_matrix=_matrix3(raw_line, "r_matrix", ctx),
+                                  x_matrix=_matrix3(raw_line, "x_matrix", ctx),
+                                  switchable=lid in switch_flags,
+                                  normally_open=switch_flags.get(lid, False)))
+    line_ids = {k.id for k in lines}
     for sid in switch_flags:
-        if sid not in line_id_set:
+        if sid not in line_ids:
             raise NetworkValidationError(f"switch entry references unknown line '{sid}'")
 
     regions = []
-    region_of: dict[str, str] = {}
     for raw_region in _read.get(doc, "regions", "document", list, []):
         rid = _read.get(raw_region, "id", "region", str)
         ctx = f"region {rid}"
-        if any(r.id == rid for r in regions):
-            raise NetworkValidationError(f"{ctx}: the id is listed twice in regions")
-        depot = _read.get(raw_region, "depot_bus", ctx, str)
-        if depot not in bus_map:
-            raise NetworkValidationError(f"{ctx}: unknown depot bus '{depot}'")
         members = tuple(_read.items(_read.get(raw_region, "lines", ctx), str, f"{ctx}: lines"))
-        for lid in members:
-            if lid not in line_id_set:
-                raise NetworkValidationError(f"{ctx}: unknown line '{lid}'")
-            if lid in region_of:
-                raise NetworkValidationError(
-                    f"{ctx}: line '{lid}' is already listed in region '{region_of[lid]}'")
-            region_of[lid] = rid
-        crew_min = _read.get(raw_region, "crew_min", ctx, int, 0)
-        crew_max = _read.get(raw_region, "crew_max", ctx, int, 10**6)
-        if not 0 <= crew_min <= crew_max:
-            raise NetworkValidationError(f"{ctx}: require 0 <= crew_min <= crew_max")
-        regions.append(Region(id=rid, depot_bus=depot, lines=members, crew_min=crew_min, crew_max=crew_max))
-    for lid in line_ids:
-        if lid not in region_of:
-            raise NetworkValidationError(f"line '{lid}' is listed in no region")
+        regions.append(_read.record(Region, raw_region, ctx, id=rid, lines=members))
 
     def units(key: str, cls) -> tuple:
         return tuple(_read.record(cls, raw, f"{key}[{i}]")
                      for i, raw in enumerate(_read.get(doc, key, "document", list, [])))
 
-    generators = units("generators", GeneratorSpec)
-    pv_units = units("pv", PvSpec)
-    ess_units = units("ess", EssSpec)
-    for key, specs in (("generators", generators), ("pv", pv_units), ("ess", ess_units)):
-        for i, spec in enumerate(specs):
-            if spec.bus not in bus_map:
-                raise NetworkValidationError(f"{key}[{i}]: unknown bus '{spec.bus}'")
+    def template(key: str, cls):
+        raw = doc.get(key)
+        return None if raw is None else _read.record(cls, raw, key, bus="<mobile>")
 
-    candidates = frozenset(_read.items(_read.get(doc, "candidate_buses", "document", default=[]),
-                                       str, "candidate_buses"))
-    for cid in candidates:
-        if cid not in bus_map:
-            raise NetworkValidationError(f"candidate bus '{cid}' not declared")
-
-    meg_template = None
-    if doc.get("meg") is not None:
-        meg_template = _read.record(GeneratorSpec, doc["meg"], "meg", bus="<mobile>")
-    mes_template = None
-    if doc.get("mes") is not None:
-        mes_template = _read.record(EssSpec, doc["mes"], "mes", bus="<mobile>")
-    if candidates and meg_template is None and mes_template is None:
-        raise NetworkValidationError(
-            "candidate_buses declared but no meg/mes template to instantiate"
-        )
-
-    model = NetworkModel(
-        base_kva=base_kva,
-        base_kv=base_kv,
-        horizon=horizon,
-        dt_hours=dt_hours,
+    return _read.record(
+        NetworkModel, doc, "document",
+        base_kva=_read.get(base, "kva", "base", float),
+        base_kv=_read.get(base, "kv", "base", float),
         buses=tuple(buses),
         lines=tuple(lines),
         regions=tuple(regions),
-        generators=generators,
-        pv_units=pv_units,
-        ess_units=ess_units,
-        candidate_buses=candidates,
-        meg_template=meg_template,
-        mes_template=mes_template,
-        u_min_default=u_min_default,
-        u_max_default=u_max_default,
+        generators=units("generators", GeneratorSpec),
+        pv_units=units("pv", PvSpec),
+        ess_units=units("ess", EssSpec),
+        candidate_buses=frozenset(_read.items(_read.get(doc, "candidate_buses", "document", default=[]),
+                                              str, "candidate_buses")),
+        meg_template=template("meg", GeneratorSpec),
+        mes_template=template("mes", EssSpec),
+        u_min_default=_read.get(vl, "u_min", "voltage_limits", float, 0.81),
+        u_max_default=_read.get(vl, "u_max", "voltage_limits", float, 1.21),
         u_min_by_bus=u_min_by_bus,
         u_max_by_bus=u_max_by_bus,
     )
-    return model
 
 
 def enumerate_loops(model: NetworkModel) -> LoopSet:

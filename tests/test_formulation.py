@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridprep.data import config13_path, feeder13_path
+from gridprep.data import config13_path, feeder13_path, fixture_path
 from gridprep.formulation import (
     FirstStagePlan,
     FormulationConfig,
@@ -39,6 +39,7 @@ from gridprep.formulation import (
 )
 from gridprep.milp import MilpProblem, ProblemError, solve_milp
 from gridprep.network import NetworkValidationError, enumerate_loops, network_from_document
+from gridprep.parallel import ordered_sum
 from gridprep.scenarios import DamageScenario, ScenarioSet
 
 from .conftest import small_network_doc
@@ -553,6 +554,19 @@ class TestExtensiveForm:
             )
         assert ef.problem.num_variables == expected_vars
         assert ef.problem.num_constraints == expected_cons
+
+    def test_one_crew_gives_hedging_a_value(self, feeder13, training_scenarios):
+        """With one crew for the feeder, the best plan for all four storms
+        costs 22.4% more than the wait-and-see bound: the sum over storms of
+        p_s times the best bound of that storm solved alone, with its own
+        plan.  On ``config13.json`` the two are equal."""
+        scarce = config_from_document(json.loads(fixture_path("config13_scarce.json").read_text()))
+        ef = solve_milp(build_extensive_form(feeder13, training_scenarios, scarce).problem, gap_tol=1e-6)
+        wait_and_see = ordered_sum([
+            s.probability * solve_milp(build_subproblem(feeder13, s, scarce).problem, gap_tol=1e-6).best_bound
+            for s in training_scenarios.scenarios])
+        assert ef.objective == pytest.approx(1524.7310412564252, rel=1e-9)
+        assert wait_and_see == pytest.approx(1183.2822543427665, rel=1e-9)
 
 
 class TestPhSubproblem:

@@ -333,3 +333,43 @@ def test_highs_has_one_solver_call():
              for path in sorted((SRC / "gridprep").rglob("*.py"))
              for line, name in scipy_solver_calls(ast.parse(path.read_text()))]
     assert not stray, "SciPy solvers called other than milp: " + ", ".join(stray)
+
+
+#: the dataclasses a feeder is made of, each of which checks its own rules
+FEEDER_PARTS = ("Bus", "Line", "Region", "NetworkModel")
+#: the rules the network reader keeps, on the document's ``switches`` list,
+#: of which the model keeps no trace
+READER_RULES = ("is listed twice in switches", "switch entry references unknown line")
+
+
+def feeder_rule_sites(tree) -> list[tuple[int, str]]:
+    """(line, what) of each call in ``tree`` to a class in ``FEEDER_PARTS``,
+    and of each ``raise NetworkValidationError`` outside a ``__post_init__``
+    with the definition it is in and its message."""
+    found = []
+    for scope, node in sites(tree, lambda node: isinstance(node, (ast.Call, ast.Raise))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in FEEDER_PARTS:
+            found.append((node.lineno, f"calls {node.func.id}"))
+        elif (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and getattr(node.exc.func, "id", None) == "NetworkValidationError"
+              and not (scope or "").endswith("__post_init__")):
+            found.append((node.lineno, f"raises in {scope}: {ast.unparse(node.exc.args[0])}"))
+    return found
+
+
+def test_feeder_rules_have_one_home():
+    """The network reader only reads.  ``Bus``, ``Line``, ``Region`` and
+    ``NetworkModel`` are built from a document through ``_read.record`` and
+    check their rules in ``__post_init__``, so a feeder built in code or by
+    ``dataclasses.replace`` is held to the rules a document is.  Only the
+    two ``READER_RULES`` stay in the reader."""
+    planted = ("class Bus:\n    def __post_init__(self):\n        raise NetworkValidationError('a')\n"
+               "def network_from_document(doc):\n    _read.record(Bus, doc, 'bus')\n    Line(id='x')\n"
+               "    raise NetworkValidationError('shed_cost must be nonnegative')\n")
+    assert feeder_rule_sites(ast.parse(planted)) == [
+        (6, "calls Line"), (7, "raises in network_from_document: 'shed_cost must be nonnegative'")]
+    found = feeder_rule_sites(ast.parse((SRC / "gridprep" / "network.py").read_text()))
+    kept = [what for _, what in found if any(rule in what for rule in READER_RULES)]
+    assert len(kept) == len(READER_RULES), f"the reader's switch-list rules moved: {kept}"
+    stray = [f"network.py:{line} {what}" for line, what in found if what not in kept]
+    assert not stray, "feeder rules outside the feeder's dataclasses: " + ", ".join(stray)

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,12 @@ from hypothesis import strategies as st
 
 from gridprep.data import feeder13_path
 from gridprep.network import (
+    PV_HYBRID,
     Bus,
     NetworkParseError,
     NetworkValidationError,
+    PvSpec,
+    Region,
     enumerate_loops,
     load_network,
     network_from_document,
@@ -163,6 +168,22 @@ class TestLoadNetwork:
         doc["switches"] = ["nope"]
         with pytest.raises(NetworkValidationError, match="unknown line 'nope'"):
             network_from_document(doc)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda m: replace(m, pv_units=m.pv_units + (PvSpec("nope", PV_HYBRID, 10.0, 12.0),)),
+     "pv[3]: unknown bus 'nope'"),
+    (lambda m: replace(m, lines=(replace(m.lines[0], to_bus="nope"),) + m.lines[1:]),
+     "line t1: references unknown bus 'nope'"),
+    (lambda m: replace(m.buses[1], shed_cost=-1.0), "bus f1: shed_cost must be nonnegative"),
+    (lambda m: Region(id="r4", depot_bus="f1", lines=(), crew_min=5, crew_max=1),
+     "region r4: require 0 <= crew_min <= crew_max"),
+    (lambda m: replace(m, regions=m.regions[1:]), "line 't1' is listed in no region"),
+], ids=["pv-unknown-bus", "line-unknown-bus", "negative-shed-cost", "crew-range", "region-left-out"])
+def test_model_built_in_code_keeps_the_document_rules(feeder13, fault, message):
+    # a feeder built in code, as sweep_pv builds each level, is refused as its document would be
+    with pytest.raises(NetworkValidationError, match=f"^{re.escape(message)}$"):
+        fault(feeder13)
 
 
 def test_bus_total_demand_adds_phases_in_order():
